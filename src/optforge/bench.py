@@ -22,7 +22,6 @@ parallelism.
 
 import json
 import logging
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -78,6 +77,15 @@ class KnowledgeEntry:
     f_star: float  # None on degenerate entries
     mean_eval: float
     degenerate: bool = False
+
+
+def _degenerate_entry(instance_id):
+    """The entry for an instance with no usable winner."""
+    return KnowledgeEntry(
+        instance_id=instance_id, best_optimizer="random_search",
+        best_config={}, best_config_index=0, f_star=None,
+        mean_eval=0.0, degenerate=True,
+    )
 
 
 def _feasible_best(results):
@@ -153,11 +161,7 @@ def benchmark_instance(instance, pool=DEFAULT_POOL, cap=DEFAULT_CONFIG_CAP,
 
     degenerate = f_star is None or all(r.status != "ok" for r in flat)
     if degenerate:
-        entry = KnowledgeEntry(
-            instance_id=instance.id, best_optimizer="random_search",
-            best_config={}, best_config_index=0, f_star=None,
-            mean_eval=0.0, degenerate=True,
-        )
+        entry = _degenerate_entry(instance.id)
     else:
         entry = KnowledgeEntry(
             instance_id=instance.id, best_optimizer=best.optimizer,
@@ -168,24 +172,14 @@ def benchmark_instance(instance, pool=DEFAULT_POOL, cap=DEFAULT_CONFIG_CAP,
     return entry, (records if keep_records else None)
 
 
-def _limit_blas_threads():
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, "1")
-
-
 def _bench_task(args):
     instance, pool, cap, runs, seed, keep_records = args
     try:
         return benchmark_instance(instance, pool, cap, runs, seed,
                                   keep_records), None
     except Exception as exc:  # noqa: BLE001 -- one bad instance must not kill the set
-        entry = KnowledgeEntry(
-            instance_id=instance.id, best_optimizer="random_search",
-            best_config={}, best_config_index=0, f_star=None,
-            mean_eval=0.0, degenerate=True,
-        )
-        return (entry, None), f"{instance.id}: {type(exc).__name__}: {exc}"
+        return ((_degenerate_entry(instance.id), None),
+                f"{instance.id}: {type(exc).__name__}: {exc}")
 
 
 def benchmark_set(instances, pool=DEFAULT_POOL, cap=DEFAULT_CONFIG_CAP,
@@ -200,8 +194,7 @@ def benchmark_set(instances, pool=DEFAULT_POOL, cap=DEFAULT_CONFIG_CAP,
              for inst in instances]
     outcomes = []
     if parallelism > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=parallelism,
-                                 initializer=_limit_blas_threads) as pool_ex:
+        with ProcessPoolExecutor(max_workers=parallelism) as pool_ex:
             for i, out in enumerate(pool_ex.map(_bench_task, tasks)):
                 outcomes.append(out)
                 if (i + 1) % 10 == 0:
@@ -222,12 +215,6 @@ def benchmark_set(instances, pool=DEFAULT_POOL, cap=DEFAULT_CONFIG_CAP,
         if err is not None:
             failures.append(err)
             print(f"bench: degenerate instance ({err})", file=sys.stderr)
-
-    histogram = {}
-    for e in entries:
-        histogram[e.best_optimizer] = histogram.get(e.best_optimizer, 0) + 1
-    for name in sorted(histogram):
-        log.info("winner count %-20s %d", name, histogram[name])
     return entries, records, failures
 
 

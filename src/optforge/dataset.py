@@ -22,7 +22,7 @@ batch scores the mean over all unordered pairs.
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -114,14 +114,7 @@ def build_instruction_set(instances, knowledge, styles=None,
                 log.warning("skipping degenerate instance %s", inst.id)
                 continue
             # fallback: the degenerate entry already names random_search
-            answer = emit_answer(
-                type(entry)(instance_id=entry.instance_id,
-                            best_optimizer=entry.best_optimizer,
-                            best_config=entry.best_config,
-                            best_config_index=entry.best_config_index,
-                            f_star=entry.f_star, mean_eval=entry.mean_eval,
-                            degenerate=False)
-            )
+            answer = emit_answer(replace(entry, degenerate=False))
         else:
             answer = emit_answer(entry)
         for style in styles:

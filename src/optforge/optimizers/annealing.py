@@ -20,7 +20,6 @@ then one acceptance uniform (drawn unconditionally).
 """
 
 import numpy as np
-from scipy.optimize import dual_annealing as _scipy_dual_annealing
 
 from .base import BoxMap, register, uniform_init
 
@@ -36,12 +35,12 @@ def _metropolis_accept(delta, temp, boltzmann, u):
 
 
 @register("simulated_annealing", n_init=lambda cfg: cfg["NP"])
-def simulated_annealing(tracker, instance, config, rng):
+def simulated_annealing(tracker, config, rng):
     np_ = config["NP"]
     sigma = config["sigma_init"]
     temp = config["temp_init"]
-    box = BoxMap(instance.bounds)
-    d = instance.d
+    box = BoxMap(tracker.bounds)
+    d = tracker.d
 
     start = rng.random((np_, d))
     fit = tracker.penalized_batch(box.to_real(start))
@@ -61,13 +60,13 @@ def simulated_annealing(tracker, instance, config, rng):
 
 
 @register("nsa", n_init=lambda cfg: cfg["n_samples"])
-def nsa(tracker, instance, config, rng):
+def nsa(tracker, config, rng):
     n = config["n_samples"]
     sigma0 = config["sigma"]
     rt = config["rt"]
     schedule = config["schedule"]
-    box = BoxMap(instance.bounds)
-    d = instance.d
+    box = BoxMap(tracker.bounds)
+    d = tracker.d
     n_levels = max(1, tracker.fe_budget // n)
 
     start = rng.random((n, d))
@@ -92,9 +91,12 @@ def nsa(tracker, instance, config, rng):
 
 
 @register("dual_annealing", n_init=lambda cfg: 1)
-def dual_annealing(tracker, instance, config, rng):
-    bounds = [(float(lo), float(hi)) for lo, hi in instance.bounds]
-    x0 = uniform_init(rng, instance.bounds, 1)[0]
+def dual_annealing(tracker, config, rng):
+    # imported on first use: scipy.optimize is slow to import
+    from scipy.optimize import dual_annealing as _scipy_dual_annealing
+
+    bounds = [(float(lo), float(hi)) for lo, hi in tracker.bounds]
+    x0 = uniform_init(rng, tracker.bounds, 1)[0]
     sp_seed = int(rng.integers(0, 2**31 - 1))
     _scipy_dual_annealing(
         tracker.penalized,

@@ -1,11 +1,14 @@
 """Shared optimizer infrastructure: budget tracking, constraint
 handling, the run protocol and the optimizer registry.
 
-Optimizers receive an :class:`ObjectiveTracker` and simply loop until
-it raises :class:`BudgetExhausted`; the tracker records every
+Optimizers are functions ``fn(tracker, config, rng)`` that loop until
+the tracker raises :class:`BudgetExhausted`; the tracker records every
 evaluation, maintains the running best under the feasibility rule and
 freezes the initial-sample objective ``f0`` used later for descent
-normalization.
+normalization.  An optimizer sees nothing of the instance but the
+tracker's ``bounds`` and ``d``, so its source runs unchanged as an
+answer program against any runtime with the tracker's surface (see
+:mod:`optforge.render.answers`).
 
 Comparison rule for constrained problems (also used unconstrained,
 where every violation is 0): feasible beats infeasible, then smaller
@@ -101,6 +104,15 @@ class ObjectiveTracker:
     def remaining(self):
         return self.fe_budget - self.fe_used
 
+    @property
+    def bounds(self):
+        """Read-only (d, 2) array of box bounds."""
+        return self.instance.bounds
+
+    @property
+    def d(self):
+        return self.instance.d
+
     def _record(self, x, f, viol, fe_before):
         # f0 anchor: rule-best over exactly the first n_init evaluations,
         # even when a batch straddles that boundary
@@ -143,11 +155,6 @@ class ObjectiveTracker:
             self.last_partial = (f, viol)
             raise BudgetExhausted
         return f, viol
-
-    def __call__(self, x):
-        """Single-point evaluation; returns the raw objective."""
-        f, _ = self.batch(np.asarray(x, dtype=float)[None])
-        return float(f[0])
 
     def penalized(self, x):
         """Single-point evaluation as ``f + 1e6 * violation`` (for
@@ -250,7 +257,7 @@ def run(optimizer, config, instance, fe_budget, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     status, message = "ok", ""
     try:
-        fn(tracker, instance, config, rng)
+        fn(tracker, config, rng)
     except BudgetExhausted:
         pass
     except Exception as exc:  # noqa: BLE001 -- any optimizer crash = failed run

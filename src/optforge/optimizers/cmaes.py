@@ -46,10 +46,10 @@ def _chi_n(d):
 
 
 @register("sep_cma_es", n_init=lambda cfg: cfg["n_individuals"])
-def sep_cma_es(tracker, instance, config, rng):
+def sep_cma_es(tracker, config, rng):
     lam = config["n_individuals"]
-    d = instance.d
-    box = BoxMap(instance.bounds)
+    d = tracker.d
+    box = BoxMap(tracker.bounds)
     mu = lam // 2
     w, mu_eff = _selection_weights(mu)
 
@@ -173,15 +173,15 @@ def _cma_full_run(tracker, box, d, lam, sigma, mu, mean_decay, min_gens, rng):
 
 
 @register("bipop_cma_es", n_init=lambda cfg: cfg["NP"])
-def bipop_cma_es(tracker, instance, config, rng):
+def bipop_cma_es(tracker, config, rng):
     lam0 = config["NP"]
     sigma0 = float(config["sigma_init"])
     ratio = config["elite_ratio"]
     mean_decay = float(config["mean_decay"])
     min_gens = config["min_num_gens"]
     mult = config["popsize_multiplier"]
-    d = instance.d
-    box = BoxMap(instance.bounds)
+    d = tracker.d
+    box = BoxMap(tracker.bounds)
 
     n_large = 0
     lam_large = lam0

@@ -68,11 +68,11 @@ def _repair(mode, trial, lo, hi, rng):
     raise ValueError(f"unknown bound handling {mode!r}")
 
 
-def _de_loop(tracker, instance, rng, np_, f, cr, strategy, bound):
-    lo = instance.bounds[:, 0]
-    hi = instance.bounds[:, 1]
-    d = instance.d
-    pop = uniform_init(rng, instance.bounds, np_)
+def _de_loop(tracker, rng, np_, f, cr, strategy, bound):
+    lo = tracker.bounds[:, 0]
+    hi = tracker.bounds[:, 1]
+    d = tracker.d
+    pop = uniform_init(rng, tracker.bounds, np_)
     fit, viol = tracker.batch(pop)
     while True:
         best = pop[rule_argmin(fit, viol)]
@@ -91,12 +91,12 @@ def _de_loop(tracker, instance, rng, np_, f, cr, strategy, bound):
 
 
 @register("vanilla_de", n_init=lambda cfg: cfg["NP"])
-def vanilla_de(tracker, instance, config, rng):
-    _de_loop(tracker, instance, rng, config["NP"], config["F"], config["Cr"],
+def vanilla_de(tracker, config, rng):
+    _de_loop(tracker, rng, config["NP"], config["F"], config["Cr"],
              config["mutation"], config["bound"])
 
 
 @register("deap_de", n_init=lambda cfg: cfg["NP"])
-def deap_de(tracker, instance, config, rng):
-    _de_loop(tracker, instance, rng, config["NP"], config["F"], config["Cr"],
+def deap_de(tracker, config, rng):
+    _de_loop(tracker, rng, config["NP"], config["F"], config["Cr"],
              "rand1", "clip")

@@ -16,13 +16,13 @@ __all__ = []
 
 
 @register("samr_ga", n_init=lambda cfg: cfg["NP"])
-def samr_ga(tracker, instance, config, rng):
+def samr_ga(tracker, config, rng):
     np_ = config["NP"]
     n_elite = max(1, int(np_ * config["elite_ratio"]))
     sigma_meta = config["sigma_meta"]
     sigma_floor = config["sigma_best_limit"]
-    box = BoxMap(instance.bounds)
-    d = instance.d
+    box = BoxMap(tracker.bounds)
+    d = tracker.d
 
     pop = rng.random((np_, d))
     sigma = np.full(np_, float(config["sigma_init"]))

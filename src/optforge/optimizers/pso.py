@@ -9,7 +9,7 @@ clipped coordinate has its velocity zeroed.
 
 import numpy as np
 
-from .base import register, rule_le, uniform_init
+from .base import register, rule_argmin, rule_le, uniform_init
 
 __all__ = []
 
@@ -17,15 +17,15 @@ _INERTIA = 0.7298
 
 
 @register("vanilla_pso", n_init=lambda cfg: cfg["NP"])
-def vanilla_pso(tracker, instance, config, rng):
+def vanilla_pso(tracker, config, rng):
     np_ = config["NP"]
     phi_1 = config["phi_1"]
     phi_2 = config["phi_2"]
-    lo = instance.bounds[:, 0]
-    hi = instance.bounds[:, 1]
+    lo = tracker.bounds[:, 0]
+    hi = tracker.bounds[:, 1]
     vmax = 0.5 * (hi - lo)
 
-    pos = uniform_init(rng, instance.bounds, np_)
+    pos = uniform_init(rng, tracker.bounds, np_)
     vel = rng.uniform(-vmax, vmax, pos.shape)
     fit, viol = tracker.batch(pos)
 
@@ -33,15 +33,8 @@ def vanilla_pso(tracker, instance, config, rng):
     pfit = fit.copy()
     pviol = viol.copy()
 
-    def gbest_index():
-        feas = pviol <= 0.0
-        if feas.any():
-            idx = np.flatnonzero(feas)
-            return idx[np.argmin(pfit[idx])]
-        return np.lexsort((pfit, pviol))[0]
-
     while True:
-        g = gbest_index()
+        g = rule_argmin(pfit, pviol)
         r1 = rng.random(pos.shape)
         r2 = rng.random(pos.shape)
         vel = (

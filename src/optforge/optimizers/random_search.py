@@ -8,6 +8,6 @@ _CHUNK = 64
 
 
 @register("random_search", n_init=lambda cfg: 1)
-def random_search(tracker, instance, config, rng):
+def random_search(tracker, config, rng):
     while True:
-        tracker.batch(uniform_init(rng, instance.bounds, _CHUNK))
+        tracker.batch(uniform_init(rng, tracker.bounds, _CHUNK))

@@ -21,7 +21,6 @@ __all__ = [
     "ConstraintSpec",
     "constraint_values",
     "draw_constraint",
-    "violation_of",
 ]
 
 EPS_EQ = 1.0e-4
@@ -109,19 +108,6 @@ def constraint_values(spec, x):
     if kind == "sinusoid":
         return np.sum(np.sin(y), axis=-1) - spec.params["b"]
     raise ValueError(f"unknown constraint template {kind!r}")  # pragma: no cover
-
-
-def violation_of(specs, x):
-    """Total constraint violation per point, 0 where feasible."""
-    x = np.asarray(x, dtype=float)
-    total = np.zeros(x.shape[:-1])
-    for spec in specs:
-        v = constraint_values(spec, x)
-        if spec.is_equality:
-            total += np.maximum(0.0, np.abs(v) - EPS_EQ)
-        else:
-            total += np.maximum(0.0, v)
-    return total
 
 
 def draw_constraint(kind, bounds, rng):

@@ -33,6 +33,7 @@ __all__ = [
     "make_instance",
     "evaluate",
     "evaluate_batch",
+    "violation_of",
     "instance_to_dict",
     "instance_from_dict",
     "save_instances",
@@ -184,15 +185,21 @@ def evaluate_batch(instance, x):
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != instance.d:
         raise ValueError(f"expected shape (n, {instance.d}), got {x.shape}")
-    f = _objective_batch(instance, x)
-    viol = np.zeros(x.shape[0])
-    for spec in instance.constraints:
+    return _objective_batch(instance, x), violation_of(instance.constraints, x)
+
+
+def violation_of(specs, x):
+    """Total constraint violation per point, 0 where feasible:
+    ``sum(max(0, g_i)) + sum(max(0, |h_j| - EPS_EQ))``."""
+    x = np.asarray(x, dtype=float)
+    total = np.zeros(x.shape[:-1])
+    for spec in specs:
         v = constraint_values(spec, x)
         if spec.is_equality:
-            viol += np.maximum(0.0, np.abs(v) - EPS_EQ)
+            total += np.maximum(0.0, np.abs(v) - EPS_EQ)
         else:
-            viol += np.maximum(0.0, v)
-    return f, viol
+            total += np.maximum(0.0, v)
+    return total
 
 
 def evaluate(instance, x):
@@ -200,18 +207,13 @@ def evaluate(instance, x):
     x = np.asarray(x, dtype=float)
     if x.shape != (instance.d,):
         raise ValueError(f"expected shape ({instance.d},), got {x.shape}")
-    f = float(_objective_batch(instance, x[None])[0])
-    g, h = [], []
-    viol = 0.0
-    for spec in instance.constraints:
-        v = float(constraint_values(spec, x[None])[0])
-        if spec.is_equality:
-            h.append(v)
-            viol += max(0.0, abs(v) - EPS_EQ)
-        else:
-            g.append(v)
-            viol += max(0.0, v)
-    return Evaluation(f=f, g=tuple(g), h=tuple(h), violation=viol)
+    f, viol = evaluate_batch(instance, x[None])
+    values = [(spec.is_equality, float(constraint_values(spec, x[None])[0]))
+              for spec in instance.constraints]
+    return Evaluation(f=float(f[0]),
+                      g=tuple(v for eq, v in values if not eq),
+                      h=tuple(v for eq, v in values if eq),
+                      violation=float(viol[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,29 +1,45 @@
 """Answer programs: runnable solver code for a labelled instance.
 
-Each of the ten optimizers has one fixed code template; emitting an
-answer interpolates nothing but the winning hyperparameter values, so
-the pairing ``prompt -> answer`` is a pure function of
-``(optimizer, config)``.  The programs target a small documented
-runtime namespace::
+The answer for an entry is the source of the optimizer the benchmark
+ran, taken with :func:`inspect.getsource`: the registered function
+(without its ``@register`` line) plus every module-level helper,
+class and constant it reaches, then a short driver that runs it with
+the winning configuration.  The pairing ``prompt -> answer`` is a pure
+function of ``(optimizer, config)``, and executing the answer against
+an :class:`~optforge.optimizers.ObjectiveTracker` repeats the bench run
+of that configuration at seed 0 evaluation for evaluation.
 
-    from opt_runtime import load_problem, submit
+The programs target a small documented runtime namespace, which is the
+tracker's own surface::
+
+    from opt_runtime import BudgetExhausted, load_problem
 
     problem = load_problem()   # the task the prompt describes
-    problem.dim                # int, search-space dimension
-    problem.lower, problem.upper   # ndarray (dim,) box bounds
-    problem.budget             # int, max objective evaluations
-    problem.evaluate(x)        # (n, dim) -> (n,) objective values
-                               # (constraint penalties already applied)
-    submit(x, f)               # report the best solution found
+    problem.d                  # int, search-space dimension
+    problem.bounds             # ndarray (d, 2), box bounds per coordinate
+    problem.fe_budget          # int, max objective evaluations
+    problem.fe_used            # int, evaluations spent so far
+    problem.remaining          # int, fe_budget - fe_used
+    problem.batch(x)           # (n, d) -> (f, violation), each (n,)
+    problem.penalized_batch(x) # (n, d) -> f + 1e6 * violation
+    problem.penalized(x)       # (d,) -> float, the same for one point
 
-Templates use ``string.Template`` substitution (``$name``) so literal
-braces in the code never collide with the interpolation syntax.
+``batch`` evaluates the prefix of ``x`` that still fits in the budget
+and then raises ``BudgetExhausted``; the driver catches it.  The
+runtime keeps the best point under the feasibility rule (feasible
+first, then smaller violation, then smaller objective), so the program
+reports nothing itself.
 """
 
-import string
+import dis
+import functools
+import inspect
+import types
 from dataclasses import dataclass
 
-__all__ = ["AnswerDoc", "DegenerateEntryError", "emit_answer", "ANSWER_TEMPLATES"]
+from ..optimizers.base import get_optimizer
+
+__all__ = ["AnswerDoc", "DegenerateEntryError", "emit_answer"]
 
 
 class DegenerateEntryError(ValueError):
@@ -41,605 +57,94 @@ class AnswerDoc:
     line_count: int
 
 
-_RANDOM_SEARCH = """\
-# Pure random search over the feasible box.
-import numpy as np
-
-from opt_runtime import load_problem, submit
-
-problem = load_problem()
-rng = np.random.default_rng(0)
-
-best_x = None
-best_f = np.inf
-used = 0
-while used < problem.budget:
-    n = min(64, problem.budget - used)
-    xs = rng.uniform(problem.lower, problem.upper, size=(n, problem.dim))
-    fs = problem.evaluate(xs)
-    used += n
-    i = int(np.argmin(fs))
-    if fs[i] < best_f:
-        best_f = float(fs[i])
-        best_x = xs[i].copy()
-
-submit(best_x, best_f)
-"""
-
-_VANILLA_DE = """\
-# Differential evolution ($mutation mutation, $bound bound handling).
-import numpy as np
-
-from opt_runtime import load_problem, submit
-
-problem = load_problem()
-rng = np.random.default_rng(0)
-
-NP = $NP
-F = $F
-CR = $Cr
-MUTATION = $mutation
-BOUND = $bound
-
-lower, upper = problem.lower, problem.upper
-width = upper - lower
-pop = rng.uniform(lower, upper, size=(NP, problem.dim))
-fit = problem.evaluate(pop)
-used = NP
-
-
-def donors(pop, best, i, r):
-    a, b, c, d, e = pop[r[0]], pop[r[1]], pop[r[2]], pop[r[3]], pop[r[4]]
-    if MUTATION == "best1":
-        return best + F * (a - b)
-    if MUTATION == "best2":
-        return best + F * (a - b) + F * (c - d)
-    if MUTATION == "rand1":
-        return a + F * (b - c)
-    if MUTATION == "rand2":
-        return a + F * (b - c) + F * (d - e)
-    if MUTATION == "current2rand":
-        return pop[i] + F * (a - pop[i]) + F * (b - c)
-    if MUTATION == "current2best":
-        return pop[i] + F * (best - pop[i]) + F * (a - b)
-    if MUTATION == "rand2best2":
-        return a + F * (best - pop[i]) + F * (b - c) + F * (d - e)
-    raise ValueError(MUTATION)
-
-
-def repair(x):
-    if BOUND == "clip":
-        return np.clip(x, lower, upper)
-    if BOUND == "periodic":
-        return lower + np.mod(x - lower, width)
-    if BOUND == "reflect":
-        y = np.mod(x - lower, 2.0 * width)
-        return lower + np.where(y > width, 2.0 * width - y, y)
-    if BOUND == "rand":
-        redraw = rng.uniform(lower, upper, size=x.shape)
-        return np.where((x < lower) | (x > upper), redraw, x)
-    raise ValueError(BOUND)
-
-
-while used + NP <= problem.budget:
-    best = pop[int(np.argmin(fit))]
-    trial = np.empty_like(pop)
-    for i in range(NP):
-        choices = [j for j in range(NP) if j != i]
-        r = rng.choice(choices, size=5, replace=False)
-        v = donors(pop, best, i, r)
-        mask = rng.random(problem.dim) < CR
-        mask[rng.integers(problem.dim)] = True
-        trial[i] = np.where(mask, v, pop[i])
-    trial = repair(trial)
-    tfit = problem.evaluate(trial)
-    used += NP
-    better = tfit <= fit
-    pop[better] = trial[better]
-    fit[better] = tfit[better]
-
-i = int(np.argmin(fit))
-submit(pop[i], float(fit[i]))
-"""
-
-_DEAP_DE = """\
-# Classic DE/rand/1/bin.
-import numpy as np
-
-from opt_runtime import load_problem, submit
-
-problem = load_problem()
-rng = np.random.default_rng(0)
-
-NP = $NP
-F = $F
-CR = $Cr
-
-lower, upper = problem.lower, problem.upper
-pop = rng.uniform(lower, upper, size=(NP, problem.dim))
-fit = problem.evaluate(pop)
-used = NP
-
-while used + NP <= problem.budget:
-    trial = np.empty_like(pop)
-    for i in range(NP):
-        choices = [j for j in range(NP) if j != i]
-        a, b, c = pop[rng.choice(choices, size=3, replace=False)]
-        v = a + F * (b - c)
-        mask = rng.random(problem.dim) < CR
-        mask[rng.integers(problem.dim)] = True
-        trial[i] = np.where(mask, v, pop[i])
-    trial = np.clip(trial, lower, upper)
-    tfit = problem.evaluate(trial)
-    used += NP
-    better = tfit <= fit
-    pop[better] = trial[better]
-    fit[better] = tfit[better]
-
-i = int(np.argmin(fit))
-submit(pop[i], float(fit[i]))
-"""
-
-_VANILLA_PSO = """\
-# Particle swarm optimization with constriction inertia.
-import numpy as np
-
-from opt_runtime import load_problem, submit
-
-problem = load_problem()
-rng = np.random.default_rng(0)
-
-NP = $NP
-PHI_1 = $phi_1
-PHI_2 = $phi_2
-INERTIA = 0.7298
-
-lower, upper = problem.lower, problem.upper
-width = upper - lower
-vmax = 0.5 * width
-
-pos = rng.uniform(lower, upper, size=(NP, problem.dim))
-vel = np.zeros_like(pos)
-fit = problem.evaluate(pos)
-used = NP
-
-pbest = pos.copy()
-pbest_f = fit.copy()
-g = int(np.argmin(pbest_f))
-gbest = pbest[g].copy()
-gbest_f = float(pbest_f[g])
-
-while used + NP <= problem.budget:
-    r1 = rng.random(pos.shape)
-    r2 = rng.random(pos.shape)
-    vel = (INERTIA * vel
-           + PHI_1 * r1 * (pbest - pos)
-           + PHI_2 * r2 * (gbest - pos))
-    vel = np.clip(vel, -vmax, vmax)
-    pos = pos + vel
-    clipped = (pos < lower) | (pos > upper)
-    pos = np.clip(pos, lower, upper)
-    vel[clipped] = 0.0
-    fit = problem.evaluate(pos)
-    used += NP
-    improved = fit < pbest_f
-    pbest[improved] = pos[improved]
-    pbest_f[improved] = fit[improved]
-    g = int(np.argmin(pbest_f))
-    if pbest_f[g] < gbest_f:
-        gbest = pbest[g].copy()
-        gbest_f = float(pbest_f[g])
-
-submit(gbest, gbest_f)
-"""
-
-_SAMR_GA = """\
-# Genetic algorithm with self-adaptive mutation rates (unit-cube genome).
-import numpy as np
-
-from opt_runtime import load_problem, submit
-
-problem = load_problem()
-rng = np.random.default_rng(0)
-
-NP = $NP
-ELITE_RATIO = $elite_ratio
-SIGMA_INIT = $sigma_init
-SIGMA_META = $sigma_meta
-SIGMA_BEST_LIMIT = $sigma_best_limit
-
-lower, upper = problem.lower, problem.upper
-width = upper - lower
-
-genes = rng.random((NP, problem.dim))
-sigma = np.full(NP, max(SIGMA_INIT, SIGMA_BEST_LIMIT))
-fit = problem.evaluate(lower + genes * width)
-used = NP
-n_elite = max(1, int(np.ceil(ELITE_RATIO * NP)))
-
-while used + NP <= problem.budget:
-    order = np.argsort(fit, kind="stable")
-    genes, sigma, fit = genes[order], sigma[order], fit[order]
-    parents = rng.integers(n_elite, size=NP - n_elite)
-    meta = SIGMA_META ** rng.uniform(-1.0, 1.0, size=NP - n_elite)
-    child_sigma = np.clip(sigma[parents] * meta, SIGMA_BEST_LIMIT, 1.0)
-    noise = child_sigma[:, None] * rng.standard_normal((NP - n_elite, problem.dim))
-    children = np.clip(genes[parents] + noise, 0.0, 1.0)
-    child_fit = problem.evaluate(lower + children * width)
-    used += NP - n_elite
-    genes = np.vstack([genes[:n_elite], children])
-    sigma = np.concatenate([sigma[:n_elite], child_sigma])
-    fit = np.concatenate([fit[:n_elite], child_fit])
-
-i = int(np.argmin(fit))
-submit(lower + genes[i] * width, float(fit[i]))
-"""
-
-_SEP_CMA_ES = """\
-# Separable CMA-ES: diagonal covariance, linear-time updates.
-import numpy as np
-
-from opt_runtime import load_problem, submit
-
-problem = load_problem()
-rng = np.random.default_rng(0)
-
-LAM = $n_individuals
-CC_MULT = $c_c
-SIGMA0 = $sigma
-
-d = problem.dim
-lower, upper = problem.lower, problem.upper
-width = upper - lower
-
-mu = LAM // 2
-w = np.log(mu + 0.5) - np.log(np.arange(1, mu + 1))
-w /= w.sum()
-mu_eff = 1.0 / np.sum(w**2)
-
-c_sigma = (mu_eff + 2.0) / (d + mu_eff + 5.0)
-d_sigma = 1.0 + 2.0 * max(0.0, np.sqrt((mu_eff - 1.0) / (d + 1.0)) - 1.0) + c_sigma
-c_c = min(1.0, CC_MULT * 4.0 / (d + 4.0))
-boost = (d + 2.0) / 3.0
-c_1 = min(1.0, boost * 2.0 / ((d + 1.3) ** 2 + mu_eff))
-c_mu = min(1.0 - c_1, boost * 2.0 * (mu_eff - 2.0 + 1.0 / mu_eff)
-           / ((d + 2.0) ** 2 + mu_eff))
-chi_n = np.sqrt(d) * (1.0 - 1.0 / (4.0 * d) + 1.0 / (21.0 * d**2))
-
-mean = rng.uniform(0.2, 0.8, size=d)
-sigma = SIGMA0
-diag = np.ones(d)
-p_sigma = np.zeros(d)
-p_c = np.zeros(d)
-
-best_x = None
-best_f = np.inf
-used = 0
-gen = 0
-while used + LAM <= problem.budget:
-    gen += 1
-    z = rng.standard_normal((LAM, d))
-    y = z * np.sqrt(diag)
-    genes = np.clip(mean + sigma * y, 0.0, 1.0)
-    fs = problem.evaluate(lower + genes * width)
-    used += LAM
-    order = np.argsort(fs, kind="stable")
-    i = int(order[0])
-    if fs[i] < best_f:
-        best_f = float(fs[i])
-        best_x = lower + genes[i] * width
-    sel = order[:mu]
-    y_w = w @ y[sel]
-    z_w = w @ z[sel]
-    mean = mean + sigma * y_w
-    p_sigma = (1.0 - c_sigma) * p_sigma + np.sqrt(
-        c_sigma * (2.0 - c_sigma) * mu_eff) * z_w
-    hsig = (np.linalg.norm(p_sigma)
-            / np.sqrt(1.0 - (1.0 - c_sigma) ** (2.0 * gen))
-            < (1.4 + 2.0 / (d + 1.0)) * chi_n)
-    p_c = (1.0 - c_c) * p_c + hsig * np.sqrt(
-        c_c * (2.0 - c_c) * mu_eff) * y_w
-    rank_mu = w @ (y[sel] ** 2)
-    diag = ((1.0 - c_1 - c_mu) * diag
-            + c_1 * (p_c**2 + (1.0 - hsig) * c_c * (2.0 - c_c) * diag)
-            + c_mu * rank_mu)
-    diag = np.maximum(diag, 1e-300)
-    sigma *= np.exp(min(1.0, (c_sigma / d_sigma)
-                        * (np.linalg.norm(p_sigma) / chi_n - 1.0)))
-
-submit(best_x, best_f)
-"""
-
-_BIPOP_CMA_ES = """\
-# BIPOP-CMA-ES: CMA-ES restarts alternating large and small populations.
-import numpy as np
-
-from opt_runtime import load_problem, submit
-
-problem = load_problem()
-rng = np.random.default_rng(0)
-
-LAM0 = $NP
-ELITE_RATIO = $elite_ratio
-SIGMA0 = $sigma_init
-MEAN_DECAY = $mean_decay
-MIN_GENS = $min_num_gens
-POP_MULT = $popsize_multiplier
-
-d = problem.dim
-lower, upper = problem.lower, problem.upper
-width = upper - lower
-
-best_x = None
-best_f = np.inf
-used = 0
-
-
-def cma_run(lam, sigma0, budget):
-    global best_x, best_f, used
-    mu = max(1, int(lam * ELITE_RATIO))
-    w = np.log(mu + 0.5) - np.log(np.arange(1, mu + 1))
-    w /= w.sum()
-    mu_eff = 1.0 / np.sum(w**2)
-    c_sigma = (mu_eff + 2.0) / (d + mu_eff + 5.0)
-    d_sigma = 1.0 + 2.0 * max(0.0, np.sqrt((mu_eff - 1.0) / (d + 1.0)) - 1.0) + c_sigma
-    c_c = (4.0 + mu_eff / d) / (d + 4.0 + 2.0 * mu_eff / d)
-    c_1 = 2.0 / ((d + 1.3) ** 2 + mu_eff)
-    c_mu = min(1.0 - c_1, 2.0 * (mu_eff - 2.0 + 1.0 / mu_eff)
-               / ((d + 2.0) ** 2 + mu_eff))
-    chi_n = np.sqrt(d) * (1.0 - 1.0 / (4.0 * d) + 1.0 / (21.0 * d**2))
-
-    mean = rng.uniform(0.2, 0.8, size=d)
-    sigma = sigma0
-    cov = np.eye(d)
-    p_sigma = np.zeros(d)
-    p_c = np.zeros(d)
-    stall = 0
-    run_best = np.inf
-    spent = 0
-    gen = 0
-    while spent + lam <= budget:
-        gen += 1
-        vals, basis = np.linalg.eigh(cov)
-        vals = np.maximum(vals, 1e-300)
-        if vals.max() / vals.min() > 1e14 or sigma * np.sqrt(vals.max()) < 1e-11:
-            break
-        sqrt_c = basis @ (np.sqrt(vals)[:, None] * basis.T)
-        inv_sqrt_c = basis @ ((1.0 / np.sqrt(vals))[:, None] * basis.T)
-        z = rng.standard_normal((lam, d))
-        y = z @ sqrt_c.T
-        genes = np.clip(mean + sigma * y, 0.0, 1.0)
-        fs = problem.evaluate(lower + genes * width)
-        spent += lam
-        order = np.argsort(fs, kind="stable")
-        i = int(order[0])
-        if fs[i] < best_f:
-            best_f = float(fs[i])
-            best_x = lower + genes[i] * width
-        if fs[i] < run_best - 1e-12:
-            run_best = float(fs[i])
-            stall = 0
-        else:
-            stall += 1
-        if gen >= MIN_GENS and stall >= 10 + int(np.ceil(30.0 * d / lam)):
-            break
-        sel = order[:mu]
-        y_w = w @ y[sel]
-        mean = (1.0 - MEAN_DECAY) * mean + MEAN_DECAY * 0.5 + sigma * y_w
-        p_sigma = (1.0 - c_sigma) * p_sigma + np.sqrt(
-            c_sigma * (2.0 - c_sigma) * mu_eff) * (inv_sqrt_c @ y_w)
-        hsig = (np.linalg.norm(p_sigma)
-                / np.sqrt(1.0 - (1.0 - c_sigma) ** (2.0 * gen))
-                < (1.4 + 2.0 / (d + 1.0)) * chi_n)
-        p_c = (1.0 - c_c) * p_c + hsig * np.sqrt(
-            c_c * (2.0 - c_c) * mu_eff) * y_w
-        rank_mu = (w[:, None] * y[sel]).T @ y[sel]
-        cov = ((1.0 - c_1 - c_mu) * cov
-               + c_1 * (np.outer(p_c, p_c)
-                        + (1.0 - hsig) * c_c * (2.0 - c_c) * cov)
-               + c_mu * rank_mu)
-        cov = (cov + cov.T) / 2.0
-        sigma *= np.exp(min(1.0, (c_sigma / d_sigma)
-                            * (np.linalg.norm(p_sigma) / chi_n - 1.0)))
-        if not np.isfinite(mean).all() or not np.isfinite(sigma):
-            break
-    return spent
-
-
-used += cma_run(LAM0, SIGMA0, problem.budget - used)
-n_large = 0
-b_large = 0
-b_small = 0
-lam_large = LAM0
-while used + 2 <= problem.budget:
-    if b_large <= b_small:
-        n_large += 1
-        lam_large = LAM0 * POP_MULT**n_large
-        spent = cma_run(lam_large, SIGMA0, problem.budget - used)
-        b_large += spent
-    else:
-        u = rng.uniform()
-        lam = max(2, int(LAM0 * (lam_large / LAM0) ** (u**2)))
-        spent = cma_run(lam, SIGMA0 * 10.0 ** (-2.0 * u), problem.budget - used)
-        b_small += spent
-    if spent == 0:
-        break
-    used += spent
-
-submit(best_x, best_f)
-"""
-
-_SIMULATED_ANNEALING = """\
-# Population simulated annealing with geometric cooling.
-import numpy as np
-
-from opt_runtime import load_problem, submit
-
-problem = load_problem()
-rng = np.random.default_rng(0)
-
-NP = $NP
-SIGMA_INIT = $sigma_init
-SIGMA_DECAY = $sigma_decay
-SIGMA_LIMIT = $sigma_limit
-TEMP_INIT = $temp_init
-TEMP_LIMIT = $temp_limit
-TEMP_DECAY = $temp_decay
-BOLTZMANN = $boltzmann_const
-
-lower, upper = problem.lower, problem.upper
-width = upper - lower
-
-current = rng.uniform(lower, upper, size=problem.dim)
-current_f = float(problem.evaluate(current[None])[0])
-used = 1
-best_x = current.copy()
-best_f = current_f
-sigma = SIGMA_INIT
-temp = TEMP_INIT
-
-while used + NP <= problem.budget:
-    steps = sigma * width * rng.standard_normal((NP, problem.dim))
-    cand = np.clip(current + steps, lower, upper)
-    accept_u = rng.random(NP)
-    fs = problem.evaluate(cand)
-    used += NP
-    for i in range(NP):
-        delta = fs[i] - current_f
-        if delta <= 0 or accept_u[i] < np.exp(-delta / (BOLTZMANN * temp)):
-            current = cand[i]
-            current_f = float(fs[i])
-        if current_f < best_f:
-            best_f = current_f
-            best_x = current.copy()
-    sigma = max(sigma * SIGMA_DECAY, SIGMA_LIMIT)
-    temp = max(temp * TEMP_DECAY, TEMP_LIMIT)
-
-submit(best_x, best_f)
-"""
-
-_DUAL_ANNEALING = """\
-# Generalized simulated annealing via scipy's dual_annealing.
-import numpy as np
-from scipy.optimize import dual_annealing
-
-from opt_runtime import load_problem, submit
-
-problem = load_problem()
-rng = np.random.default_rng(0)
-
-INITIAL_TEMP = $initial_temp
-VISIT = $visit
-RESTART_TEMP_RATIO = $restart_temp_ratio
-
-used = 0
-
-
-def scalar_objective(x):
-    global used
-    used += 1
-    return float(problem.evaluate(np.asarray(x)[None])[0])
-
-
-bounds = list(zip(problem.lower, problem.upper))
-x0 = rng.uniform(problem.lower, problem.upper)
-result = dual_annealing(
-    scalar_objective,
-    bounds=bounds,
-    x0=x0,
-    maxfun=problem.budget,
-    maxiter=10**6,
-    initial_temp=INITIAL_TEMP,
-    visit=VISIT,
-    restart_temp_ratio=RESTART_TEMP_RATIO,
-    seed=int(rng.integers(2**31 - 1)),
-)
-
-submit(np.asarray(result.x), float(result.fun))
-"""
-
-_NSA = """\
-# Annealing with a level schedule: shrinking step size, cooling per level.
-import numpy as np
-
-from opt_runtime import load_problem, submit
-
-problem = load_problem()
-rng = np.random.default_rng(0)
-
-SIGMA0 = $sigma
-SCHEDULE = $schedule
-N_SAMPLES = $n_samples
-RT = $rt
-
-lower, upper = problem.lower, problem.upper
-width = upper - lower
-
-current = rng.uniform(lower, upper, size=problem.dim)
-current_f = float(problem.evaluate(current[None])[0])
-used = 1
-best_x = current.copy()
-best_f = current_f
-
-n_levels = max(1, problem.budget // N_SAMPLES)
-for level in range(n_levels):
-    if used + N_SAMPLES > problem.budget:
-        break
-    frac = level / n_levels
-    factor = 1.0 - frac if SCHEDULE == "linear" else (1.0 - frac) ** 2
-    sigma = max(SIGMA0 * factor, SIGMA0 * 1e-3)
-    temp = RT**level
-    steps = sigma * width * rng.standard_normal((N_SAMPLES, problem.dim))
-    cand = np.clip(current + steps, lower, upper)
-    accept_u = rng.random(N_SAMPLES)
-    fs = problem.evaluate(cand)
-    used += N_SAMPLES
-    for i in range(N_SAMPLES):
-        delta = fs[i] - current_f
-        if delta <= 0 or accept_u[i] < np.exp(-delta / temp):
-            current = cand[i]
-            current_f = float(fs[i])
-        if current_f < best_f:
-            best_f = current_f
-            best_x = current.copy()
-
-submit(best_x, best_f)
-"""
-
-ANSWER_TEMPLATES = {
-    "samr_ga": _SAMR_GA,
-    "vanilla_de": _VANILLA_DE,
-    "deap_de": _DEAP_DE,
-    "vanilla_pso": _VANILLA_PSO,
-    "sep_cma_es": _SEP_CMA_ES,
-    "bipop_cma_es": _BIPOP_CMA_ES,
-    "simulated_annealing": _SIMULATED_ANNEALING,
-    "dual_annealing": _DUAL_ANNEALING,
-    "nsa": _NSA,
-    "random_search": _RANDOM_SEARCH,
-}
+def _loaded_globals(code):
+    """Global names ``code`` and its nested code objects load, in order."""
+    names = []
+    for ins in dis.get_instructions(code):
+        if ins.opname == "LOAD_GLOBAL" and ins.argval not in names:
+            names.append(ins.argval)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names += [n for n in _loaded_globals(const) if n not in names]
+    return names
+
+
+def _definition_source(obj):
+    """Source of a module-level function or class, decorators dropped."""
+    lines = inspect.getsource(obj).splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line.startswith(("def ", "class ")))
+    return "\n".join(lines[start:])
+
+
+@functools.lru_cache(maxsize=None)
+def _optimizer_source(name):
+    """Self-contained source of a registered optimizer: its imports,
+    the constants it reads, then every function and class it reaches,
+    dependencies before their users and the optimizer itself last."""
+    imports, constants, defs = {"import numpy as np"}, [], []
+    bound = {}
+
+    def visit(obj):
+        funcs = ([v for v in vars(obj).values() if inspect.isfunction(v)]
+                 if inspect.isclass(obj) else [obj])
+        for func in funcs:
+            for gname in _loaded_globals(func.__code__):
+                if gname not in func.__globals__:
+                    continue  # a builtin
+                value = func.__globals__[gname]
+                if gname in bound:
+                    if bound[gname] is not value:
+                        raise ValueError(f"{name}: two globals named {gname!r}")
+                    continue
+                bound[gname] = value
+                if isinstance(value, types.ModuleType):
+                    imports.add(f"import {value.__name__}"
+                                if gname == value.__name__
+                                else f"import {value.__name__} as {gname}")
+                elif inspect.isfunction(value) or inspect.isclass(value):
+                    visit(value)
+                else:
+                    constants.append(f"{gname} = {value!r}")
+        defs.append(_definition_source(obj))
+
+    fn = get_optimizer(name)
+    bound[fn.__name__] = fn
+    visit(fn)
+    head = ("\n".join(sorted(imports))
+            + "\n\nfrom opt_runtime import BudgetExhausted, load_problem")
+    if constants:
+        head += "\n\n" + "\n".join(constants)
+    return "\n\n\n".join([head, *defs]) + "\n"
 
 
 def emit_answer(entry):
     """Render the answer program for one knowledge-base entry.
 
     Raises :class:`DegenerateEntryError` when the entry carries no
-    usable winner (all optimizers failed on the instance).
+    usable winner (all optimizers failed on the instance), and
+    ``KeyError`` for an unregistered optimizer.
     """
     if getattr(entry, "degenerate", False):
         raise DegenerateEntryError(
             f"instance {entry.instance_id}: benchmark found no usable winner"
         )
     optimizer = entry.best_optimizer
-    config = entry.best_config or {}
-    template = ANSWER_TEMPLATES.get(optimizer)
-    if template is None:
-        raise KeyError(f"no answer template for optimizer {optimizer!r}")
-    values = {k: repr(v) for k, v in config.items()}
-    code = string.Template(template).substitute(values)
+    config = dict(entry.best_config or {})
+    fn_name = get_optimizer(optimizer).__name__
+    code = (
+        f"# {optimizer} with the configuration the benchmark chose.\n"
+        + _optimizer_source(optimizer)
+        + f"\n\nCONFIG = {dict(sorted(config.items()))!r}\n\n"
+        "problem = load_problem()\n"
+        "try:\n"
+        f"    {fn_name}(problem, CONFIG, np.random.default_rng(0))\n"
+        "except BudgetExhausted:\n"
+        "    pass\n"
+    )
     return AnswerDoc(
         code_text=code,
         optimizer=optimizer,
-        config=dict(config),
+        config=config,
         line_count=len(code.splitlines()),
     )

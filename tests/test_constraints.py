@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from optforge.problems.constraints import (CONSTRAINT_TEMPLATES, EPS_EQ,
                                            ConstraintSpec, constraint_values,
-                                           draw_constraint, violation_of)
+                                           draw_constraint)
+from optforge.problems.instance import violation_of
 
 
 def _box(d, half=5.0):

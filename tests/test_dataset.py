@@ -49,7 +49,7 @@ def test_build_crosses_instances_with_styles():
     for p in pairs:
         assert p.label == "vanilla_de"
         assert "You are an expert in numerical optimization." in p.q
-        assert "from opt_runtime import load_problem, submit" in p.a
+        assert "from opt_runtime import BudgetExhausted, load_problem" in p.a
 
 
 def test_build_accepts_entry_sequence_and_style_subset():

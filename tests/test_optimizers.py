@@ -239,7 +239,7 @@ def test_off_grid_config_rejected(sphere_instance):
 
 
 def test_crashing_optimizer_marks_failed(sphere_instance, monkeypatch):
-    def boom(tracker, instance, config, rng):
+    def boom(tracker, config, rng):
         raise RuntimeError("synthetic crash")
 
     monkeypatch.setitem(base._REGISTRY, "random_search",

@@ -1,7 +1,7 @@
 """Rendering: executable fidelity of the Python styles, term-order
 invariance of the LaTeX styles, prompt assembly and answer programs."""
 
-import math
+import ast
 import sys
 import types
 
@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from optforge.bench import KnowledgeEntry
-from optforge.optimizers.grids import GRIDS, enumerate_configs
+from optforge.optimizers import (BudgetExhausted, ObjectiveTracker,
+                                 optimizer_ids, run)
+from optforge.optimizers.grids import GRIDS, config_at, enumerate_configs
 from optforge.problems.constraints import EPS_EQ, constraint_values
 from optforge.problems.instance import evaluate, evaluate_batch
 from optforge.problems.synthesis import synthesize_instance
@@ -17,7 +19,6 @@ from optforge.render import (DegenerateEntryError, PY_STYLES, TEX_STYLES,
                              WritingStyle, emit_answer, normalize_terms,
                              render_constraints, render_objective,
                              render_prompt, split_signed_terms)
-from optforge.render.answers import ANSWER_TEMPLATES
 from optforge.render.tex_code import join_signed_terms, permute_terms, tex_num
 
 
@@ -319,7 +320,7 @@ def _entry(optimizer, config, degenerate=False):
                           f_star=0.0, mean_eval=1.0, degenerate=degenerate)
 
 
-@pytest.mark.parametrize("optimizer", sorted(ANSWER_TEMPLATES))
+@pytest.mark.parametrize("optimizer", sorted(GRIDS))
 def test_answer_compiles_for_grid_config(optimizer):
     _, config = enumerate_configs(optimizer, cap=1)[0]
     doc = emit_answer(_entry(optimizer, config))
@@ -327,13 +328,16 @@ def test_answer_compiles_for_grid_config(optimizer):
     assert doc.optimizer == optimizer
     assert doc.config == config
     assert doc.line_count == len(doc.code_text.splitlines())
-    assert "from opt_runtime import load_problem, submit" in doc.code_text
+    assert "from opt_runtime import BudgetExhausted, load_problem" in doc.code_text
     for value in config.values():
         assert repr(value) in doc.code_text
 
 
 def test_answer_templates_cover_pool():
-    assert set(ANSWER_TEMPLATES) == set(GRIDS)
+    assert set(optimizer_ids()) == set(GRIDS)
+    for optimizer in optimizer_ids():
+        assert f"def {optimizer}(tracker, config, rng):" in emit_answer(
+            _entry(optimizer, config_at(optimizer, 0))).code_text
 
 
 def test_answer_degenerate_entry_raises():
@@ -346,69 +350,48 @@ def test_answer_unknown_optimizer_raises():
         emit_answer(_entry("gradient_descent", {}))
 
 
-class _FakeProblem:
-    def __init__(self, d, budget):
-        self.dim = d
-        self.lower = np.full(d, -5.0)
-        self.upper = np.full(d, 5.0)
-        self.budget = budget
-        self.n_evals = 0
-        self.seen = []
-
-    def evaluate(self, xs):
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        self.n_evals += len(xs)
-        fs = np.sum((xs - 1.0) ** 2, axis=1)
-        self.seen.extend(float(v) for v in fs)
-        return fs
+def _small_config(optimizer):
+    """Smallest population, middle value of every other parameter."""
+    return {name: values[0] if name in ("NP", "n_individuals", "n_samples")
+            else values[len(values) // 2]
+            for name, values in GRIDS[optimizer].items()}
 
 
-def _run_answer(code_text, d=3, budget=256):
-    problem = _FakeProblem(d, budget)
-    calls = []
+_ANSWER_INSTANCES = {
+    "unconstrained": synthesize_instance(d=4, k=2, constrained=False, seed=30),
+    "constrained": synthesize_instance(d=3, k=1, constrained=True, seed=31),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ANSWER_INSTANCES))
+@pytest.mark.parametrize("optimizer", sorted(GRIDS))
+def test_answer_reproduces_bench_run(optimizer, kind, monkeypatch):
+    """The shipped program is the benchmarked one: executed alone against
+    a tracker-backed runtime, it spends the same evaluations and ends on
+    the same best point as the bench run at seed 0."""
+    instance = _ANSWER_INSTANCES[kind]
+    assert instance.constrained == (kind == "constrained")
+    config = _small_config(optimizer)
+    budget = 400
+    doc = emit_answer(_entry(optimizer, config))
+    imported = set()
+    for node in ast.walk(ast.parse(doc.code_text)):
+        if isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    assert not any(m.split(".")[0] == "optforge" for m in imported), imported
+
+    tracker = ObjectiveTracker(instance, budget, n_init=1)
     runtime = types.ModuleType("opt_runtime")
-    runtime.load_problem = lambda: problem
-    runtime.submit = lambda x, f: calls.append((np.asarray(x, float), float(f)))
-    sys.modules["opt_runtime"] = runtime
-    try:
-        exec(compile(code_text, "<answer>", "exec"), {"__name__": "__main__"})
-    finally:
-        del sys.modules["opt_runtime"]
-    return problem, calls
+    runtime.load_problem = lambda: tracker
+    runtime.BudgetExhausted = BudgetExhausted
+    monkeypatch.setitem(sys.modules, "opt_runtime", runtime)
+    exec(compile(doc.code_text, "<answer>", "exec"), {"__name__": "__main__"})
 
-
-def test_random_search_answer_runs_to_budget():
-    doc = emit_answer(_entry("random_search", {}))
-    problem, calls = _run_answer(doc.code_text, budget=200)
-    assert problem.n_evals == 200
-    assert len(calls) == 1
-    x, f = calls[0]
-    assert f == min(problem.seen)
-    assert np.all(x >= problem.lower) and np.all(x <= problem.upper)
-
-
-def test_de_answer_improves_and_respects_budget():
-    config = {"NP": 10, "F": 0.5, "Cr": 0.9, "mutation": "best1",
-              "bound": "clip"}
-    doc = emit_answer(_entry("vanilla_de", config))
-    problem, calls = _run_answer(doc.code_text, budget=400)
-    assert problem.n_evals <= 400
-    assert len(calls) == 1
-    _, f = calls[0]
-    assert f == min(problem.seen)
-    assert f < np.median(problem.seen[:10])
-
-
-def test_annealing_answer_runs():
-    config = {"initial_temp": 100.0, "final_temp": 0.1, "sigma": 0.3,
-              "schedule": "exponential"}
-    grid = GRIDS["simulated_annealing"]
-    config = {k: v for k, v in config.items() if k in grid}
-    # fill any grid fields the shorthand above missed
-    for name, values in grid.items():
-        config.setdefault(name, values[0])
-    doc = emit_answer(_entry("simulated_annealing", config))
-    problem, calls = _run_answer(doc.code_text, budget=150)
-    assert problem.n_evals <= 150
-    assert len(calls) == 1
-    assert math.isfinite(calls[0][1])
+    bench = run(optimizer, config, instance, budget, seed=0)
+    assert bench.status == "ok", bench.message
+    assert tracker.fe_used == bench.fe_used
+    assert tracker.best_f == bench.best_f
+    assert tracker.best_violation == bench.best_violation
+    assert tracker.best_x.tolist() == bench.best_x
