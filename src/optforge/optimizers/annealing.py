@@ -10,7 +10,9 @@
   index while the temperature follows T0 * rt^level.
 * ``dual_annealing`` -- delegates to scipy's implementation
   (generalized visiting distribution + local search); the tracker
-  enforces the evaluation budget and records every call.
+  enforces the evaluation budget and records every call.  The local
+  search is scipy's default L-BFGS-B, except that each finite-difference
+  gradient is evaluated as one batch of d points.
 
 Acceptance tests in all three compare penalized objectives, so
 constrained instances are handled by penalty rather than by the
@@ -98,6 +100,20 @@ def dual_annealing(tracker, config, rng):
     bounds = [(float(lo), float(hi)) for lo, hi in tracker.bounds]
     x0 = uniform_init(rng, tracker.bounds, 1)[0]
     sp_seed = int(rng.integers(0, 2**31 - 1))
+
+    def gradient_map(fun, points):
+        # L-BFGS-B maps its objective over the d forward-difference
+        # points of one gradient; evaluate them as one tracker batch
+        return tracker.penalized_batch(np.array(list(points)))
+
+    # scipy's default local search, written out because passing
+    # minimizer_kwargs drops it, plus the batched gradient map
+    local_search = {
+        "method": "L-BFGS-B",
+        "bounds": bounds,
+        "options": {"maxiter": min(max(6 * tracker.d, 100), 1000),
+                    "workers": gradient_map},
+    }
     _scipy_dual_annealing(
         tracker.penalized,
         bounds=bounds,
@@ -108,4 +124,5 @@ def dual_annealing(tracker, config, rng):
         initial_temp=config["initial_temp"],
         visit=config["visit"],
         restart_temp_ratio=config["restart_temp_ratio"],
+        minimizer_kwargs=local_search,
     )

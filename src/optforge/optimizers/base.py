@@ -267,7 +267,6 @@ def run(optimizer, config, instance, fe_budget, seed):
         # run ended before the declared initial sample completed
         tracker.f0, tracker.f0_violation = tracker._init_best
     if tracker.best_x is None:
-        status = status if status == "failed" else "failed"
         message = message or "no evaluations recorded"
         return RunResult(optimizer=optimizer, config=dict(config), seed=seed,
                          status="failed", fe_used=tracker.fe_used,

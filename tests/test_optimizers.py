@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import optforge.optimizers.base as base
 from optforge.optimizers.base import (BudgetExhausted, ObjectiveTracker,
                                       optimizer_ids, rule_argmin, rule_key,
-                                      rule_le, run)
+                                      rule_le, run, uniform_init)
 from optforge.optimizers.grids import GRIDS
 from optforge.problems.instance import evaluate_batch, make_instance
 from optforge.problems.synthesis import synthesize_instance
@@ -279,6 +281,113 @@ def test_vanilla_de_constrained_matches_reference():
                         seed=7)
     assert got.best_f == pytest.approx(want["best_f"], rel=1e-12)
     assert got.best_violation == pytest.approx(want["best_viol"], abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# dual_annealing: batched finite-difference gradients
+
+
+class _RowByRowTracker(ObjectiveTracker):
+    """Tracker whose ``penalized_batch`` evaluates one row at a time via
+    ``penalized``, and which logs every evaluated point."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.points = []
+
+    def batch(self, x):
+        x = np.asarray(x, dtype=float)
+        self.points += x[:max(self.remaining, 0)].tolist()
+        return super().batch(x)
+
+    def penalized_batch(self, x):
+        return np.array([self.penalized(row) for row in x])
+
+
+def _plain_scipy_dual_annealing(tracker, config, rng):
+    # scipy's own default local search, one objective call per point
+    from scipy.optimize import dual_annealing as scipy_dual_annealing
+
+    x0 = uniform_init(rng, tracker.bounds, 1)[0]
+    sp_seed = int(rng.integers(0, 2**31 - 1))
+    scipy_dual_annealing(
+        tracker.penalized,
+        bounds=[(float(lo), float(hi)) for lo, hi in tracker.bounds],
+        maxfun=tracker.remaining, maxiter=10**6, seed=sp_seed, x0=x0,
+        initial_temp=config["initial_temp"], visit=config["visit"],
+        restart_temp_ratio=config["restart_temp_ratio"],
+    )
+
+
+def _logged_run(monkeypatch, optimizer, instance, fe_budget, seed):
+    trackers = []
+
+    def make_tracker(*args):
+        trackers.append(_RowByRowTracker(*args))
+        return trackers[-1]
+
+    monkeypatch.setattr(base, "ObjectiveTracker", make_tracker)
+    res = run(optimizer, SMALL_CONFIGS[optimizer], instance, fe_budget, seed)
+    return res, trackers[0].points
+
+
+# on both instances a local search stops at L-BFGS-B's maxiter
+@pytest.mark.parametrize("constrained, k, seed", [(False, 2, 20),
+                                                  (True, 1, 105)])
+def test_dual_annealing_only_batches_scipy_default_local_search(
+        constrained, k, seed, monkeypatch):
+    inst = synthesize_instance(d=5, k=k, constrained=constrained, seed=seed)
+    got, got_points = _logged_run(monkeypatch, "dual_annealing", inst,
+                                  3000, seed=4)
+    monkeypatch.setitem(base._REGISTRY, "dual_annealing",
+                        (_plain_scipy_dual_annealing,
+                         base._REGISTRY["dual_annealing"][1]))
+    want, want_points = _logged_run(monkeypatch, "dual_annealing", inst,
+                                    3000, seed=4)
+    assert want.status == "ok" and want.fe_used == 3000
+    assert got_points == want_points
+    assert got == want
+
+
+def test_dual_annealing_batches_gradients_within_budget(monkeypatch):
+    inst = synthesize_instance(d=10, k=2, constrained=False, seed=3)
+    cfg = SMALL_CONFIGS["dual_annealing"]
+    calls = []
+
+    def logged_evaluate_batch(instance, x):
+        f, viol = evaluate_batch(instance, x)
+        calls.append((len(x), f, viol))
+        return f, viol
+
+    monkeypatch.setattr(base, "evaluate_batch", logged_evaluate_batch)
+
+    def checked_run(fe_budget):
+        calls.clear()
+        with warnings.catch_warnings():
+            # scipy < 1.16 only warns "Unknown solver options: workers"
+            warnings.simplefilter("error")
+            res = run("dual_annealing", cfg, inst, fe_budget, seed=1)
+        assert res.status == "ok", res.message
+        assert res.fe_used == fe_budget
+        assert sum(n for n, _, _ in calls) == fe_budget
+        return res
+
+    full = checked_run(1500)
+    assert len(calls) < full.fe_used
+    assert max(n for n, _, _ in calls) == inst.d
+
+    # end the budget on the third row of a gradient batch, at a row
+    # that improves on every earlier one
+    rows = [(n, i, rule_key(float(f[i]), float(viol[i])))
+            for n, f, viol in calls for i in range(n)]
+    cut = next(fe + 1 for fe, (n, i, key) in enumerate(rows)
+               if n == inst.d and i == 2
+               and key < min(k for _, _, k in rows[:fe]))
+
+    res = checked_run(cut)
+    assert calls[-1][0] == 3  # the fitting prefix of a 10-point gradient
+    assert rule_key(res.best_f, res.best_violation) == rows[cut - 1][2]
+    assert res.trace[-1] == (cut, res.best_f, res.best_violation)
 
 
 # ---------------------------------------------------------------------------
