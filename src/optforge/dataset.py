@@ -192,14 +192,35 @@ def sampling_weights(pairs):
 
 @dataclass
 class SamplingPlan:
-    """Frozen sampling state for one pair list."""
+    """Frozen sampling state for one pair list.
+
+    ``groups`` holds one ``(indices, probabilities)`` pair per instance,
+    in instance-id order: the indices of its pairs and their rho shares
+    within it.  ``group_p`` is each instance's share of the total rho
+    mass.  Homogeneous draws read only these.
+    """
 
     pairs: list
     weights: np.ndarray
+    groups: list
+    group_p: np.ndarray
 
     @classmethod
     def build(cls, pairs):
-        return cls(pairs=list(pairs), weights=sampling_weights(pairs))
+        pairs = list(pairs)
+        weights = sampling_weights(pairs)
+        by_instance = {}
+        for i, p in enumerate(pairs):
+            by_instance.setdefault(p.instance_id, []).append(i)
+        groups, mass = [], []
+        for k in sorted(by_instance):
+            members = np.array(by_instance[k])
+            w = weights[members]
+            groups.append((members, w / w.sum()))
+            mass.append(w.sum())
+        mass = np.array(mass)
+        return cls(pairs=pairs, weights=weights, groups=groups,
+                   group_p=mass / mass.sum())
 
     def draw_batch(self, batch_size, rng, homogeneous=False):
         """Draw ``batch_size`` pairs.
@@ -215,16 +236,10 @@ class SamplingPlan:
             idx = rng.choice(len(self.pairs), size=batch_size, replace=True,
                              p=self.weights)
             return [self.pairs[i] for i in idx]
-        by_instance = {}
-        for i, p in enumerate(self.pairs):
-            by_instance.setdefault(p.instance_id, []).append(i)
-        ids = sorted(by_instance)
-        mass = np.array([self.weights[by_instance[k]].sum() for k in ids])
-        chosen = ids[int(rng.choice(len(ids), p=mass / mass.sum()))]
-        members = by_instance[chosen]
-        w = self.weights[members]
+        members, p = self.groups[int(rng.choice(len(self.groups),
+                                                p=self.group_p))]
         idx = rng.choice(members, size=batch_size,
-                         replace=batch_size > len(members), p=w / w.sum())
+                         replace=batch_size > len(members), p=p)
         return [self.pairs[i] for i in idx]
 
 

@@ -114,12 +114,14 @@ class ObjectiveTracker:
         return self.instance.d
 
     def _record(self, x, f, viol, fe_before):
+        # one-row batches (dual_annealing's visits and line-search points,
+        # most calls on small instances) skip rule_argmin: its answer is 0
         # f0 anchor: rule-best over exactly the first n_init evaluations,
         # even when a batch straddles that boundary
         if self.f0 is None:
             k = min(len(f), self.n_init - fe_before)
             if k > 0:
-                j = rule_argmin(f[:k], viol[:k])
+                j = rule_argmin(f[:k], viol[:k]) if k > 1 else 0
                 cand = (float(f[j]), float(viol[j]))
                 if (self._init_best is None
                         or rule_key(*cand) < rule_key(*self._init_best)):
@@ -127,7 +129,7 @@ class ObjectiveTracker:
             if self.fe_used >= self.n_init:
                 self.f0, self.f0_violation = self._init_best
 
-        i = rule_argmin(f, viol)
+        i = rule_argmin(f, viol) if len(f) > 1 else 0
         key = rule_key(float(f[i]), float(viol[i]))
         if self.best_x is None or key < rule_key(self.best_f, self.best_violation):
             self.best_f = float(f[i])

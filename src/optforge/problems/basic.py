@@ -5,6 +5,12 @@ points to an ``(n,)`` array of values.  All functions attain their
 global minimum value 0 at ``x = x_opt * ones(d)`` on the canonical
 domain ``[lo, hi]^d`` (Schwefel up to a small numerical constant).
 
+Weierstrass reduces each phase ``3^k (z_i + 0.5)`` modulo one cycle
+exactly, in int64 arithmetic, before taking its cosine.  On composition
+boxes these phases reach 1e13 cycles; as plain floats they keep few
+bits of their fraction, and ``cos`` of them is several times slower
+than on a reduced argument.
+
 The registry :data:`BASIC_FUNCTIONS` indexes functions by name; the
 ordered tuple :data:`BASIC_NAMES` fixes the integer ids used when
 sampling functions during synthesis.
@@ -119,6 +125,9 @@ def levy(z):
     return head + mid + tail
 
 
+_K_POW2 = 2.0 ** np.arange(1, 33)
+
+
 def katsuura(z):
     """Rugged fractal-like surface, non-separable product form.
 
@@ -127,12 +136,12 @@ def katsuura(z):
     """
     z = np.asarray(z, dtype=float)
     d = z.shape[-1]
-    j = np.arange(1, 33, dtype=float)
-    pow2 = 2.0**j
-    # (..., d, 32) grid of |2^j z - round(2^j z)| / 2^j
-    t = z[..., :, None] * pow2
-    frac = np.abs(t - np.round(t)) / pow2
-    s = np.sum(frac, axis=-1)
+    # (..., d, 32) grid of |2^j z - round(2^j z)| / 2^j, built in place
+    t = z[..., :, None] * _K_POW2
+    t -= np.round(t)
+    np.abs(t, out=t)
+    t /= _K_POW2
+    s = np.sum(t, axis=-1)
     i = np.arange(1, d + 1, dtype=float)
     prod = np.prod((1.0 + i * s) ** (10.0 / d**1.2), axis=-1)
     return (10.0 / d**2) * prod - 10.0 / d**2
@@ -160,9 +169,15 @@ def discus(z):
     return 1.0e6 * z[..., 0] ** 2 + np.sum(z[..., 1:] ** 2, axis=-1)
 
 
-_W_A = 0.5
-_W_B = 3.0
 _W_KMAX = 20
+_W_AK = 0.5 ** np.arange(_W_KMAX + 1, dtype=float)
+# 4 b^k: with phases quantized to 2^-62 cycle, the int64 product q 4 b^k
+# wraps mod 2^64 to the phase mod one cycle in 2^-64 cycle units, centered
+_W_4BK = 4 * 3 ** np.arange(_W_KMAX + 1, dtype=np.int64)
+_W_QUANTUM = 2.0**62
+_W_RAD_PER_UNIT = 2.0 * np.pi / 2.0**64
+# the constant term: cos(pi b^k) = -1 for odd b
+_W_CONST = -np.sum(_W_AK)
 
 
 def weierstrass(z):
@@ -171,15 +186,30 @@ def weierstrass(z):
     With a = 0.5, b = 3, kmax = 20:
     f(z) = sum_i sum_k a^k cos(2 pi b^k (z_i + 0.5))
            - d sum_k a^k cos(pi b^k)
+
+    The phases b^k (z_i + 0.5) reach 1e13 cycles on the composition
+    boxes, where a float phase keeps few bits of its fraction and
+    ``cos`` is slow.  Each phase is reduced modulo one cycle exactly
+    instead.  With y = z_i + 0.5, u = y - round(y) is exact, and
+    q = round(u 2^62) is u in units of 2^-62 cycle (exact unless
+    |u| < 2^-10).  The int64 product q 4 b^k wraps mod 2^64, which
+    leaves b^k u mod 1 in units of 2^-64 cycle, in [-2^63, 2^63); so
+    ``cos`` only sees arguments in [-pi, pi).  Since cos(pi b^k) = -1,
+    the constant term is -d sum_k a^k, and f(0) is exactly 0.
     """
     z = np.asarray(z, dtype=float)
     d = z.shape[-1]
-    k = np.arange(_W_KMAX + 1, dtype=float)
-    ak = _W_A**k
-    bk = _W_B**k
-    inner = np.sum(ak * np.cos(2.0 * np.pi * bk * (z[..., :, None] + 0.5)), axis=-1)
-    const = np.sum(ak * np.cos(np.pi * bk))
-    return np.sum(inner, axis=-1) - d * const
+    u = z + 0.5
+    u -= np.round(u)
+    q = np.round(u * _W_QUANTUM).astype(np.int64)
+    terms = (q[..., :, None] * _W_4BK) * _W_RAD_PER_UNIT
+    np.cos(terms, out=terms)
+    terms *= _W_AK
+    inner = np.sum(terms, axis=-1)
+    # the int64 cast turns NaN (from NaN or inf z) into some phase;
+    # adding 0 u keeps those rows NaN, as cos alone would
+    inner += 0.0 * u
+    return np.sum(inner, axis=-1) - d * _W_CONST
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ calls but does all arithmetic and bookkeeping from scratch.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -92,13 +93,23 @@ def ref_discus(z):
 
 
 def ref_weierstrass(z):
+    # each phase b^k (v + 0.5) is reduced modulo one cycle in exact rational
+    # arithmetic, so math.cos never sees a phase whose fraction float
+    # rounding has already lost; the float sum v + 0.5 is the kernel's
+    # own input rounding and is kept
     d = len(z)
-    a, b, kmax = 0.5, 3.0, 20
+    a, b, kmax = 0.5, 3, 20
+
+    def cos_cycles(phase):
+        return math.cos(2.0 * math.pi * float(phase % 1))
+
     total = 0.0
     for v in z:
+        y = Fraction(v + 0.5)
         for k in range(kmax + 1):
-            total += a ** k * math.cos(2.0 * math.pi * b ** k * (v + 0.5))
-    const = sum(a ** k * math.cos(math.pi * b ** k) for k in range(kmax + 1))
+            total += a ** k * cos_cycles(b ** k * y)
+    const = sum(a ** k * cos_cycles(Fraction(b ** k, 2))
+                for k in range(kmax + 1))
     return total - d * const
 
 
@@ -161,6 +172,43 @@ def ref_rule_best_index(fs, viols):
 
 
 # ---------------------------------------------------------------------------
+# tracker bookkeeping
+
+
+def ref_tracker_state():
+    return {
+        "fe": 0, "best_f": None, "best_viol": None, "best_x": None,
+        "f0": None, "f0_viol": None, "init_best": None, "trace": [],
+    }
+
+
+def ref_record_batch(state, n_init, xs, fs, viols):
+    """Record one evaluated batch: FE count, the f0 anchor over the first
+    ``n_init`` evaluations, the rule-best point and the improvement
+    trace."""
+    fe_before = state["fe"]
+    state["fe"] += len(fs)
+    if state["f0"] is None:
+        k = min(len(fs), n_init - fe_before)
+        if k > 0:
+            j = ref_rule_best_index(fs[:k], viols[:k])
+            cand = (fs[j], viols[j])
+            if (state["init_best"] is None
+                    or ref_rule_key(*cand) < ref_rule_key(*state["init_best"])):
+                state["init_best"] = cand
+        if state["fe"] >= n_init:
+            state["f0"], state["f0_viol"] = state["init_best"]
+    i = ref_rule_best_index(fs, viols)
+    if (state["best_x"] is None
+            or ref_rule_key(fs[i], viols[i])
+            < ref_rule_key(state["best_f"], state["best_viol"])):
+        state["best_f"] = fs[i]
+        state["best_viol"] = viols[i]
+        state["best_x"] = list(xs[i])
+        state["trace"].append((fe_before + i + 1, fs[i], viols[i]))
+
+
+# ---------------------------------------------------------------------------
 # scalar-loop DE/best/1/bin with clip repair
 
 def ref_de_best1(instance, np_, f_weight, cr, fe_budget, seed):
@@ -175,32 +223,7 @@ def ref_de_best1(instance, np_, f_weight, cr, fe_budget, seed):
     hi = [float(v) for v in instance.bounds[:, 1]]
     d = instance.d
 
-    state = {
-        "fe": 0, "best_f": None, "best_viol": None, "best_x": None,
-        "f0": None, "f0_viol": None, "init_best": None, "trace": [],
-    }
-
-    def record_batch(xs, fs, viols):
-        fe_before = state["fe"]
-        state["fe"] += len(fs)
-        if state["f0"] is None:
-            k = min(len(fs), np_ - fe_before)
-            if k > 0:
-                j = ref_rule_best_index(fs[:k], viols[:k])
-                cand = (fs[j], viols[j])
-                if (state["init_best"] is None
-                        or ref_rule_key(*cand) < ref_rule_key(*state["init_best"])):
-                    state["init_best"] = cand
-            if state["fe"] >= np_:
-                state["f0"], state["f0_viol"] = state["init_best"]
-        i = ref_rule_best_index(fs, viols)
-        if (state["best_x"] is None
-                or ref_rule_key(fs[i], viols[i])
-                < ref_rule_key(state["best_f"], state["best_viol"])):
-            state["best_f"] = fs[i]
-            state["best_viol"] = viols[i]
-            state["best_x"] = list(xs[i])
-            state["trace"].append((fe_before + i + 1, fs[i], viols[i]))
+    state = ref_tracker_state()
 
     def eval_rows(rows):
         """Evaluate up to the remaining budget; returns (fs, viols, done)."""
@@ -213,7 +236,7 @@ def ref_de_best1(instance, np_, f_weight, cr, fe_budget, seed):
             ev = evaluate(instance, np.array(r))
             fs.append(ev.f)
             viols.append(ev.violation)
-        record_batch(rows[:take], fs, viols)
+        ref_record_batch(state, np_, rows[:take], fs, viols)
         return fs, viols, take < len(rows)
 
     pop_arr = rng.uniform(instance.bounds[:, 0], instance.bounds[:, 1],

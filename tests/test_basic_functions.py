@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,8 @@ def test_catalog_contents():
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_matches_scalar_reference(name):
     bf = BASIC_FUNCTIONS[name]
-    rng = np.random.default_rng(hash(name) % 2**32)
+    # crc32, not hash(): str hashes are salted per process
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     lo, hi = bf.domain
     for d in (1, 2, 3, 7, 15):
         z = rng.uniform(lo, hi, size=(20, d))
@@ -26,6 +29,44 @@ def test_matches_scalar_reference(name):
         want = np.array([REF_BASIC[name](list(row)) for row in z])
         assert got.shape == (20,)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("scale, d", [(10.0, 10), (100.0, 30), (1000.0, 50)])
+def test_weierstrass_matches_exact_reference_at_composition_scales(scale, d):
+    # composition boxes put weierstrass's z far outside [-0.5, 0.5], where
+    # the phases 3^k (z + 0.5) reach 1e13 cycles
+    rng = np.random.default_rng(d)
+    z = np.clip(rng.normal(0.0, scale / 2, size=(8, d)), -scale, scale)
+    got = BASIC_FUNCTIONS["weierstrass"](z)
+    want = np.array([REF_BASIC["weierstrass"](list(row)) for row in z])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 5, 50])
+def test_weierstrass_is_exactly_zero_at_optimum(d):
+    assert BASIC_FUNCTIONS["weierstrass"](np.zeros((1, d)))[0] == 0.0
+
+
+def test_weierstrass_non_finite_rows_stay_nan():
+    z = np.array([[np.nan, 0.1], [np.inf, 0.0], [0.2, 0.3]])
+    with np.errstate(invalid="ignore"):
+        got = BASIC_FUNCTIONS["weierstrass"](z)
+    assert np.isnan(got[:2]).all() and np.isfinite(got[2])
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (1, 50), (22, 45),
+                                   (200, 50)])
+def test_katsuura_equals_one_expression_form(shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    z = rng.uniform(-100.0, 100.0, size=shape)
+    d = shape[1]
+    pow2 = 2.0 ** np.arange(1, 33, dtype=float)
+    t = z[..., :, None] * pow2
+    s = np.sum(np.abs(t - np.round(t)) / pow2, axis=-1)
+    i = np.arange(1, d + 1, dtype=float)
+    want = ((10.0 / d**2) * np.prod((1.0 + i * s) ** (10.0 / d**1.2), axis=-1)
+            - 10.0 / d**2)
+    assert np.array_equal(BASIC_FUNCTIONS["katsuura"](z), want)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)

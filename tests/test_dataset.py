@@ -310,6 +310,27 @@ def test_draw_batch_deterministic_under_same_rng_state():
     assert a == b
 
 
+def test_homogeneous_draws_match_index_rebuilt_per_call():
+    # the plan builds its per-instance index once; draws must equal those
+    # from an index rebuilt on every call, for the same generator stream
+    pairs = _mixed_pairs()
+    plan = SamplingPlan.build(pairs)
+    rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
+    for n in (1, 3, 4, 9, 2, 5):
+        got = plan.draw_batch(n, rng_a, homogeneous=True)
+        by_instance = {}
+        for i, p in enumerate(pairs):
+            by_instance.setdefault(p.instance_id, []).append(i)
+        ids = sorted(by_instance)
+        mass = np.array([plan.weights[by_instance[k]].sum() for k in ids])
+        members = by_instance[ids[int(rng_b.choice(len(ids),
+                                                   p=mass / mass.sum()))]]
+        w = plan.weights[members]
+        idx = rng_b.choice(members, size=n, replace=n > len(members),
+                           p=w / w.sum())
+        assert got == [pairs[i] for i in idx]
+
+
 # ---------------------------------------------------------------------------
 # contrastive objective
 

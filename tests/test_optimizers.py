@@ -13,7 +13,7 @@ from optforge.problems.synthesis import synthesize_instance
 from optforge.problems.transforms import TransformSpec, make_rotation
 from optforge.problems.instance import ComponentSpec
 
-from reference_impls import ref_de_best1
+from reference_impls import ref_de_best1, ref_record_batch, ref_tracker_state
 
 
 def shifted_sphere(d, seed):
@@ -149,6 +149,28 @@ def test_tracker_trace_monotone(sphere_instance):
     keys = [rule_key(e[1], e[2]) for e in t.trace]
     assert all(keys[i + 1] < keys[i] for i in range(len(keys) - 1))
     assert t.trace[-1][1] == t.best_f
+
+
+def test_tracker_one_row_batches_match_generic_bookkeeping(
+        constrained_instance):
+    # one-row batches skip rule_argmin; the f0 anchor, best point and
+    # trace must come out as the batch-generic bookkeeping gives them
+    inst = constrained_instance
+    # the first four rows are infeasible and the fifth feasible, all before
+    # the n_init = 7 boundary; about half of all rows are infeasible
+    xs = np.random.default_rng(2).uniform(inst.bounds[:, 0],
+                                          inst.bounds[:, 1], (80, inst.d))
+    t = ObjectiveTracker(inst, fe_budget=80, n_init=7)
+    want = ref_tracker_state()
+    for x in xs:
+        f, v = t.batch(x[None])
+        ref_record_batch(want, 7, [x.tolist()], [float(f[0])], [float(v[0])])
+    assert t.fe_used == want["fe"] == 80
+    assert t.trace[0][2] > 0.0 and t.best_violation == 0.0
+    assert (t.f0, t.f0_violation) == (want["f0"], want["f0_viol"])
+    assert (t.best_f, t.best_violation) == (want["best_f"], want["best_viol"])
+    assert t.best_x.tolist() == want["best_x"]
+    assert t.trace == want["trace"]
 
 
 def test_tracker_rejects_bad_n_init(sphere_instance):
