@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .bench import (DEFAULT_POOL, benchmark_set, load_knowledge,
                     save_knowledge, save_records)
-from .dataset import (SamplingPlan, build_instruction_set, load_pairs,
+from .dataset import (build_instruction_set, load_pairs, prompt_seed,
                       sampling_weights, save_pairs, split_pairs)
 from .metrics import (EvalOutcome, MetricsReport, RepairRecord,
                       compute_report, format_table)
@@ -27,7 +27,6 @@ from .problems.synthesis import synthesize_set
 from .render.answers import emit_answer
 from .render.prompts import render_prompt
 from .render.styles import WritingStyle
-from .dataset import prompt_seed
 
 log = logging.getLogger("optforge.cli")
 
@@ -149,6 +148,10 @@ def cmd_build(args):
     )
     save_pairs(pairs, args.out)
     print(f"wrote {len(pairs)} instruction pairs to {args.out}")
+    if pairs:
+        chars = sorted(len(p.q) for p in pairs)
+        print(f"  prompt chars: p50 {chars[(len(chars) - 1) // 2]}, "
+              f"max {chars[-1]}")
     if skipped:
         print(f"  skipped degenerate instances: {len(skipped)} "
               f"({', '.join(skipped)})")

@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .render.answers import DegenerateEntryError, emit_answer
+from .render.literals import LiteralTable
 from .render.prompts import render_prompt
 from .render.styles import WritingStyle
 from .seeding import derive_seed
@@ -117,8 +118,10 @@ def build_instruction_set(instances, knowledge, styles=None,
             answer = emit_answer(replace(entry, degenerate=False))
         else:
             answer = emit_answer(entry)
+        table = LiteralTable(inst)
         for style in styles:
-            doc = render_prompt(inst, style, seed=prompt_seed(inst, style))
+            doc = render_prompt(inst, style, seed=prompt_seed(inst, style),
+                                table=table)
             pairs.append(InstructionPair(
                 q=doc.text, a=answer.code_text, instance_id=inst.id,
                 style=style.value, label=answer.optimizer,

@@ -5,6 +5,11 @@ role header, problem statement, objective block, constraint block (when
 present), search-space line, evaluation budget, output instruction --
 so downstream consumers can rely on the layout while the objective
 block varies across the six writing styles.
+
+The numeric data (rotations, shifts, constraint vectors) is formatted
+once per instance, in a :class:`~.literals.LiteralTable`, and shared by
+every style rendered with that table.  Each function here takes an
+optional ``table``; without one it builds a table for the instance.
 """
 
 from dataclasses import dataclass
@@ -12,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..problems.constraints import EPS_EQ
+from .literals import LiteralTable
 from .py_code import render_python_constraints, render_python_objective
 from .styles import PY_STYLES, WritingStyle
 from .tex_code import render_tex_constraints, render_tex_objective
@@ -36,20 +42,30 @@ class PromptDoc:
     fe_budget: int
 
 
-def render_objective(instance, style, seed=0):
+def _table_for(instance, table):
+    if table is None:
+        return LiteralTable(instance)
+    if table.instance is not instance:
+        raise ValueError("the literal table belongs to another instance")
+    return table
+
+
+def render_objective(instance, style, seed=0, table=None):
     """Objective block text in the requested style (no fences)."""
     style = WritingStyle.parse(style)
+    table = _table_for(instance, table)
     if style in PY_STYLES:
-        return render_python_objective(instance, style)
-    return render_tex_objective(instance, style, seed=seed)
+        return render_python_objective(instance, style, table)
+    return render_tex_objective(instance, style, table, seed=seed)
 
 
-def render_constraints(instance, style, seed=0):
+def render_constraints(instance, style, seed=0, table=None):
     """Constraint block text, empty for unconstrained instances."""
     style = WritingStyle.parse(style)
+    table = _table_for(instance, table)
     if style in PY_STYLES:
-        return render_python_constraints(instance, style)
-    return render_tex_constraints(instance, style, seed=seed)
+        return render_python_constraints(instance, style, table)
+    return render_tex_constraints(instance, style, table, seed=seed)
 
 
 def _fence(text, tag):
@@ -70,13 +86,19 @@ def _bounds_line(instance):
             f"per-coordinate bounds {per}.")
 
 
-def render_prompt(instance, style, seed=0):
-    """Assemble the full prompt document for one instance and style."""
+def render_prompt(instance, style, seed=0, table=None):
+    """Assemble the full prompt document for one instance and style.
+
+    Pass the same ``table`` (a :class:`~.literals.LiteralTable` of this
+    instance) to every style of one instance to format its numbers once.
+    """
     style = WritingStyle.parse(style)
+    table = _table_for(instance, table)
     tag = "python" if style in PY_STYLES else "latex"
-    sections = [_ROLE, _TASK, _fence(render_objective(instance, style, seed), tag)]
+    sections = [_ROLE, _TASK,
+                _fence(render_objective(instance, style, seed, table), tag)]
     if instance.constrained:
-        con = render_constraints(instance, style, seed)
+        con = render_constraints(instance, style, seed, table)
         sections.append(
             "The solution must satisfy the following constraints "
             f"(inequalities g(x) <= 0; equalities |h(x)| <= {EPS_EQ!r}):"

@@ -10,12 +10,11 @@ own evaluator (the test suite compiles rendered blocks and compares):
 Data (rotation matrices, shifts, segments, constraint parameters) is
 embedded as literals with full round-trip precision.  Identity parts of
 a transform are omitted rather than multiplied out.  Segment indices
-appear 0-based, matching Python indexing.
+appear 0-based, matching Python indexing.  The matrix and vector
+literals come from the instance's :class:`~.literals.LiteralTable`,
+which formats each number once and shares it with the other styles.
 """
 
-import numpy as np
-
-from ..problems.basic import BASIC_FUNCTIONS
 from .styles import WritingStyle
 
 __all__ = ["render_python_objective", "render_python_constraints"]
@@ -25,16 +24,14 @@ def _num(v):
     return repr(float(v))
 
 
-def _py_vector_literal(name, values, numpy_style):
-    vals = ", ".join(_num(v) for v in values)
+def _py_vector_literal(name, vals, numpy_style):
     if numpy_style:
         return f"{name} = np.array([{vals}])"
     return f"{name} = [{vals}]"
 
 
-def _py_matrix_literal(name, matrix, numpy_style):
-    rows = [f"    [{', '.join(_num(v) for v in row)}]," for row in matrix]
-    body = "\n".join(rows)
+def _py_matrix_literal(name, row_bodies, numpy_style):
+    body = "\n".join(f"    [{row}]," for row in row_bodies)
     if numpy_style:
         return f"{name} = np.array([\n{body}\n])"
     return f"{name} = [\n{body}\n]"
@@ -42,9 +39,7 @@ def _py_matrix_literal(name, matrix, numpy_style):
 
 def _py_index_literal(name, values, numpy_style):
     vals = ", ".join(str(int(v)) for v in values)
-    if numpy_style:
-        return f"{name} = np.array([{vals}])"
-    return f"{name} = [{vals}]"
+    return _py_vector_literal(name, vals, numpy_style)
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +364,9 @@ _MODULAR_DEFS = {
 }
 
 
-def _transform_lines_vector(comp, c, modular):
+def _transform_lines_vector(comp, lit, c, modular):
     """Lines producing z{c} from x (vector/modular family)."""
-    tf = comp.transform
-    has_rot = not np.array_equal(tf.rotation, np.eye(tf.d))
-    has_shift = tf.shift.any()
+    has_rot, has_shift = lit.has_rotation, lit.has_shift
     xs = f"x[s{c}]" if comp.segment is not None else "x"
     if modular and has_rot and has_shift:
         return [f"z{c} = rotate_shift({xs}, M{c}, o{c})"]
@@ -386,11 +379,9 @@ def _transform_lines_vector(comp, c, modular):
     return [f"z{c} = {xs}"]
 
 
-def _transform_lines_loop(comp, c):
-    tf = comp.transform
-    has_rot = not np.array_equal(tf.rotation, np.eye(tf.d))
-    has_shift = tf.shift.any()
-    dc = tf.d
+def _transform_lines_loop(comp, lit, c):
+    has_rot, has_shift = lit.has_rotation, lit.has_shift
+    dc = comp.transform.d
     if comp.segment is not None:
         pre = [f"x{c} = [x[i] for i in s{c}]"]
         xs = f"x{c}"
@@ -412,16 +403,16 @@ def _transform_lines_loop(comp, c):
     return pre + [f"z{c} = {xs}"]
 
 
-def _component_data(instance, numpy_style):
+def _component_data(comps, numpy_style):
     lines = []
-    for c, comp in enumerate(instance.components, start=1):
-        tf = comp.transform
+    for c, (comp, lit) in enumerate(comps, start=1):
         if comp.segment is not None:
             lines.append(_py_index_literal(f"s{c}", comp.segment, numpy_style))
-        if not np.array_equal(tf.rotation, np.eye(tf.d)):
-            lines.append(_py_matrix_literal(f"M{c}", tf.rotation, numpy_style))
-        if tf.shift.any():
-            lines.append(_py_vector_literal(f"o{c}", tf.shift, numpy_style))
+        if lit.has_rotation:
+            lines.append(_py_matrix_literal(f"M{c}", lit.rotation_py,
+                                            numpy_style))
+        if lit.has_shift:
+            lines.append(_py_vector_literal(f"o{c}", lit.shift_py, numpy_style))
     return lines
 
 
@@ -435,14 +426,18 @@ def _combine_expr(instance, term_of):
     return " + ".join(parts)
 
 
-def render_python_objective(instance, style):
-    """Self-contained block defining ``objective(x)`` in the given style."""
+def render_python_objective(instance, style, table):
+    """Self-contained block defining ``objective(x)`` in the given style.
+
+    ``table`` is the instance's :class:`~.literals.LiteralTable`.
+    """
     style = WritingStyle.parse(style)
+    comps = list(zip(instance.components, table.components))
     if style == WritingStyle.PY_LOOP:
-        data = _component_data(instance, numpy_style=False)
+        data = _component_data(comps, numpy_style=False)
         body = []
-        for c, comp in enumerate(instance.components, start=1):
-            body.extend(_transform_lines_loop(comp, c))
+        for c, (comp, lit) in enumerate(comps, start=1):
+            body.extend(_transform_lines_loop(comp, lit, c))
             body.extend(_LOOP_BODIES[comp.basic](f"z{c}", f"f{c}", c))
         ret = _combine_expr(instance, lambda c, comp: f"f{c}")
         lines = ["import math", ""]
@@ -454,10 +449,10 @@ def render_python_objective(instance, style):
         return "\n".join(lines) + "\n"
 
     if style == WritingStyle.PY_VECTOR:
-        data = _component_data(instance, numpy_style=True)
+        data = _component_data(comps, numpy_style=True)
         body = ["x = np.asarray(x, dtype=float)"]
-        for c, comp in enumerate(instance.components, start=1):
-            body.extend(_transform_lines_vector(comp, c, modular=False))
+        for c, (comp, lit) in enumerate(comps, start=1):
+            body.extend(_transform_lines_vector(comp, lit, c, modular=False))
             body.extend(_VECTOR_BODIES[comp.basic](f"z{c}", f"f{c}", c))
         ret = _combine_expr(instance, lambda c, comp: f"f{c}")
         lines = ["import numpy as np", ""]
@@ -469,12 +464,9 @@ def render_python_objective(instance, style):
         return "\n".join(lines) + "\n"
 
     if style == WritingStyle.PY_MODULAR:
-        data = _component_data(instance, numpy_style=True)
-        need_rotate_shift = any(
-            (not np.array_equal(comp.transform.rotation, np.eye(comp.transform.d)))
-            and comp.transform.shift.any()
-            for comp in instance.components
-        )
+        data = _component_data(comps, numpy_style=True)
+        need_rotate_shift = any(lit.has_rotation and lit.has_shift
+                                for lit in table.components)
         helper_names = []
         for comp in instance.components:
             if comp.basic not in helper_names:
@@ -489,8 +481,8 @@ def render_python_objective(instance, style):
         helpers += [_MODULAR_DEFS[name] for name in helper_names]
 
         body = ["x = np.asarray(x, dtype=float)"]
-        for c, comp in enumerate(instance.components, start=1):
-            body.extend(_transform_lines_vector(comp, c, modular=True))
+        for c, (comp, lit) in enumerate(comps, start=1):
+            body.extend(_transform_lines_vector(comp, lit, c, modular=True))
         ret = _combine_expr(instance, lambda c, comp: f"{comp.basic}(z{c})")
         lines = ["import numpy as np", ""]
         if data:
@@ -576,12 +568,13 @@ def _constraint_lines_loop(spec, i):
     raise ValueError(spec.kind)
 
 
-def render_python_constraints(instance, style):
+def render_python_constraints(instance, style, table):
     """Block defining g*/h* functions for the instance's constraints.
 
     Returns an empty string for unconstrained instances.  Inequalities
     are satisfied when ``g(x) <= 0``; equalities when ``|h(x)|`` is
-    within the instance tolerance.
+    within the instance tolerance.  ``table`` is the instance's
+    :class:`~.literals.LiteralTable`.
     """
     style = WritingStyle.parse(style)
     if not instance.constraints:
@@ -591,11 +584,12 @@ def render_python_constraints(instance, style):
     defs = []
     n_g = 0
     n_h = 0
-    for i, spec in enumerate(instance.constraints, start=1):
-        data.append(_py_vector_literal(f"con{i}_c", spec.center,
+    for i, (spec, lit) in enumerate(zip(instance.constraints,
+                                        table.constraints), start=1):
+        data.append(_py_vector_literal(f"con{i}_c", lit.center_py,
                                        numpy_style=not loop))
         if spec.kind == "linear":
-            data.append(_py_vector_literal(f"con{i}_a", spec.params["a"],
+            data.append(_py_vector_literal(f"con{i}_a", lit.a_py,
                                            numpy_style=not loop))
         if spec.is_equality:
             n_h += 1

@@ -13,11 +13,14 @@ normal form recursively sorts all commutable term lists, making it
 order-invariant.  Absolute values use ``\\lvert``/``\\rvert`` (and
 norms ``\\lVert``/``\\rVert``) so bracket depth is unambiguous.
 Subscript/superscript groups are copied verbatim -- index arithmetic
-and exponents are never rearranged.
+and exponents are never rearranged.  Matrix and vector data come from
+the instance's :class:`~.literals.LiteralTable`, which formats each
+number once and shares it with the other styles.
 """
 
 import numpy as np
 
+from .literals import tex_literal
 from .styles import WritingStyle
 
 __all__ = [
@@ -33,11 +36,7 @@ __all__ = [
 
 def tex_num(v):
     """Full-precision literal; scientific notation becomes x 10^{k}."""
-    r = repr(float(v))
-    if "e" in r or "E" in r:
-        mantissa, exp = r.lower().split("e")
-        return rf"{mantissa} \times 10^{{{int(exp)}}}"
-    return r
+    return tex_literal(repr(float(v)))
 
 
 # ---------------------------------------------------------------------------
@@ -292,22 +291,15 @@ def _fill(terms, z, w, d):
     ]
 
 
-def _tex_vector(values):
-    return "(" + ", ".join(tex_num(v) for v in values) + ")"
-
-
-def _tex_matrix(name, matrix):
-    rows = [" & ".join(tex_num(v) for v in row) for row in matrix]
-    body = " \\\\\n".join(rows)
+def _tex_matrix(name, row_bodies):
+    body = " \\\\\n".join(row_bodies)
     return f"{name} = \\begin{{pmatrix}}\n{body}\n\\end{{pmatrix}}"
 
 
-def _component_data_tex(comp, c, k_total):
-    tf = comp.transform
+def _component_data_tex(comp, lit, c, k_total):
     z = "z" if k_total == 1 else f"z^{{({c})}}"
     w = "w" if k_total == 1 else f"w^{{({c})}}"
-    has_rot = not np.array_equal(tf.rotation, np.eye(tf.d))
-    has_shift = tf.shift.any()
+    has_rot, has_shift = lit.has_rotation, lit.has_shift
     lines = []
     if comp.segment is not None:
         xsym = f"x^{{({c})}}"
@@ -326,23 +318,25 @@ def _component_data_tex(comp, c, k_total):
     else:
         lines.insert(0, f"{z} = {xsym}")
     if has_rot:
-        lines.append(_tex_matrix(msym, tf.rotation))
+        lines.append(_tex_matrix(msym, lit.rotation_tex))
     if has_shift:
-        lines.append(f"{osym} = {_tex_vector(tf.shift)}")
+        lines.append(f"{osym} = ({lit.shift_tex})")
     if comp.basic == "levy":
         lines.append(f"{w}_{{i}} = 1 + \\frac{{{z}_{{i}} - 1}}{{4}}")
     return lines
 
 
-def render_tex_objective(instance, style, seed=0):
+def render_tex_objective(instance, style, table, seed=0):
     """Objective block: the f(x) formula plus the data lines defining
-    every symbol it uses."""
+    every symbol it uses.  ``table`` is the instance's
+    :class:`~.literals.LiteralTable`."""
     style = WritingStyle.parse(style)
     forms = _FACTORED if style == WritingStyle.TEX_FACTORED else _CANONICAL
     k_total = instance.k
     terms = []
     data = []
-    for c, comp in enumerate(instance.components, start=1):
+    for c, (comp, lit) in enumerate(zip(instance.components,
+                                        table.components), start=1):
         z = "z" if k_total == 1 else f"z^{{({c})}}"
         w = "w" if k_total == 1 else f"w^{{({c})}}"
         dc = len(comp.segment) if comp.segment is not None else instance.d
@@ -351,7 +345,7 @@ def render_tex_objective(instance, style, seed=0):
             terms.append((1, f"{tex_num(comp.weight)} ( {join_signed_terms(sub)} )"))
         else:
             terms.extend(sub)
-        data.extend(_component_data_tex(comp, c, k_total))
+        data.extend(_component_data_tex(comp, lit, c, k_total))
     formula = join_signed_terms(terms)
     if style == WritingStyle.TEX_COMMUTED:
         rng = np.random.Generator(np.random.PCG64(seed))
@@ -373,8 +367,9 @@ _CON_TEX = {
 }
 
 
-def render_tex_constraints(instance, style, seed=0):
-    """Constraint block: one relation per constraint plus data lines."""
+def render_tex_constraints(instance, style, table, seed=0):
+    """Constraint block: one relation per constraint plus data lines.
+    ``table`` is the instance's :class:`~.literals.LiteralTable`."""
     style = WritingStyle.parse(style)
     if not instance.constraints:
         return ""
@@ -384,7 +379,8 @@ def render_tex_constraints(instance, style, seed=0):
     data = []
     n_g = 0
     n_h = 0
-    for j, spec in enumerate(instance.constraints, start=1):
+    for j, (spec, lit) in enumerate(zip(instance.constraints,
+                                        table.constraints), start=1):
         y = f"y^{{({j})}}"
         sign, main = _CON_TEX[spec.kind]
         main = (main.replace("@Y@", y).replace("@D@-1", str(spec.d - 1))
@@ -408,7 +404,7 @@ def render_tex_constraints(instance, style, seed=0):
             n_g += 1
             lines.append(f"g_{{{n_g}}}(x) = {lhs} \\le 0")
         data.append(f"{y} = x - c^{{({j})}}")
-        data.append(f"c^{{({j})}} = {_tex_vector(spec.center)}")
+        data.append(f"c^{{({j})}} = ({lit.center_tex})")
         if spec.kind == "linear":
-            data.append(f"a^{{({j})}} = {_tex_vector(spec.params['a'])}")
+            data.append(f"a^{{({j})}} = ({lit.a_tex})")
     return "\n".join(lines + [r"\text{where}"] + data) + "\n"

@@ -2,6 +2,7 @@
 config handling and output resumability."""
 
 import json
+import statistics
 
 import pytest
 
@@ -154,6 +155,20 @@ def test_build_output(pipeline):
         assert p.label == entries[p.instance_id].best_optimizer
         assert "```" in p.q
         assert "opt_runtime" in p.a
+
+
+def test_build_reports_prompt_chars(pipeline, tmp_path, capsys):
+    out = tmp_path / "pairs.jsonl"
+    assert main(["build", "--config", pipeline["config"],
+                 "--instances", pipeline["instances"],
+                 "--knowledge", pipeline["knowledge"],
+                 "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    chars = [len(p.q) for p in load_pairs(str(out))]
+    assert lines[0] == f"wrote {len(chars)} instruction pairs to {out}"
+    assert lines[1] == (f"  prompt chars: p50 {statistics.median_low(chars)}, "
+                        f"max {max(chars)}")
+    assert out.read_bytes() == open(pipeline["pairs"], "rb").read()
 
 
 def test_split_output(pipeline):

@@ -17,7 +17,8 @@ from optforge.dataset import (InstructionPair, SamplingPlan,
                               split_pairs)
 from optforge.optimizers.grids import enumerate_configs
 from optforge.problems.synthesis import synthesize_instance
-from optforge.render import DegenerateEntryError, WritingStyle
+from optforge.render import (PY_STYLES, TEX_STYLES, DegenerateEntryError,
+                             LiteralTable, WritingStyle)
 from optforge.render.prompts import render_prompt
 
 
@@ -70,6 +71,40 @@ def test_build_prompt_matches_direct_render():
     doc = render_prompt(instances[0], WritingStyle.TEX_COMMUTED,
                         seed=prompt_seed(instances[0], "tex_commuted"))
     assert pairs[0].q == doc.text
+
+
+def _mixed_instances():
+    return [synthesize_instance(d=2 + 3 * i, k=1 + i % 3,
+                                constrained=i % 2 == 1, seed=70 + i,
+                                fe_budget=500) for i in range(5)]
+
+
+@pytest.mark.parametrize("policy", ["skip", "fallback"])
+def test_build_pairs_match_unshared_renders(policy):
+    instances = _mixed_instances()
+    knowledge = {i.id: _entry_for(i) for i in instances}
+    knowledge[instances[3].id] = _entry_for(instances[3], degenerate=True)
+    pairs, skipped = build_instruction_set(instances, knowledge,
+                                           on_degenerate=policy)
+    kept = [i for i in instances if policy == "fallback" or i is not instances[3]]
+    assert skipped == ([] if policy == "fallback" else [instances[3].id])
+    assert len(pairs) == 6 * len(kept)
+    want = [(inst.id, style.value,
+             render_prompt(inst, style, seed=prompt_seed(inst, style)).text)
+            for inst in kept for style in WritingStyle]
+    assert [(p.instance_id, p.style, p.q) for p in pairs] == want
+
+
+def test_shared_table_text_does_not_depend_on_style_order():
+    for inst in _mixed_instances():
+        fresh = {s: render_prompt(inst, s, seed=prompt_seed(inst, s)).text
+                 for s in WritingStyle}
+        for order in (TEX_STYLES + PY_STYLES, PY_STYLES + TEX_STYLES):
+            table = LiteralTable(inst)
+            for s in order:
+                doc = render_prompt(inst, s, seed=prompt_seed(inst, s),
+                                    table=table)
+                assert doc.text == fresh[s]
 
 
 def test_build_missing_knowledge_lists_ids():

@@ -4,6 +4,7 @@ invariance of the LaTeX styles, prompt assembly and answer programs."""
 import ast
 import sys
 import types
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,13 +13,17 @@ from optforge.bench import KnowledgeEntry
 from optforge.optimizers import (BudgetExhausted, ObjectiveTracker,
                                  optimizer_ids, run)
 from optforge.optimizers.grids import GRIDS, config_at, enumerate_configs
-from optforge.problems.constraints import EPS_EQ, constraint_values
-from optforge.problems.instance import evaluate, evaluate_batch
+from optforge.problems.constraints import (EPS_EQ, ConstraintSpec,
+                                           constraint_values)
+from optforge.problems.instance import (ComponentSpec, evaluate,
+                                        evaluate_batch, make_instance)
 from optforge.problems.synthesis import synthesize_instance
-from optforge.render import (DegenerateEntryError, PY_STYLES, TEX_STYLES,
-                             WritingStyle, emit_answer, normalize_terms,
-                             render_constraints, render_objective,
-                             render_prompt, split_signed_terms)
+from optforge.problems.transforms import TransformSpec, make_rotation
+from optforge.render import (DegenerateEntryError, LiteralTable, PY_STYLES,
+                             TEX_STYLES, WritingStyle, emit_answer,
+                             normalize_terms, render_constraints,
+                             render_objective, render_prompt,
+                             split_signed_terms)
 from optforge.render.tex_code import join_signed_terms, permute_terms, tex_num
 
 
@@ -308,6 +313,121 @@ def test_prompt_rejects_unknown_style():
     inst = synthesize_instance(d=3, k=1, constrained=False, seed=11)
     with pytest.raises(ValueError):
         render_prompt(inst, "markdown")
+
+
+# ---------------------------------------------------------------------------
+# the per-instance literal table
+
+
+_ODD = [1e-05, 2.5e17, -0.0, 0.1]  # scientific notation and a signed zero
+
+
+def _tiny_turn(eps):
+    """Rotation by a small angle: entries print in scientific notation."""
+    c, s = np.cos(eps), np.sin(eps)
+    return np.array([[c, -s], [s, c]])
+
+
+def _literal_instances():
+    """Hand-made instances covering every kind of embedded data."""
+    quarter = np.array([[-0.0, -1.0], [1.0, 0.0]])
+    comp = make_instance(
+        d=4, bounds=[[-5.0, 5.0]] * 4, paradigm="composition",
+        components=[
+            ComponentSpec("rastrigin", TransformSpec(make_rotation(4, 1),
+                                                     np.array(_ODD)),
+                          weight=0.5),
+            ComponentSpec("levy", TransformSpec(np.eye(4), np.array(_ODD[::-1])),
+                          weight=1.0),
+        ],
+        constraints=[
+            ConstraintSpec("linear", _ODD, {"a": [1e-05, -0.0, 0.5, 2.5e17],
+                                            "b": 0.25}),
+            ConstraintSpec("ball", [0.5, -0.0, 1e-05, 0.0], {"radius": 1e-05}),
+            ConstraintSpec("cumsum_zero", [2.5e17, 0.0, 0.0, -1.5], {}),
+            ConstraintSpec("chain_zero", [-0.0] * 4, {}),
+            ConstraintSpec("product", [0.1, 0.2, 0.3, 1e-05], {"c": -0.5}),
+            ConstraintSpec("sinusoid", [0.0, 0.0, 0.0, 2.5e17], {"b": 1.0}),
+        ],
+        fe_budget=900, seed=4)
+    hybrid = make_instance(
+        d=6, bounds=[[-1.0, 1.0]] * 5 + [[-2.0, 3.0]], paradigm="hybrid",
+        components=[
+            ComponentSpec("sphere", TransformSpec(_tiny_turn(1e-05),
+                                                  np.array([-0.0, 1e-05])),
+                          segment=(0, 2)),
+            ComponentSpec("katsuura", TransformSpec(np.eye(1), np.array([0.3])),
+                          segment=(1,)),
+            ComponentSpec("griewank", TransformSpec(quarter, np.zeros(2)),
+                          segment=(3, 4)),
+            ComponentSpec("ackley", TransformSpec(np.eye(1), np.zeros(1)),
+                          segment=(5,)),
+        ],
+        constraints=[ConstraintSpec("linear", [0.0] * 6,
+                                    {"a": [1.0, -0.0, 1e-05, 0.5, 2.0, 3.0],
+                                     "b": 0.0})],
+        fe_budget=700, seed=5)
+    return [comp, hybrid] + _sweep(9, constrained_every=2)
+
+
+def _per_element_table(inst):
+    """The table as the old per-element formatters made it:
+    ``repr(float(v))`` over numpy elements and ``tex_num`` per element."""
+
+    def py(values):
+        return ", ".join(repr(float(v)) for v in values)
+
+    def tex(values, sep=", "):
+        return sep.join(tex_num(v) for v in values)
+
+    comps = []
+    for comp in inst.components:
+        tf = comp.transform
+        rot = tf.rotation if not np.array_equal(tf.rotation, np.eye(tf.d)) else []
+        comps.append(SimpleNamespace(
+            has_rotation=len(rot) > 0, has_shift=bool(tf.shift.any()),
+            rotation_py=[py(row) for row in rot],
+            rotation_tex=[tex(row, " & ") for row in rot],
+            shift_py=py(tf.shift), shift_tex=tex(tf.shift)))
+    cons = [SimpleNamespace(center_py=py(spec.center), center_tex=tex(spec.center),
+                            a_py=py(spec.params.get("a", [])),
+                            a_tex=tex(spec.params.get("a", [])))
+            for spec in inst.constraints]
+    return SimpleNamespace(instance=inst, components=comps, constraints=cons)
+
+
+@pytest.mark.parametrize("style", list(WritingStyle), ids=lambda s: s.value)
+def test_literal_table_matches_per_element_formatting(style):
+    for inst in _literal_instances():
+        want = render_prompt(inst, style, seed=3,
+                             table=_per_element_table(inst)).text
+        assert render_prompt(inst, style, seed=3).text == want
+        assert render_prompt(inst, style, seed=3,
+                             table=LiteralTable(inst)).text == want
+
+
+def test_literal_instances_reach_every_data_form():
+    comp, hybrid = _literal_instances()[:2]
+    assert {s.kind for s in comp.constraints} == {
+        "linear", "ball", "cumsum_zero", "chain_zero", "product", "sinusoid"}
+    py = render_prompt(comp, WritingStyle.PY_VECTOR).text
+    tex = render_prompt(comp, WritingStyle.TEX_CANONICAL).text
+    assert "o2 = np.array([0.1, -0.0, 2.5e+17, 1e-05])" in py
+    assert "con1_a = np.array([1e-05, -0.0, 0.5, 2.5e+17])" in py
+    assert r"o^{(1)} = (1 \times 10^{-5}, 2.5 \times 10^{17}, -0.0, 0.1)" in tex
+    assert r"a^{(1)} = (1 \times 10^{-5}, -0.0, 0.5, 2.5 \times 10^{17})" in tex
+    assert "M2" not in py  # identity rotation with a shift
+    loop = render_prompt(hybrid, WritingStyle.PY_LOOP).text
+    assert "M1 = [\n    [0.99999999995, " in loop
+    assert "s1 = [0, 2]" in loop and "o3" not in loop and "M4" not in loop
+    assert r"\times 10^{-6}" in render_prompt(hybrid, WritingStyle.TEX_FACTORED).text
+    assert "-0.0 & -1.0" in render_prompt(hybrid, WritingStyle.TEX_COMMUTED).text
+
+
+def test_literal_table_of_another_instance_is_rejected():
+    a, b = _sweep(2)
+    with pytest.raises(ValueError):
+        render_prompt(a, WritingStyle.PY_LOOP, table=LiteralTable(b))
 
 
 # ---------------------------------------------------------------------------
