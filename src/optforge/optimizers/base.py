@@ -76,8 +76,7 @@ class ObjectiveTracker:
 
     All evaluations go through :meth:`batch`.  When a batch does not fit
     in the remaining budget, the fitting prefix is evaluated (and
-    recorded) before :class:`BudgetExhausted` is raised; callers that
-    need the truncated values can read them from ``last_partial``.
+    recorded) before :class:`BudgetExhausted` is raised.
 
     ``f0``/``f0_violation`` freeze the rule-best point among the first
     ``n_init`` evaluations -- the optimizer's own initial sample --
@@ -98,7 +97,6 @@ class ObjectiveTracker:
         self.f0_violation = None
         self._init_best = None  # rule-best (f, viol) within the first n_init evals
         self.trace = []  # (fe_used_at_improvement, f, violation)
-        self.last_partial = None
 
     @property
     def remaining(self):
@@ -113,15 +111,26 @@ class ObjectiveTracker:
     def d(self):
         return self.instance.d
 
+    @staticmethod
+    def _best_row(f, viol):
+        # rule_argmin with fast paths: 0 for one row (most of
+        # dual_annealing's calls), and f.argmin() when every violation is
+        # 0, where the rule reduces to it; a NaN violation is truthy and
+        # takes the rule.  They live here, not in rule_argmin, because
+        # answer programs copy rule_argmin's source.
+        if len(f) == 1:
+            return 0
+        if not viol.any():
+            return int(f.argmin())
+        return rule_argmin(f, viol)
+
     def _record(self, x, f, viol, fe_before):
-        # one-row batches (dual_annealing's visits and line-search points,
-        # most calls on small instances) skip rule_argmin: its answer is 0
         # f0 anchor: rule-best over exactly the first n_init evaluations,
         # even when a batch straddles that boundary
         if self.f0 is None:
             k = min(len(f), self.n_init - fe_before)
             if k > 0:
-                j = rule_argmin(f[:k], viol[:k]) if k > 1 else 0
+                j = self._best_row(f[:k], viol[:k])
                 cand = (float(f[j]), float(viol[j]))
                 if (self._init_best is None
                         or rule_key(*cand) < rule_key(*self._init_best)):
@@ -129,7 +138,7 @@ class ObjectiveTracker:
             if self.fe_used >= self.n_init:
                 self.f0, self.f0_violation = self._init_best
 
-        i = rule_argmin(f, viol) if len(f) > 1 else 0
+        i = self._best_row(f, viol)
         key = rule_key(float(f[i]), float(viol[i]))
         if self.best_x is None or key < rule_key(self.best_f, self.best_violation):
             self.best_f = float(f[i])
@@ -144,17 +153,18 @@ class ObjectiveTracker:
         raises :class:`BudgetExhausted` (after recording the prefix
         that still fit).
         """
-        if self.remaining <= 0:
+        remaining = self.fe_budget - self.fe_used
+        if remaining <= 0:
             raise BudgetExhausted
         x = np.asarray(x, dtype=float)
-        n = x.shape[0]
-        take = min(n, self.remaining)
+        truncated = x.shape[0] > remaining
+        if truncated:
+            x = x[:remaining]
         fe_before = self.fe_used
-        f, viol = evaluate_batch(self.instance, x[:take])
-        self.fe_used += take
-        self._record(x[:take], f, viol, fe_before)
-        if take < n:
-            self.last_partial = (f, viol)
+        f, viol = evaluate_batch(self.instance, x)
+        self.fe_used += x.shape[0]
+        self._record(x, f, viol, fe_before)
+        if truncated:
             raise BudgetExhausted
         return f, viol
 
@@ -206,10 +216,16 @@ def register(name, n_init):
     return deco
 
 
+def _registered(name):
+    """``(fn, n_init)`` registered under ``name``."""
+    try:
+        return _REGISTRY[name]
+    except KeyError:
+        raise KeyError(f"unknown optimizer {name!r}") from None
+
+
 def get_optimizer(name):
-    if name not in _REGISTRY:
-        raise KeyError(f"unknown optimizer {name!r}")
-    return _REGISTRY[name][0]
+    return _registered(name)[0]
 
 
 def optimizer_ids():
@@ -242,9 +258,7 @@ def run(optimizer, config, instance, fe_budget, seed):
     """
     from .grids import validate_config  # local import to avoid a cycle
 
-    fn, n_init_of = _REGISTRY[optimizer] if optimizer in _REGISTRY else (None, None)
-    if fn is None:
-        raise KeyError(f"unknown optimizer {optimizer!r}")
+    fn, n_init_of = _registered(optimizer)
     validate_config(optimizer, config)
 
     n_init = int(n_init_of(config))

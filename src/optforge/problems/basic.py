@@ -17,10 +17,27 @@ sampling functions during synthesis.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 __all__ = ["BasicFunction", "BASIC_FUNCTIONS", "BASIC_NAMES"]
+
+
+@lru_cache(maxsize=None)
+def _index(d):
+    """Read-only ``[1., 2., ..., d]``, built once per dimension."""
+    i = np.arange(1, d + 1, dtype=float)
+    i.setflags(write=False)
+    return i
+
+
+@lru_cache(maxsize=None)
+def _sqrt_index(d):
+    """Read-only ``sqrt([1., 2., ..., d])``, built once per dimension."""
+    r = np.sqrt(_index(d))
+    r.setflags(write=False)
+    return r
 
 
 def sphere(z):
@@ -29,7 +46,7 @@ def sphere(z):
     f(z) = sum_i z_i^2
     """
     z = np.asarray(z, dtype=float)
-    return np.sum(z**2, axis=-1)
+    return (z**2).sum(axis=-1)
 
 
 def rastrigin(z):
@@ -38,7 +55,7 @@ def rastrigin(z):
     f(z) = sum_i (z_i^2 - 10 cos(2 pi z_i) + 10)
     """
     z = np.asarray(z, dtype=float)
-    return np.sum(z**2 - 10.0 * np.cos(2.0 * np.pi * z) + 10.0, axis=-1)
+    return (z**2 - 10.0 * np.cos(2.0 * np.pi * z) + 10.0).sum(axis=-1)
 
 
 def ackley(z):
@@ -48,8 +65,8 @@ def ackley(z):
     """
     z = np.asarray(z, dtype=float)
     d = z.shape[-1]
-    a = -20.0 * np.exp(-0.2 * np.sqrt(np.sum(z**2, axis=-1) / d))
-    b = -np.exp(np.sum(np.cos(2.0 * np.pi * z), axis=-1) / d)
+    a = -20.0 * np.exp(-0.2 * np.sqrt((z**2).sum(axis=-1) / d))
+    b = -np.exp(np.cos(2.0 * np.pi * z).sum(axis=-1) / d)
     return a + b + 20.0 + np.e
 
 
@@ -63,7 +80,7 @@ def rosenbrock(z):
     z = np.asarray(z, dtype=float)
     a = z[..., :-1]
     b = z[..., 1:]
-    return np.sum(100.0 * (b - a**2) ** 2 + (1.0 - a) ** 2, axis=-1)
+    return (100.0 * (b - a**2) ** 2 + (1.0 - a) ** 2).sum(axis=-1)
 
 
 def griewank(z):
@@ -72,11 +89,10 @@ def griewank(z):
     f(z) = 1 + sum_i z_i^2 / 4000 - prod_i cos(z_i / sqrt(i))
     """
     z = np.asarray(z, dtype=float)
-    i = np.arange(1, z.shape[-1] + 1, dtype=float)
     return (
         1.0
-        + np.sum(z**2, axis=-1) / 4000.0
-        - np.prod(np.cos(z / np.sqrt(i)), axis=-1)
+        + (z**2).sum(axis=-1) / 4000.0
+        - np.cos(z / _sqrt_index(z.shape[-1])).prod(axis=-1)
     )
 
 
@@ -93,7 +109,7 @@ def schwefel(z):
     """
     z = np.asarray(z, dtype=float)
     d = z.shape[-1]
-    return _SCHWEFEL_C * d - np.sum(z * np.sin(np.sqrt(np.abs(z))), axis=-1)
+    return _SCHWEFEL_C * d - (z * np.sin(np.sqrt(np.abs(z)))).sum(axis=-1)
 
 
 def bent_cigar(z):
@@ -102,7 +118,7 @@ def bent_cigar(z):
     f(z) = z_1^2 + 1e6 sum_{i>1} z_i^2
     """
     z = np.asarray(z, dtype=float)
-    return z[..., 0] ** 2 + 1.0e6 * np.sum(z[..., 1:] ** 2, axis=-1)
+    return z[..., 0] ** 2 + 1.0e6 * (z[..., 1:] ** 2).sum(axis=-1)
 
 
 def levy(z):
@@ -116,11 +132,10 @@ def levy(z):
     z = np.asarray(z, dtype=float)
     w = 1.0 + (z - 1.0) / 4.0
     head = np.sin(np.pi * w[..., 0]) ** 2
-    mid = np.sum(
+    mid = (
         (w[..., :-1] - 1.0) ** 2
-        * (1.0 + 10.0 * np.sin(np.pi * w[..., :-1] + 1.0) ** 2),
-        axis=-1,
-    )
+        * (1.0 + 10.0 * np.sin(np.pi * w[..., :-1] + 1.0) ** 2)
+    ).sum(axis=-1)
     tail = (w[..., -1] - 1.0) ** 2 * (1.0 + np.sin(2.0 * np.pi * w[..., -1]) ** 2)
     return head + mid + tail
 
@@ -138,12 +153,11 @@ def katsuura(z):
     d = z.shape[-1]
     # (..., d, 32) grid of |2^j z - round(2^j z)| / 2^j, built in place
     t = z[..., :, None] * _K_POW2
-    t -= np.round(t)
+    t -= np.rint(t)
     np.abs(t, out=t)
     t /= _K_POW2
-    s = np.sum(t, axis=-1)
-    i = np.arange(1, d + 1, dtype=float)
-    prod = np.prod((1.0 + i * s) ** (10.0 / d**1.2), axis=-1)
+    s = t.sum(axis=-1)
+    prod = ((1.0 + _index(d) * s) ** (10.0 / d**1.2)).prod(axis=-1)
     return (10.0 / d**2) * prod - 10.0 / d**2
 
 
@@ -154,9 +168,9 @@ def happycat(z):
     """
     z = np.asarray(z, dtype=float)
     d = z.shape[-1]
-    r2 = np.sum(z**2, axis=-1)
+    r2 = (z**2).sum(axis=-1)
     return (
-        np.abs(r2 - d) ** 0.25 + (0.5 * r2 + np.sum(z, axis=-1)) / d + 0.5
+        np.abs(r2 - d) ** 0.25 + (0.5 * r2 + z.sum(axis=-1)) / d + 0.5
     )
 
 
@@ -166,7 +180,7 @@ def discus(z):
     f(z) = 1e6 z_1^2 + sum_{i>1} z_i^2
     """
     z = np.asarray(z, dtype=float)
-    return 1.0e6 * z[..., 0] ** 2 + np.sum(z[..., 1:] ** 2, axis=-1)
+    return 1.0e6 * z[..., 0] ** 2 + (z[..., 1:] ** 2).sum(axis=-1)
 
 
 _W_KMAX = 20
@@ -200,16 +214,16 @@ def weierstrass(z):
     z = np.asarray(z, dtype=float)
     d = z.shape[-1]
     u = z + 0.5
-    u -= np.round(u)
-    q = np.round(u * _W_QUANTUM).astype(np.int64)
+    u -= np.rint(u)
+    q = np.rint(u * _W_QUANTUM).astype(np.int64)
     terms = (q[..., :, None] * _W_4BK) * _W_RAD_PER_UNIT
     np.cos(terms, out=terms)
     terms *= _W_AK
-    inner = np.sum(terms, axis=-1)
+    inner = terms.sum(axis=-1)
     # the int64 cast turns NaN (from NaN or inf z) into some phase;
     # adding 0 u keeps those rows NaN, as cos alone would
     inner += 0.0 * u
-    return np.sum(inner, axis=-1) - d * _W_CONST
+    return inner.sum(axis=-1) - d * _W_CONST
 
 
 @dataclass(frozen=True)

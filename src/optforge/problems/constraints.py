@@ -43,7 +43,7 @@ class ConstraintSpec:
     """One constraint: a template name, a center shift and parameters.
 
     ``params`` holds pure-python scalars/lists so the spec serializes
-    verbatim.
+    verbatim; ``linear``'s weights are also kept as an array, built once.
     """
 
     kind: str
@@ -64,6 +64,9 @@ class ConstraintSpec:
                 raise ValueError("linear constraint needs weights 'a' of length d")
             if self.params.get("b", -1.0) < 0.0:
                 raise ValueError("linear constraint offset 'b' must be >= 0")
+            w = np.array(a, dtype=float)
+            w.setflags(write=False)
+            object.__setattr__(self, "_weights", w)
         if self.kind == "ball" and self.params.get("radius", 0.0) <= 0.0:
             raise ValueError("ball constraint needs radius > 0")
 
@@ -94,19 +97,18 @@ def constraint_values(spec, x):
     y = x - spec.center
     kind = spec.kind
     if kind == "linear":
-        a = np.asarray(spec.params["a"], dtype=float)
-        return y @ a - spec.params["b"]
+        return y @ spec._weights - spec.params["b"]
     if kind == "ball":
         r = spec.params["radius"]
-        return np.sum(y**2, axis=-1) - r**2
+        return (y**2).sum(axis=-1) - r**2
     if kind == "cumsum_zero":
-        return np.sum(np.cumsum(y, axis=-1) ** 2, axis=-1)
+        return (np.add.accumulate(y, axis=-1) ** 2).sum(axis=-1)
     if kind == "chain_zero":
-        return np.sum((y[..., :-1] ** 2 - y[..., 1:]) ** 2, axis=-1)
+        return ((y[..., :-1] ** 2 - y[..., 1:]) ** 2).sum(axis=-1)
     if kind == "product":
-        return np.prod(y, axis=-1) - spec.params["c"]
+        return y.prod(axis=-1) - spec.params["c"]
     if kind == "sinusoid":
-        return np.sum(np.sin(y), axis=-1) - spec.params["b"]
+        return np.sin(y).sum(axis=-1) - spec.params["b"]
     raise ValueError(f"unknown constraint template {kind!r}")  # pragma: no cover
 
 

@@ -144,6 +144,13 @@ class ProblemInstance:
         for c in self.constraints:
             if c.d != self.d:
                 raise ValueError("constraint dimension mismatch")
+        # evaluation plan, built once: (raw function, segment index array
+        # or None, transform, weight) per component
+        object.__setattr__(self, "_plan", tuple(
+            (BASIC_FUNCTIONS[c.basic].fn,
+             None if c.segment is None else np.array(c.segment, dtype=np.intp),
+             c.transform.apply, c.weight)
+            for c in comps))
 
     @property
     def k(self):
@@ -156,14 +163,11 @@ class ProblemInstance:
 
 def _objective_batch(instance, x):
     total = np.zeros(x.shape[0])
-    for comp in instance.components:
-        fn = BASIC_FUNCTIONS[comp.basic]
-        if comp.segment is not None:
-            z = comp.transform.apply(x[:, comp.segment])
-            total += fn(z)
+    for fn, segment, transform, weight in instance._plan:
+        if segment is not None:
+            total += fn(transform(x[:, segment]))
         else:
-            z = comp.transform.apply(x)
-            total += comp.weight * fn(z)
+            total += weight * fn(transform(x))
     return total
 
 
@@ -194,11 +198,13 @@ def violation_of(specs, x):
     x = np.asarray(x, dtype=float)
     total = np.zeros(x.shape[:-1])
     for spec in specs:
-        v = constraint_values(spec, x)
+        # called through this module's binding, which profilers wrap;
+        # its result is a fresh array, so it is clipped in place
+        v = np.asarray(constraint_values(spec, x))
         if spec.is_equality:
-            total += np.maximum(0.0, np.abs(v) - EPS_EQ)
-        else:
-            total += np.maximum(0.0, v)
+            np.abs(v, out=v)
+            v -= EPS_EQ
+        total += np.maximum(0.0, v, out=v)
     return total
 
 

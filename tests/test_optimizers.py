@@ -105,10 +105,23 @@ def test_tracker_budget_and_partial(sphere_instance):
     x = np.zeros((6, sphere_instance.d))
     f, v = t.batch(x)
     assert len(f) == 6 and t.fe_used == 6
+    # a 7-row batch: its second row beats the first call's rows, and its
+    # last row, which does not fit, beats them all
+    rng = np.random.default_rng(0)
+    pool = rng.uniform(-100, 100, (1000, sphere_instance.d))
+    order = np.argsort(evaluate_batch(sphere_instance, pool)[0])
+    y = rng.uniform(-50, 50, (7, sphere_instance.d))
+    y[1], y[-1] = pool[order[1]], pool[order[0]]
+    fy = evaluate_batch(sphere_instance, y[:4])[0]
+    assert np.argmin(fy) == 1 and fy[1] < f.min()
+    assert evaluate_batch(sphere_instance, y[-1:])[0][0] < fy[1]
     with pytest.raises(BudgetExhausted):
-        t.batch(np.ones((7, sphere_instance.d)))
+        t.batch(y)
     assert t.fe_used == 10
-    assert len(t.last_partial[0]) == 4
+    # the truncated call recorded its 4-row prefix and nothing after it
+    assert t.best_x.tolist() == y[1].tolist()
+    assert (t.best_f, t.best_violation) == (float(fy[1]), 0.0)
+    assert t.trace[-1] == (8, float(fy[1]), 0.0)
     with pytest.raises(BudgetExhausted):
         t.batch(np.zeros((1, sphere_instance.d)))
 
@@ -171,6 +184,58 @@ def test_tracker_one_row_batches_match_generic_bookkeeping(
     assert (t.best_f, t.best_violation) == (want["best_f"], want["best_viol"])
     assert t.best_x.tolist() == want["best_x"]
     assert t.trace == want["trace"]
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("batches", [
+    # unconstrained, tied minima within and across batches
+    [([3.0, 1.0, 2.0, 1.0], [0.0] * 4), ([1.0, 0.5, 0.5, 7.0], [0.0] * 4),
+     ([0.5, 0.5, 0.5, 0.5], [0.0] * 4), ([9.0, 0.25, 0.25], [0.0] * 3)],
+    # an unconstrained NaN objective in a batch's first row
+    [([2.0, 2.0, 3.0], [0.0] * 3), ([_NAN, 1.0, 0.0], [0.0] * 3),
+     ([-1.0, -2.0], [0.0] * 2)],
+    # a NaN violation takes the feasibility rule's path
+    [([5.0, 4.0, 6.0], [_NAN, 0.0, 0.0]), ([0.0, 1.0], [0.5, _NAN]),
+     ([3.0, 3.0, 2.0], [0.0, 0.0, 0.0])],
+])
+def test_tracker_argmin_fast_path_matches_reference(batches, sphere_instance,
+                                                     monkeypatch):
+    # batches whose violations are all 0 take f.argmin() in place of
+    # rule_argmin; the bookkeeping must come out as the reference gives it
+    queue = [(np.array(f), np.array(v)) for f, v in batches]
+    monkeypatch.setattr(base, "evaluate_batch", lambda inst, x: queue.pop(0))
+    t = ObjectiveTracker(sphere_instance, fe_budget=100, n_init=5)
+    want = ref_tracker_state()
+    fe = 0
+    for f, v in batches:
+        xs = np.arange(fe, fe + len(f), dtype=float)[:, None].repeat(
+            sphere_instance.d, axis=1)
+        fe += len(f)
+        t.batch(xs)
+        ref_record_batch(want, 5, xs.tolist(), f, v)
+    assert t.fe_used == want["fe"]
+    np.testing.assert_equal((t.f0, t.f0_violation),
+                            (want["f0"], want["f0_viol"]))
+    np.testing.assert_equal((t.best_f, t.best_violation),
+                            (want["best_f"], want["best_viol"]))
+    assert t.best_x.tolist() == want["best_x"]
+    np.testing.assert_equal(t.trace, want["trace"])
+
+
+@pytest.mark.parametrize("f, v", [
+    ([1.0, _NAN, 0.5], [0.0] * 3),      # NaN objective after the first row
+    ([_NAN, _NAN, 1.0], [0.0] * 3),
+    ([1.0, 0.5, 0.5], [0.0, _NAN, 0.0]),
+    ([1.0, 0.5, 0.25], [0.0, 0.0, 1e-300]),
+    ([3.0, 1.0, 1.0, 2.0], [0.0] * 4),  # tied minima
+    ([3.0, 1.0, 2.0], [0.5, 0.0, 0.0]),
+])
+def test_tracker_best_row_is_rule_argmin(f, v):
+    f, v = np.array(f), np.array(v)
+    assert ObjectiveTracker._best_row(f, v) == rule_argmin(f, v)
+    assert ObjectiveTracker._best_row(f[:1], v[:1]) == rule_argmin(f[:1], v[:1])
 
 
 def test_tracker_rejects_bad_n_init(sphere_instance):
