@@ -11,8 +11,17 @@
 * ``dual_annealing`` -- delegates to scipy's implementation
   (generalized visiting distribution + local search); the tracker
   enforces the evaluation budget and records every call.  The local
-  search is scipy's default L-BFGS-B, except that each finite-difference
-  gradient is evaluated as one batch of d points.
+  search is scipy's default L-BFGS-B with its own gradient in place of
+  scipy's finite differences: forward differences with scipy's steps
+  (1e-8, negated where x + 1e-8 passes the upper bound) that reuse
+  f(x) from the objective call at x and evaluate the d shifted points
+  as one batch.  It evaluates the points scipy would, in the same
+  order, and stops where scipy stops: L-BFGS-B counts d + 1
+  evaluations per finite-difference gradient step against its
+  ``maxfun`` of 15000, but only one per step with a gradient function,
+  so ``maxfun`` becomes 15000 // (d + 1).  Boxes on which scipy would
+  take other steps (a bound with x + 1e-8 == x, or a width of at most
+  2e-8) fail the run before its first evaluation.
 
 Acceptance tests in all three compare penalized objectives, so
 constrained instances are handled by penalty rather than by the
@@ -28,6 +37,7 @@ from .base import BoxMap, register, uniform_init
 __all__ = []
 
 _NSA_SIGMA_FLOOR = 1.0e-3
+_FD_STEP = 1.0e-8  # L-BFGS-B's absolute finite-difference step
 
 
 def _metropolis_accept(delta, temp, boltzmann, u):
@@ -97,25 +107,30 @@ def dual_annealing(tracker, config, rng):
     # imported on first use: scipy.optimize is slow to import
     from scipy.optimize import dual_annealing as _scipy_dual_annealing
 
-    bounds = [(float(lo), float(hi)) for lo, hi in tracker.bounds]
+    d = tracker.d
+    hi = tracker.bounds[:, 1]
+    if (np.any(hi - tracker.bounds[:, 0] <= 2 * _FD_STEP)
+            or np.any((tracker.bounds + _FD_STEP) - tracker.bounds == 0)):
+        raise ValueError("box too narrow or too far from 0 for steps of 1e-8")
+    bounds = [(float(lo), float(up)) for lo, up in tracker.bounds]
     x0 = uniform_init(rng, tracker.bounds, 1)[0]
     sp_seed = int(rng.integers(0, 2**31 - 1))
+    f_x = None
 
-    def gradient_map(fun, points):
-        # L-BFGS-B maps its objective over the d forward-difference
-        # points of one gradient; evaluate them as one tracker batch
-        return tracker.penalized_batch(np.array(list(points)))
+    def objective(x):
+        nonlocal f_x
+        f_x = tracker.penalized(x)
+        return f_x
 
-    # scipy's default local search, written out because passing
-    # minimizer_kwargs drops it, plus the batched gradient map
-    local_search = {
-        "method": "L-BFGS-B",
-        "bounds": bounds,
-        "options": {"maxiter": min(max(6 * tracker.d, 100), 1000),
-                    "workers": gradient_map},
-    }
+    def gradient(x):
+        # L-BFGS-B asks for the gradient right after the objective at x
+        x_step = x + np.where(x + _FD_STEP > hi, -_FD_STEP, _FD_STEP)
+        points = np.tile(x, (d, 1))
+        np.fill_diagonal(points, x_step)
+        return (tracker.penalized_batch(points) - f_x) / (x_step - x)
+
     _scipy_dual_annealing(
-        tracker.penalized,
+        objective,
         bounds=bounds,
         maxfun=tracker.remaining,
         maxiter=10**6,
@@ -124,5 +139,11 @@ def dual_annealing(tracker, config, rng):
         initial_temp=config["initial_temp"],
         visit=config["visit"],
         restart_temp_ratio=config["restart_temp_ratio"],
-        minimizer_kwargs=local_search,
+        minimizer_kwargs={
+            "method": "L-BFGS-B",
+            "jac": gradient,
+            "bounds": bounds,
+            "options": {"maxiter": min(max(6 * d, 100), 1000),
+                        "maxfun": 15000 // (d + 1)},
+        },
     )

@@ -12,7 +12,8 @@ answer program against any runtime with the tracker's surface (see
 
 Comparison rule for constrained problems (also used unconstrained,
 where every violation is 0): feasible beats infeasible, then smaller
-violation, then smaller objective.
+violation, then smaller objective, where a NaN objective ranks below
+every number.
 """
 
 from dataclasses import dataclass, field
@@ -45,19 +46,15 @@ class BudgetExhausted(Exception):
 
 
 def rule_key(f, violation):
-    """Sort key implementing the feasibility rule (smaller is better)."""
-    return (0 if violation <= 0.0 else 1, violation, f)
+    """Sort key implementing the feasibility rule (smaller is better); a
+    NaN objective ranks below every number (``f != f`` only for NaN)."""
+    return (0 if violation <= 0.0 else 1, violation, f != f, f)
 
 
 def rule_argmin(f, violation):
-    """Index of the feasibility-rule best within a batch."""
-    f = np.asarray(f)
-    violation = np.asarray(violation)
-    feas = violation <= 0.0
-    if feas.any():
-        idx = np.flatnonzero(feas)
-        return int(idx[np.argmin(f[idx])])
-    return int(np.lexsort((f, violation))[0])
+    """Index of the feasibility-rule best within a batch, the first of
+    equals; a NaN objective ranks below every number."""
+    return int(np.lexsort((f, np.maximum(violation, 0.0)))[0])
 
 
 def rule_le(f_a, v_a, f_b, v_b):
@@ -115,13 +112,15 @@ class ObjectiveTracker:
     def _best_row(f, viol):
         # rule_argmin with fast paths: 0 for one row (most of
         # dual_annealing's calls), and f.argmin() when every violation is
-        # 0, where the rule reduces to it; a NaN violation is truthy and
-        # takes the rule.  They live here, not in rule_argmin, because
-        # answer programs copy rule_argmin's source.
+        # 0 and it picks no NaN, where the rule reduces to it; a NaN
+        # violation is truthy and takes the rule.  They live here, not in
+        # rule_argmin, because answer programs copy rule_argmin's source.
         if len(f) == 1:
             return 0
         if not viol.any():
-            return int(f.argmin())
+            i = f.argmin()
+            if f[i] == f[i]:
+                return int(i)
         return rule_argmin(f, viol)
 
     def _record(self, x, f, viol, fe_before):

@@ -4,10 +4,13 @@ The answer for an entry is the source of the optimizer the benchmark
 ran, taken with :func:`inspect.getsource`: the registered function
 (without its ``@register`` line) plus every module-level helper,
 class and constant it reaches, then a short driver that runs it with
-the winning configuration.  The pairing ``prompt -> answer`` is a pure
-function of ``(optimizer, config)``, and executing the answer against
-an :class:`~optforge.optimizers.ObjectiveTracker` repeats the bench run
-of that configuration at seed 0 evaluation for evaluation.
+the winning configuration.  Comments and docstrings are left out, so
+that an answer is code alone; every other line keeps its layout, and
+the one comment left is the program's header line.  The pairing
+``prompt -> answer`` is a pure function of ``(optimizer, config)``, and
+executing the answer against an
+:class:`~optforge.optimizers.ObjectiveTracker` repeats the bench run of
+that configuration at seed 0 evaluation for evaluation.
 
 The programs target a small documented runtime namespace, which is the
 tracker's own surface::
@@ -31,9 +34,12 @@ first, then smaller violation, then smaller objective), so the program
 reports nothing itself.
 """
 
+import ast
 import dis
 import functools
 import inspect
+import io
+import tokenize
 import types
 from dataclasses import dataclass
 
@@ -69,12 +75,39 @@ def _loaded_globals(code):
     return names
 
 
+def _strip_prose(source):
+    """``source`` without its comments and docstring statements; a line
+    that held only those goes, and so do blank lines right after a
+    docstring.  Every other line keeps its layout."""
+    drop = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            doc = node.body[0]
+            drop.update(range(doc.lineno, doc.end_lineno + 1))
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    comment_at = {tok.start[0]: tok.start[1] for tok in tokens
+                  if tok.type == tokenize.COMMENT}
+    kept = []
+    for row, line in enumerate(source.splitlines(), start=1):
+        if row in drop or (not line.strip() and row - 1 in drop):
+            drop.add(row)
+            continue
+        if row in comment_at:
+            line = line[:comment_at[row]].rstrip()
+            if not line:
+                continue
+        kept.append(line)
+    return "\n".join(kept)
+
+
 def _definition_source(obj):
-    """Source of a module-level function or class, decorators dropped."""
+    """Source of a module-level function or class, decorators, comments
+    and docstrings dropped."""
     lines = inspect.getsource(obj).splitlines()
     start = next(i for i, line in enumerate(lines)
                  if line.startswith(("def ", "class ")))
-    return "\n".join(lines[start:])
+    return _strip_prose("\n".join(lines[start:]))
 
 
 @functools.lru_cache(maxsize=None)

@@ -238,6 +238,51 @@ def test_tracker_best_row_is_rule_argmin(f, v):
     assert ObjectiveTracker._best_row(f[:1], v[:1]) == rule_argmin(f[:1], v[:1])
 
 
+@pytest.mark.parametrize("f, v, want", [
+    ([_NAN, 1.0, 0.0], [0.0] * 3, 2),
+    ([_NAN, _NAN, 1.0], [0.0] * 3, 2),
+    ([3.0, _NAN, 3.0], [0.0] * 3, 0),
+    ([_NAN, 1.0, 0.0], [0.5, 0.5, 1.0], 1),
+    ([_NAN, 9.0], [0.0, 0.5], 0),       # feasibility comes first
+    ([_NAN, _NAN], [0.0, 0.0], 0),
+])
+def test_rule_argmin_ranks_nan_objective_last(f, v, want):
+    assert rule_argmin(f, v) == want
+    assert ObjectiveTracker._best_row(np.array(f), np.array(v)) == want
+    assert rule_key(1e308, 0.0) < rule_key(_NAN, 0.0)
+    assert not rule_key(_NAN, 0.0) < rule_key(_NAN, 0.0)
+
+
+def _fed_tracker(instance, batches, monkeypatch, n_init=1):
+    # a tracker whose evaluations return the given (f, violation) batches
+    queue = [(np.array(f), np.array(v)) for f, v in batches]
+    monkeypatch.setattr(base, "evaluate_batch", lambda inst, x: queue.pop(0))
+    t = ObjectiveTracker(instance, fe_budget=100, n_init=n_init)
+    for f, _ in batches:
+        t.batch(np.zeros((len(f), instance.d)))
+    return t
+
+
+def test_tracker_records_best_of_batch_with_nan_objective(sphere_instance,
+                                                          monkeypatch):
+    t = _fed_tracker(sphere_instance, [([2.0, 3.0], [0.0, 0.0]),
+                                       ([_NAN, 1.0, 0.0], [0.0] * 3)],
+                     monkeypatch)
+    assert (t.best_f, t.best_violation) == (0.0, 0.0)
+    assert t.trace == [(1, 2.0, 0.0), (5, 0.0, 0.0)]
+
+
+def test_tracker_leaves_nan_first_batch_behind(sphere_instance, monkeypatch):
+    t = _fed_tracker(sphere_instance, [([_NAN, _NAN], [0.0, 0.0]),
+                                       ([4.0], [0.0]), ([_NAN], [0.0]),
+                                       ([5.0, 3.0], [0.0, 0.0])],
+                     monkeypatch, n_init=3)
+    assert (t.f0, t.f0_violation) == (4.0, 0.0)
+    assert (t.best_f, t.best_violation) == (3.0, 0.0)
+    assert [fe for fe, _, _ in t.trace] == [1, 3, 6]
+    assert t.trace[1:] == [(3, 4.0, 0.0), (6, 3.0, 0.0)]
+
+
 def test_tracker_rejects_bad_n_init(sphere_instance):
     with pytest.raises(ValueError):
         ObjectiveTracker(sphere_instance, fe_budget=10, n_init=0)
@@ -436,6 +481,98 @@ def test_dual_annealing_only_batches_scipy_default_local_search(
     assert got == want
 
 
+def _against_plain_scipy(monkeypatch, inst, fe_budget, seed):
+    """``dual_annealing`` and plain scipy on ``inst``: both results, both
+    lists of evaluated points, and the messages of plain scipy's local
+    searches."""
+    import scipy.optimize._dual_annealing as scipy_da
+
+    messages = []
+
+    def logged_minimize(*args, **kwargs):
+        res = scipy_minimize(*args, **kwargs)
+        messages.append(res.message)
+        return res
+
+    scipy_minimize = scipy_da.minimize
+    got, got_points = _logged_run(monkeypatch, "dual_annealing", inst,
+                                  fe_budget, seed)
+    monkeypatch.setattr(scipy_da, "minimize", logged_minimize)
+    monkeypatch.setitem(base._REGISTRY, "dual_annealing",
+                        (_plain_scipy_dual_annealing,
+                         base._REGISTRY["dual_annealing"][1]))
+    want, want_points = _logged_run(monkeypatch, "dual_annealing", inst,
+                                    fe_budget, seed)
+    return got, want, got_points, want_points, messages
+
+
+def _sphere_in_box(bounds, shift, seed=0):
+    # an unrotated sphere; a shift beyond a bound puts its box optimum
+    # on that bound
+    d = len(bounds)
+    comp = ComponentSpec(basic="sphere", weight=1.0,
+                         transform=TransformSpec(np.eye(d), np.array(shift)))
+    return make_instance(d=d, bounds=bounds, paradigm="single",
+                         components=[comp], seed=seed)
+
+
+_TOP = 2.0**27 - 2.0**-26  # the largest x with x + 1e-8 != x
+
+
+@pytest.mark.parametrize("bounds, shift, steps_back", [
+    # local searches that end on the upper bound of the first coordinate,
+    # where the step is -1e-8
+    ([[-100.0, 100.0]] * 4, [150.0, -30.0, 20.0, 7.0], True),
+    # the widest box scipy steps in by 1e-8: x + 1e-8 != x at both ends
+    ([[-2.0**27, _TOP]] * 2, [2.0**28, 5.0], False),
+    # the narrowest: every x has more than 1e-8 of room on one side
+    ([[0.0, np.nextafter(2e-8, 1.0)], [-5.0, 5.0]], [1.0, 1.0], True),
+])
+def test_dual_annealing_gradient_equals_scipy_finite_differences(
+        bounds, shift, steps_back, monkeypatch):
+    inst = _sphere_in_box(bounds, shift)
+    got, want, got_points, want_points, _ = _against_plain_scipy(
+        monkeypatch, inst, 600, seed=2)
+    assert want.status == "ok" and want.fe_used == 600
+    assert got_points == want_points
+    assert got == want
+    hi = bounds[0][1]
+    assert any(p[0] == hi - 1e-8 for p in got_points) == steps_back
+
+
+def test_dual_annealing_local_search_stops_at_scipy_maxfun(monkeypatch):
+    # d = 50: L-BFGS-B's maxfun of 15000 binds after 294 gradient steps
+    d = 50
+    comp = ComponentSpec(basic="rosenbrock", weight=1.0,
+                         transform=TransformSpec(np.eye(d),
+                                                 np.full(d, 10.0)))
+    inst = make_instance(d=d, bounds=[[-100.0, 100.0]] * d,
+                         paradigm="single", components=[comp], seed=0)
+    got, want, got_points, want_points, messages = _against_plain_scipy(
+        monkeypatch, inst, 16500, seed=0)
+    assert "TOTAL NO. OF F,G EVALUATIONS EXCEEDS LIMIT" in messages[0]
+    assert want.status == "ok" and want.fe_used == 16500
+    assert got_points == want_points
+    assert got == want
+
+
+@pytest.mark.parametrize("bounds", [
+    [[-1.0, 2.0**27]] * 2,                    # 2**27 + 1e-8 == 2**27
+    [[-2.0**27 - 2.0**-25, 1.0]] * 2,         # the next float below -2**27
+    [[0.0, 1.5e-8], [-5.0, 5.0]],             # scipy steps by 0.75e-8 here
+    [[-5.0, 5.0], [1.0, 1.0 + 1e-8]],
+    [[-5.0, 5.0], [0.0, 2e-8]],
+])
+def test_dual_annealing_rejects_boxes_scipy_steps_in_otherwise(bounds):
+    inst = _sphere_in_box(bounds, [0.0, 0.0])
+    res = run("dual_annealing", SMALL_CONFIGS["dual_annealing"], inst, 300,
+              seed=0)
+    assert res.status == "failed" and res.fe_used == 0
+    assert "steps of 1e-8" in res.message
+    other = run("random_search", {}, inst, 300, seed=0)
+    assert other.status == "ok" and other.fe_used == 300
+
+
 def test_dual_annealing_batches_gradients_within_budget(monkeypatch):
     inst = synthesize_instance(d=10, k=2, constrained=False, seed=3)
     cfg = SMALL_CONFIGS["dual_annealing"]
@@ -451,7 +588,8 @@ def test_dual_annealing_batches_gradients_within_budget(monkeypatch):
     def checked_run(fe_budget):
         calls.clear()
         with warnings.catch_warnings():
-            # scipy < 1.16 only warns "Unknown solver options: workers"
+            # a scipy warning, such as one for an unknown solver option,
+            # fails the run
             warnings.simplefilter("error")
             res = run("dual_annealing", cfg, inst, fe_budget, seed=1)
         assert res.status == "ok", res.message

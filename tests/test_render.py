@@ -2,7 +2,9 @@
 invariance of the LaTeX styles, prompt assembly and answer programs."""
 
 import ast
+import io
 import sys
+import tokenize
 import types
 from types import SimpleNamespace
 
@@ -24,6 +26,7 @@ from optforge.render import (DegenerateEntryError, LiteralTable, PY_STYLES,
                              normalize_terms, render_constraints,
                              render_objective, render_prompt,
                              split_signed_terms)
+from optforge.render import answers
 from optforge.render.tex_code import join_signed_terms, permute_terms, tex_num
 
 
@@ -458,6 +461,66 @@ def test_answer_templates_cover_pool():
     for optimizer in optimizer_ids():
         assert f"def {optimizer}(tracker, config, rng):" in emit_answer(
             _entry(optimizer, config_at(optimizer, 0))).code_text
+
+
+def _without_docstrings(tree):
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            node.body = node.body[1:] or [ast.Pass()]
+    return tree
+
+
+@pytest.fixture
+def unstripped_answers(monkeypatch):
+    """Answers emitted with every comment and docstring kept."""
+    answers._optimizer_source.cache_clear()
+    monkeypatch.setattr(answers, "_strip_prose", lambda source: source)
+    try:
+        return {o: emit_answer(_entry(o, config_at(o, 0))).code_text
+                for o in optimizer_ids()}
+    finally:
+        monkeypatch.undo()
+        answers._optimizer_source.cache_clear()
+
+
+def test_answers_are_code_without_prose(unstripped_answers):
+    for optimizer, full in unstripped_answers.items():
+        code = emit_answer(_entry(optimizer, config_at(optimizer, 0))).code_text
+        compile(code, "<answer>", "exec")
+        tree = ast.parse(code)
+        assert ast.dump(tree) == ast.dump(_without_docstrings(ast.parse(full)))
+        assert all(ast.get_docstring(node, clean=False) is None
+                   for node in ast.walk(tree) if isinstance(
+                       node, (ast.FunctionDef, ast.ClassDef)))
+        comments = [tok.string for tok in tokenize.generate_tokens(
+            io.StringIO(code).readline) if tok.type == tokenize.COMMENT]
+        assert comments == [code.splitlines()[0]]
+        assert code.splitlines()[0].startswith(f"# {optimizer} ")
+        # the unstripped source had prose to strip: comments or docstrings
+        assert len(full.splitlines()) > len(code.splitlines())
+
+
+def test_strip_prose_keeps_layout():
+    source = (
+        'def f(a,  # the first\n'
+        '      b):\n'
+        '    """Doc.\n'
+        '\n'
+        '    More."""\n'
+        '\n'
+        '    # a note\n'
+        '    s = "# not a comment"  # a comment\n'
+        '    return (a +\n'
+        '            b)  # sum\n'
+    )
+    assert answers._strip_prose(source) == (
+        'def f(a,\n'
+        '      b):\n'
+        '    s = "# not a comment"\n'
+        '    return (a +\n'
+        '            b)'
+    )
 
 
 def test_answer_degenerate_entry_raises():
