@@ -49,7 +49,6 @@ class PipelineConfig:
     pool: list = field(default_factory=lambda: list(DEFAULT_POOL))
     styles: list = field(default_factory=lambda: [s.value for s in WritingStyle])
     test_fraction: float = 0.1
-    on_degenerate: str = "skip"
     seed: int = 0
 
     @classmethod
@@ -136,11 +135,7 @@ def cmd_build(args):
     cfg = _load_config(args)
     if _outputs_exist(args, [args.out]):
         return 0
-    policy = cfg.on_degenerate
-    if args.strict:
-        policy = "error"
-    elif args.fallback:
-        policy = "fallback"
+    policy = "error" if args.strict else "fallback" if args.fallback else "skip"
     instances = load_instances(args.instances)
     knowledge = load_knowledge(args.knowledge)
     pairs, skipped = build_instruction_set(

@@ -3,8 +3,8 @@
 * ``simulated_annealing`` -- population-proposal SA in the unit cube:
   each generation draws NP Gaussian proposals around the current point,
   takes the best, and accepts by the Metropolis rule on the penalized
-  objective with temperature T and Boltzmann constant k.  Both the
-  proposal scale and the temperature decay geometrically with floors.
+  objective with temperature T and Boltzmann constant k.  The proposal
+  scale is fixed; T decays geometrically from 1 to a floor of 0.1.
 * ``nsa`` -- batch-sampling annealing with a scheduled proposal scale:
   the scale shrinks along a linear or quadratic schedule over the level
   index while the temperature follows T0 * rt^level.
@@ -49,8 +49,8 @@ def _metropolis_accept(delta, temp, boltzmann, u):
 @register("simulated_annealing", n_init=lambda cfg: cfg["NP"])
 def simulated_annealing(tracker, config, rng):
     np_ = config["NP"]
-    sigma = config["sigma_init"]
-    temp = config["temp_init"]
+    sigma = max(config["sigma_init"], config["sigma_limit"])
+    temp = 1.0
     box = BoxMap(tracker.bounds)
     d = tracker.d
 
@@ -67,8 +67,7 @@ def simulated_annealing(tracker, config, rng):
         if _metropolis_accept(float(fit[i]) - cur_f, temp,
                               config["boltzmann_const"], u):
             cur, cur_f = prop[i], float(fit[i])
-        sigma = max(sigma * config["sigma_decay"], config["sigma_limit"])
-        temp = max(temp * config["temp_decay"], config["temp_limit"])
+        temp = max(temp * config["temp_decay"], 0.1)
 
 
 @register("nsa", n_init=lambda cfg: cfg["n_samples"])

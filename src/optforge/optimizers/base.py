@@ -58,13 +58,14 @@ def rule_argmin(f, violation):
 
 
 def rule_le(f_a, v_a, f_b, v_b):
-    """Vectorized feasibility-rule comparison: a better-or-equal b."""
+    """Vectorized feasibility-rule comparison: a better-or-equal b; a
+    NaN objective ranks below every number, as in :func:`rule_argmin`."""
     fa, va = np.asarray(f_a), np.asarray(v_a)
     fb, vb = np.asarray(f_b), np.asarray(v_b)
     ia = (va > 0.0).astype(int)
     ib = (vb > 0.0).astype(int)
     return (ia < ib) | (
-        (ia == ib) & ((va < vb) | ((va == vb) & (fa <= fb)))
+        (ia == ib) & ((va < vb) | ((va == vb) & ((fa <= fb) | (fb != fb))))
     )
 
 

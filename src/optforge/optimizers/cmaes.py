@@ -15,8 +15,8 @@ and penalized-objective ranking:
   size), whichever regime has consumed fewer evaluations so far.
   ``elite_ratio`` sets the parent count mu = max(1, floor(lambda *
   elite_ratio)); ``min_num_gens`` is the minimum generation count
-  before a stall can stop a run; ``mean_decay`` shrinks the mean each
-  generation (0 in the grid = off).
+  before a stall can stop a run.  The full initial step size is 1.0,
+  the width of the unit cube.
 
 Runs stop on stall, step-size collapse, or ill-conditioned covariance;
 the surrounding restart loops only ever exit via budget exhaustion.
@@ -102,7 +102,7 @@ def sep_cma_es(tracker, config, rng):
                 break  # restart
 
 
-def _cma_full_run(tracker, box, d, lam, sigma, mu, mean_decay, min_gens, rng):
+def _cma_full_run(tracker, box, d, lam, sigma, mu, min_gens, rng):
     """One full-covariance CMA run; returns on a stop condition."""
     w, mu_eff = _selection_weights(mu)
     c_sigma = (mu_eff + 2.0) / (d + mu_eff + 5.0)
@@ -140,7 +140,7 @@ def _cma_full_run(tracker, box, d, lam, sigma, mu, mean_decay, min_gens, rng):
         order = np.argsort(fit, kind="stable")
         sel = order[:mu]
         y_w = w @ y[sel]
-        m = (1.0 - mean_decay) * (m + sigma * y_w)
+        m = m + sigma * y_w
 
         inv_sqrt_yw = eigvec @ ((eigvec.T @ y_w) / s)
         p_s = (1.0 - c_sigma) * p_s + math.sqrt(
@@ -175,36 +175,28 @@ def _cma_full_run(tracker, box, d, lam, sigma, mu, mean_decay, min_gens, rng):
 @register("bipop_cma_es", n_init=lambda cfg: cfg["NP"])
 def bipop_cma_es(tracker, config, rng):
     lam0 = config["NP"]
-    sigma0 = float(config["sigma_init"])
     ratio = config["elite_ratio"]
-    mean_decay = float(config["mean_decay"])
     min_gens = config["min_num_gens"]
     mult = config["popsize_multiplier"]
     d = tracker.d
     box = BoxMap(tracker.bounds)
 
-    n_large = 0
-    lam_large = lam0
+    n_large = -1  # the first run is large, at lam0
     b_large = 0
     b_small = 0
-    first = True
     while True:  # leaves via BudgetExhausted
-        if first:
-            lam, sigma, is_large = lam0, sigma0, True
-            first = False
-        elif b_large <= b_small:
+        if b_large <= b_small:
             n_large += 1
             lam_large = lam0 * mult**n_large
-            lam, sigma, is_large = lam_large, sigma0, True
+            lam, sigma, is_large = lam_large, 1.0, True
         else:
             u = float(rng.uniform())
             lam = max(2, int(lam0 * (lam_large / lam0) ** (u * u)))
-            sigma = sigma0 * 10.0 ** (-2.0 * u)
+            sigma = 10.0 ** (-2.0 * u)
             is_large = False
         mu = max(1, int(lam * ratio))
         fe_before = tracker.fe_used
-        _cma_full_run(tracker, box, d, lam, sigma, mu, mean_decay,
-                      min_gens, rng)
+        _cma_full_run(tracker, box, d, lam, sigma, mu, min_gens, rng)
         spent = tracker.fe_used - fe_before
         if is_large:
             b_large += spent

@@ -3,8 +3,9 @@
 Works in the unit cube (points are mapped affinely into the instance
 box for evaluation).  Each individual carries its own mutation scale;
 children multiply the parent scale by ``sigma_meta`` raised to a
-U(-1, 1) exponent, clipped to ``[sigma_best_limit, 1]``.  Elites
-survive unchanged and are not re-evaluated, so only children consume
+U(-1, 1) exponent, clipped to ``[sigma_best_limit, 1]``.  Every child
+descends from the best individual (the first of equals), which
+survives unchanged and is not re-evaluated, so only children consume
 budget.  Ranking uses the penalized objective.
 """
 
@@ -18,7 +19,6 @@ __all__ = []
 @register("samr_ga", n_init=lambda cfg: cfg["NP"])
 def samr_ga(tracker, config, rng):
     np_ = config["NP"]
-    n_elite = max(1, int(np_ * config["elite_ratio"]))
     sigma_meta = config["sigma_meta"]
     sigma_floor = config["sigma_best_limit"]
     box = BoxMap(tracker.bounds)
@@ -27,19 +27,16 @@ def samr_ga(tracker, config, rng):
     pop = rng.random((np_, d))
     sigma = np.full(np_, float(config["sigma_init"]))
     fit = tracker.penalized_batch(box.to_real(pop))
+    n_child = np_ - 1
 
     while True:
-        order = np.argsort(fit, kind="stable")
-        elite = order[:n_elite]
-        n_child = np_ - n_elite
-
-        parent = elite[rng.integers(0, n_elite, n_child)]
+        best = np.argsort(fit, kind="stable")[:1]
         meta = sigma_meta ** rng.uniform(-1.0, 1.0, n_child)
-        child_sigma = np.clip(sigma[parent] * meta, sigma_floor, 1.0)
-        child = pop[parent] + child_sigma[:, None] * rng.standard_normal((n_child, d))
+        child_sigma = np.clip(sigma[best] * meta, sigma_floor, 1.0)
+        child = pop[best] + child_sigma[:, None] * rng.standard_normal((n_child, d))
         child = np.clip(child, 0.0, 1.0)
 
         child_fit = tracker.penalized_batch(box.to_real(child))
-        pop = np.concatenate([pop[elite], child])
-        sigma = np.concatenate([sigma[elite], child_sigma])
-        fit = np.concatenate([fit[elite], child_fit])
+        pop = np.concatenate([pop[best], child])
+        sigma = np.concatenate([sigma[best], child_sigma])
+        fit = np.concatenate([fit[best], child_fit])

@@ -28,7 +28,6 @@ DEFAULT_CONFIG_CAP = 64
 GRIDS = {
     "samr_ga": {
         "NP": (10, 20, 50, 100, 200),
-        "elite_ratio": (0.0,),
         "sigma_init": (0.0, 0.5, 1.0),
         "sigma_meta": (1.0, 2.0, 3.0, 4.0, 5.0),
         "sigma_best_limit": (0.0001, 0.001, 0.1),
@@ -59,18 +58,13 @@ GRIDS = {
     "bipop_cma_es": {
         "NP": (10, 20, 50, 100),
         "elite_ratio": (0.2, 0.5, 0.7),
-        "sigma_init": (1.0,),
-        "mean_decay": (0.0,),
         "min_num_gens": (10, 30, 50),
         "popsize_multiplier": (1, 2, 3, 4, 5),
     },
     "simulated_annealing": {
         "NP": (10, 20, 50, 100, 200),
         "sigma_init": (0.1, 0.3, 0.5),
-        "sigma_decay": (1.0,),
         "sigma_limit": (0.01, 0.05, 0.1),
-        "temp_init": (1.0,),
-        "temp_limit": (0.1,),
         "temp_decay": (0.9, 0.99, 0.999),
         "boltzmann_const": (1.0, 5.0, 10.0),
     },

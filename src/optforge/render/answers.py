@@ -39,11 +39,12 @@ import dis
 import functools
 import inspect
 import io
+import linecache
 import tokenize
 import types
 from dataclasses import dataclass
 
-from ..optimizers.base import get_optimizer
+from ..optimizers import get_optimizer, validate_config
 
 __all__ = ["AnswerDoc", "DegenerateEntryError", "emit_answer"]
 
@@ -63,15 +64,21 @@ class AnswerDoc:
     line_count: int
 
 
+def _code_tree(code):
+    """``code`` and the code objects nested in it, depth first."""
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _code_tree(const)
+
+
 def _loaded_globals(code):
     """Global names ``code`` and its nested code objects load, in order."""
     names = []
-    for ins in dis.get_instructions(code):
-        if ins.opname == "LOAD_GLOBAL" and ins.argval not in names:
-            names.append(ins.argval)
-    for const in code.co_consts:
-        if isinstance(const, types.CodeType):
-            names += [n for n in _loaded_globals(const) if n not in names]
+    for sub in _code_tree(code):
+        for ins in dis.get_instructions(sub):
+            if ins.opname == "LOAD_GLOBAL" and ins.argval not in names:
+                names.append(ins.argval)
     return names
 
 
@@ -101,10 +108,23 @@ def _strip_prose(source):
     return "\n".join(kept)
 
 
+@functools.lru_cache(maxsize=None)
+def _compiled_code(filename, text):
+    """Every code object ``text`` compiles to, nested ones included."""
+    return set(_code_tree(compile(text, filename, "exec", dont_inherit=True)))
+
+
 def _definition_source(obj):
     """Source of a module-level function or class, decorators, comments
-    and docstrings dropped."""
-    lines = inspect.getsource(obj).splitlines()
+    and docstrings dropped.  Raises ``ValueError`` unless the file still
+    compiles to the loaded code, the code the bench ran."""
+    lines = inspect.getsource(obj).splitlines()  # refreshes linecache
+    filename = inspect.getsourcefile(obj)
+    loaded = ({f.__code__ for f in vars(obj).values() if inspect.isfunction(f)}
+              if inspect.isclass(obj) else {obj.__code__})
+    if not loaded <= _compiled_code(filename,
+                                    "".join(linecache.getlines(filename))):
+        raise ValueError(f"{obj.__qualname__}: {filename} changed since import")
     start = next(i for i, line in enumerate(lines)
                  if line.startswith(("def ", "class ")))
     return _strip_prose("\n".join(lines[start:]))
@@ -155,8 +175,8 @@ def emit_answer(entry):
     """Render the answer program for one knowledge-base entry.
 
     Raises :class:`DegenerateEntryError` when the entry carries no
-    usable winner (all optimizers failed on the instance), and
-    ``KeyError`` for an unregistered optimizer.
+    usable winner (all optimizers failed on the instance), ``KeyError``
+    for an unregistered optimizer, and ``ValueError`` for an off-grid config.
     """
     if getattr(entry, "degenerate", False):
         raise DegenerateEntryError(
@@ -165,6 +185,7 @@ def emit_answer(entry):
     optimizer = entry.best_optimizer
     config = dict(entry.best_config or {})
     fn_name = get_optimizer(optimizer).__name__
+    validate_config(optimizer, config)
     code = (
         f"# {optimizer} with the configuration the benchmark chose.\n"
         + _optimizer_source(optimizer)

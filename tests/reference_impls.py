@@ -160,18 +160,16 @@ def ref_instance_value(instance, x):
 
 
 def ref_rule_key(f, violation):
-    return (0 if violation <= 0.0 else 1, violation, f)
-
-
-def ref_rank_key(f, violation):
-    """``ref_rule_key`` with a NaN objective ranked below every number."""
-    return (0 if violation <= 0.0 else 1, violation, math.isnan(f), f)
+    """Feasibility-rule key; a NaN objective ranks below every number,
+    and two NaN objectives rank equal."""
+    nan = math.isnan(f)
+    return (0 if violation <= 0.0 else 1, violation, nan, 0.0 if nan else f)
 
 
 def ref_rule_best_index(fs, viols):
     best = 0
     for i in range(1, len(fs)):
-        if ref_rank_key(fs[i], viols[i]) < ref_rank_key(fs[best], viols[best]):
+        if ref_rule_key(fs[i], viols[i]) < ref_rule_key(fs[best], viols[best]):
             best = i
     return best
 
@@ -199,14 +197,14 @@ def ref_record_batch(state, n_init, xs, fs, viols):
             j = ref_rule_best_index(fs[:k], viols[:k])
             cand = (fs[j], viols[j])
             if (state["init_best"] is None
-                    or ref_rank_key(*cand) < ref_rank_key(*state["init_best"])):
+                    or ref_rule_key(*cand) < ref_rule_key(*state["init_best"])):
                 state["init_best"] = cand
         if state["fe"] >= n_init:
             state["f0"], state["f0_viol"] = state["init_best"]
     i = ref_rule_best_index(fs, viols)
     if (state["best_x"] is None
-            or ref_rank_key(fs[i], viols[i])
-            < ref_rank_key(state["best_f"], state["best_viol"])):
+            or ref_rule_key(fs[i], viols[i])
+            < ref_rule_key(state["best_f"], state["best_viol"])):
         state["best_f"] = fs[i]
         state["best_viol"] = viols[i]
         state["best_x"] = list(xs[i])

@@ -202,8 +202,8 @@ def test_criterion_06_optimizer_efficacy():
           "bound": "clip"}
     d_de = _mean_descent("vanilla_de", de, suite, master=6)
     assert d_de >= 0.999, f"vanilla_de mean descent {d_de}"
-    bipop = {"NP": 20, "elite_ratio": 0.5, "sigma_init": 1.0,
-             "mean_decay": 0.0, "min_num_gens": 30, "popsize_multiplier": 2}
+    bipop = {"NP": 20, "elite_ratio": 0.5, "min_num_gens": 30,
+             "popsize_multiplier": 2}
     d_bipop = _mean_descent("bipop_cma_es", bipop, suite, master=6)
     assert d_bipop >= 0.99, f"bipop_cma_es mean descent {d_bipop}"
     assert time.monotonic() - start < 300.0

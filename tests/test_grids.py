@@ -34,6 +34,13 @@ def test_grid_sizes(optimizer, size):
     )
 
 
+def test_every_grid_parameter_is_a_choice():
+    # a parameter with one value belongs in the optimizer's code
+    single = [(o, name) for o, grid in GRIDS.items()
+              for name, values in grid.items() if len(values) < 2]
+    assert single == []
+
+
 def test_config_at_matches_product_order():
     for optimizer in ("deap_de", "vanilla_pso", "dual_annealing"):
         full = list(iter_full_grid(optimizer))

@@ -29,20 +29,17 @@ ALL_OPTIMIZERS = sorted(GRIDS)
 
 # one small, cheap config per optimizer, drawn from its grid
 SMALL_CONFIGS = {
-    "samr_ga": {"NP": 10, "elite_ratio": 0.0, "sigma_init": 0.5,
-                "sigma_meta": 2.0, "sigma_best_limit": 0.001},
+    "samr_ga": {"NP": 10, "sigma_init": 0.5, "sigma_meta": 2.0,
+                "sigma_best_limit": 0.001},
     "vanilla_de": {"NP": 10, "F": 0.5, "Cr": 0.9, "mutation": "best1",
                    "bound": "clip"},
     "deap_de": {"NP": 10, "F": 0.5, "Cr": 0.5},
     "vanilla_pso": {"NP": 10, "phi_1": 2.0, "phi_2": 2.0},
     "sep_cma_es": {"n_individuals": 10, "c_c": 1.0, "sigma": 0.3},
-    "bipop_cma_es": {"NP": 10, "elite_ratio": 0.5, "sigma_init": 1.0,
-                     "mean_decay": 0.0, "min_num_gens": 10,
+    "bipop_cma_es": {"NP": 10, "elite_ratio": 0.5, "min_num_gens": 10,
                      "popsize_multiplier": 2},
-    "simulated_annealing": {"NP": 10, "sigma_init": 0.3, "sigma_decay": 1.0,
-                            "sigma_limit": 0.05, "temp_init": 1.0,
-                            "temp_limit": 0.1, "temp_decay": 0.99,
-                            "boltzmann_const": 1.0},
+    "simulated_annealing": {"NP": 10, "sigma_init": 0.3, "sigma_limit": 0.05,
+                            "temp_decay": 0.99, "boltzmann_const": 1.0},
     "dual_annealing": {"initial_temp": 5230.0, "visit": 2.62,
                        "restart_temp_ratio": 2.0e-5},
     "nsa": {"sigma": 0.3, "schedule": "linear", "n_samples": 10, "rt": 0.99},
@@ -94,6 +91,16 @@ def test_rule_le_matrix():
     assert rule_le(99.0, 0.0, -99.0, 0.5)
     assert rule_le(99.0, 0.1, -99.0, 0.5)
     assert not rule_le(99.0, 0.5, -99.0, 0.1)
+
+
+def test_rule_le_ranks_nan_objective_last():
+    nan = float("nan")
+    assert rule_le([1.0], [0.0], [nan], [0.0]).tolist() == [True]
+    assert rule_le([nan], [0.0], [1.0], [0.0]).tolist() == [False]
+    assert rule_le([nan], [0.0], [nan], [0.0]).tolist() == [True]
+    # violation still decides before the objective
+    assert rule_le([nan], [0.0], [1.0], [0.5]).tolist() == [True]
+    assert rule_le([1.0], [0.5], [nan], [0.0]).tolist() == [False]
 
 
 # ---------------------------------------------------------------------------

@@ -533,6 +533,44 @@ def test_answer_unknown_optimizer_raises():
         emit_answer(_entry("gradient_descent", {}))
 
 
+def test_answer_rejects_config_off_the_grid():
+    # a knowledge entry written while bipop_cma_es still had mean_decay
+    stale = dict(config_at("bipop_cma_es", 0), mean_decay=0.0)
+    with pytest.raises(ValueError, match="mean_decay"):
+        emit_answer(_entry("bipop_cma_es", stale))
+
+
+def test_definition_source_rejects_changed_file(tmp_path, monkeypatch):
+    path = tmp_path / "stale_source_mod.py"
+    path.write_text(
+        "import numpy as np\n\n\n"
+        "class Box:\n"
+        "    def scale(self, u):\n"
+        "        return np.asarray(u) * 2.0\n\n\n"
+        "def step(x):\n"
+        "    return np.sqrt(x) + 1.0\n"
+    )
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.delitem(sys.modules, "stale_source_mod", raising=False)
+    import stale_source_mod as mod
+
+    assert answers._definition_source(mod.step) == (
+        "def step(x):\n    return np.sqrt(x) + 1.0")
+    assert answers._definition_source(mod.Box).startswith("class Box:")
+
+    # same lines, another constant in Box (and another file size, which
+    # is what tells linecache to reread the file)
+    path.write_text(path.read_text().replace("* 2.0", "* 2.25"))
+    with pytest.raises(ValueError, match="Box"):
+        answers._definition_source(mod.Box)
+    assert answers._definition_source(mod.step).startswith("def step(x):")
+    # lines shift: the recorded line of step now holds other code
+    path.write_text("import math\n\n\n" + path.read_text())
+    with pytest.raises(ValueError, match="step"):
+        answers._definition_source(mod.step)
+    monkeypatch.delitem(sys.modules, "stale_source_mod")
+
+
 def _small_config(optimizer):
     """Smallest population, middle value of every other parameter."""
     return {name: values[0] if name in ("NP", "n_individuals", "n_samples")
