@@ -20,12 +20,14 @@ config index, run index), so results are independent of scheduling and
 parallelism.
 """
 
-import json
 import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass
 
+from .artifacts import read_jsonl, write_jsonl
+from .metrics import normalized_descent
 from .optimizers.base import run
 from .optimizers.grids import DEFAULT_CONFIG_CAP, enumerate_configs
 from .seeding import derive_seed
@@ -35,8 +37,6 @@ __all__ = [
     "KnowledgeEntry",
     "benchmark_instance",
     "benchmark_set",
-    "knowledge_to_dict",
-    "knowledge_from_dict",
     "save_knowledge",
     "load_knowledge",
     "save_records",
@@ -109,10 +109,7 @@ def _run_eval(result, f_star, constrained):
     if constrained and result.f0_violation > 0.0:
         # started infeasible, ended feasible: full usable descent
         return 1.0
-    if result.f0 == f_star:
-        return 1.0
-    d = (result.f0 - result.best_f) / (result.f0 - f_star)
-    return min(1.0, max(0.0, d))
+    return normalized_descent(result.f0, result.best_f, f_star)
 
 
 def benchmark_instance(instance, pool=DEFAULT_POOL, cap=DEFAULT_CONFIG_CAP,
@@ -159,8 +156,7 @@ def benchmark_instance(instance, pool=DEFAULT_POOL, cap=DEFAULT_CONFIG_CAP,
             best_key = key
             best = records[-1]
 
-    degenerate = f_star is None or all(r.status != "ok" for r in flat)
-    if degenerate:
+    if f_star is None:
         entry = _degenerate_entry(instance.id)
     else:
         entry = KnowledgeEntry(
@@ -192,18 +188,15 @@ def benchmark_set(instances, pool=DEFAULT_POOL, cap=DEFAULT_CONFIG_CAP,
     """
     tasks = [(inst, tuple(pool), cap, runs, master_seed, keep_records)
              for inst in instances]
+    parallel = parallelism > 1 and len(tasks) > 1
     outcomes = []
-    if parallelism > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool_ex:
-            for i, out in enumerate(pool_ex.map(_bench_task, tasks)):
-                outcomes.append(out)
-                if (i + 1) % 10 == 0:
-                    log.info("benchmarked %d/%d instances", i + 1, len(tasks))
-    else:
-        for i, task in enumerate(tasks):
-            outcomes.append(_bench_task(task))
-            if (i + 1) % 10 == 0:
-                log.info("benchmarked %d/%d instances", i + 1, len(tasks))
+    with (ProcessPoolExecutor(max_workers=parallelism) if parallel
+          else nullcontext()) as pool_ex:
+        mapped = (pool_ex.map if parallel else map)(_bench_task, tasks)
+        for i, out in enumerate(mapped, start=1):
+            outcomes.append(out)
+            if i % 10 == 0:
+                log.info("benchmarked %d/%d instances", i, len(tasks))
 
     entries = []
     records = [] if keep_records else None
@@ -221,64 +214,31 @@ def benchmark_set(instances, pool=DEFAULT_POOL, cap=DEFAULT_CONFIG_CAP,
 # ---------------------------------------------------------------------------
 # serialization
 
-def knowledge_to_dict(entry):
-    return {
-        "instance_id": entry.instance_id,
-        "best_optimizer": entry.best_optimizer,
-        "best_config": entry.best_config,
-        "best_config_index": entry.best_config_index,
-        "f_star": entry.f_star,
-        "mean_eval": entry.mean_eval,
-        "degenerate": entry.degenerate,
-    }
-
-
-def knowledge_from_dict(d):
-    return KnowledgeEntry(
-        instance_id=d["instance_id"], best_optimizer=d["best_optimizer"],
-        best_config=d["best_config"], best_config_index=d["best_config_index"],
-        f_star=d["f_star"], mean_eval=d["mean_eval"],
-        degenerate=d["degenerate"],
-    )
-
-
 def save_knowledge(entries, path):
-    with open(path, "w") as fh:
-        for e in entries:
-            fh.write(json.dumps(knowledge_to_dict(e), sort_keys=True))
-            fh.write("\n")
+    write_jsonl(path, map(asdict, entries))
 
 
 def load_knowledge(path):
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(knowledge_from_dict(json.loads(line)))
-    return out
+    return read_jsonl(path, lambda obj: KnowledgeEntry(**obj))
 
 
 def save_records(records, path):
     """Audit sidecar: every (optimizer, config) with its raw runs."""
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps({
-                "instance_id": rec.instance_id,
-                "optimizer": rec.optimizer,
-                "config_index": rec.config_index,
-                "config": rec.config,
-                "mean_eval": rec.mean_eval,
-                "per_run": [
-                    {
-                        "status": r.status, "seed": r.seed,
-                        "best_f": r.best_f, "best_violation": r.best_violation,
-                        "f0": r.f0, "f0_violation": r.f0_violation,
-                        "fe_used": r.fe_used,
-                        "trace": [[fe, f, v] for fe, f, v in r.trace],
-                        "message": r.message,
-                    }
-                    for r in rec.per_run
-                ],
-            }, sort_keys=True))
-            fh.write("\n")
+    write_jsonl(path, ({
+        "instance_id": rec.instance_id,
+        "optimizer": rec.optimizer,
+        "config_index": rec.config_index,
+        "config": rec.config,
+        "mean_eval": rec.mean_eval,
+        "per_run": [
+            {
+                "status": r.status, "seed": r.seed,
+                "best_f": r.best_f, "best_violation": r.best_violation,
+                "f0": r.f0, "f0_violation": r.f0_violation,
+                "fe_used": r.fe_used,
+                "trace": [[fe, f, v] for fe, f, v in r.trace],
+                "message": r.message,
+            }
+            for r in rec.per_run
+        ],
+    } for rec in records))

@@ -9,13 +9,14 @@ the ``OPT_FORGE_LOG`` environment variable sets the log level.
 """
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 
+from .artifacts import reading, write_json
 from .bench import (DEFAULT_POOL, benchmark_set, load_knowledge,
                     save_knowledge, save_records)
 from .dataset import (build_instruction_set, load_pairs, prompt_seed,
@@ -53,18 +54,8 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, path):
-        with open(path) as fh:
-            raw = json.load(fh)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(
-                f"{path}: unknown config field(s) {sorted(unknown)}"
-            )
-        return cls(**raw)
-
-    def to_dict(self):
-        return dataclasses.asdict(self)
+        with open(path) as fh, reading(path):
+            return cls(**json.load(fh))
 
 
 def _load_config(args):
@@ -172,65 +163,39 @@ def cmd_plan(args):
     if _outputs_exist(args, [args.out]):
         return 0
     pairs = load_pairs(args.pairs)
+    labels = [p.label for p in pairs]
     weights = sampling_weights(pairs)
-    label_counts = {}
-    for p in pairs:
-        label_counts[p.label] = label_counts.get(p.label, 0) + 1
-    n_labels = len(label_counts)
-    plan = {
+    label_counts = Counter(labels)
+    write_json(args.out, {
         "n_pairs": len(pairs),
-        "n_labels": n_labels,
-        "label_counts": dict(sorted(label_counts.items())),
-        "rho_per_pair_by_label": {
-            lab: 1.0 / (n_labels * n) for lab, n in sorted(label_counts.items())
-        },
+        "n_labels": len(label_counts),
+        "label_counts": label_counts,
+        "rho_per_pair_by_label": dict(zip(labels, weights.tolist())),
         "weights_sum": float(weights.sum()),
-    }
-    with open(args.out, "w") as fh:
-        json.dump(plan, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     print(f"wrote sampling plan for {len(pairs)} pairs to {args.out}")
     return 0
 
 
 def _parse_eval_file(path):
-    """Validate the metrics input schema with per-entry errors."""
+    """Read the metrics input, naming the entry of any malformed record."""
     with open(path) as fh:
-        raw = json.load(fh)
-    systems = raw.get("systems")
+        systems = json.load(fh).get("systems")
     if not isinstance(systems, dict) or not systems:
         raise ValueError(f"{path}: expected a non-empty 'systems' mapping")
     parsed = {}
     for name, block in systems.items():
-        where = f"{path}: system {name!r}"
-        for key in ("outcomes", "answers", "n_problems", "n_runs"):
-            if key not in block:
-                raise ValueError(f"{where}: missing key {key!r}")
-        outcomes = []
-        for i, o in enumerate(block["outcomes"]):
-            missing = {"problem_id", "run", "failed"} - set(o)
-            if missing:
-                raise ValueError(
-                    f"{where}: outcome {i}: missing {sorted(missing)}"
-                )
-            outcomes.append(EvalOutcome(
-                problem_id=o["problem_id"], run=o["run"],
-                failed=o["failed"], f0=o.get("f0"),
-                f_best=o.get("f_best"), f_star=o.get("f_star"),
-            ))
-        repairs = []
-        for i, r in enumerate(block.get("repairs", [])):
-            missing = {"problem_id", "original", "repaired"} - set(r)
-            if missing:
-                raise ValueError(
-                    f"{where}: repair {i}: missing {sorted(missing)}"
-                )
-            repairs.append(RepairRecord(
-                problem_id=r["problem_id"], original=r["original"],
-                repaired=r["repaired"],
-            ))
-        parsed[name] = (outcomes, repairs, block["answers"],
-                        block["n_problems"], block["n_runs"])
+        with reading(f"{path}: system {name!r}"):
+            outcomes = []
+            for i, o in enumerate(block["outcomes"]):
+                with reading(f"outcome {i}"):
+                    outcomes.append(EvalOutcome(**o))
+            repairs = []
+            for i, r in enumerate(block.get("repairs", [])):
+                with reading(f"repair {i}"):
+                    repairs.append(RepairRecord(**r))
+            parsed[name] = (outcomes, repairs, block["answers"],
+                            block["n_problems"], block["n_runs"])
     return parsed
 
 
@@ -244,10 +209,8 @@ def cmd_metrics(args):
     }
     print(format_table(reports))
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump({name: r.to_dict() for name, r in reports.items()},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.out,
+                   {name: asdict(r) for name, r in reports.items()})
         print(f"wrote metrics report to {args.out}")
     return 0
 

@@ -20,17 +20,17 @@ pairs pushed apart up to a margin (loss ``max(0, margin - G)``), and a
 batch scores the mean over all unordered pairs.
 """
 
-import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from .artifacts import read_jsonl, write_jsonl
 from .render.answers import DegenerateEntryError, emit_answer
 from .render.literals import LiteralTable
 from .render.prompts import render_prompt
 from .render.styles import WritingStyle
-from .seeding import derive_seed
+from .seeding import derive_seed, rng_for
 
 __all__ = [
     "InstructionPair",
@@ -138,7 +138,7 @@ def split_pairs(pairs, test_fraction=0.1, seed=0):
     if not 0.0 <= test_fraction <= 1.0:
         raise ValueError("test_fraction must be in [0, 1]")
     ids = sorted({p.instance_id for p in pairs})
-    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "split")))
+    rng = rng_for(seed, "split")
     rng.shuffle(ids)
     n_test = int(round(test_fraction * len(ids)))
     test_ids = set(ids[:n_test])
@@ -149,34 +149,11 @@ def split_pairs(pairs, test_fraction=0.1, seed=0):
 
 def save_pairs(pairs, path):
     """JSON lines, sorted keys -- byte-stable for identical inputs."""
-    with open(path, "w") as fh:
-        for p in pairs:
-            fh.write(json.dumps(
-                {"q": p.q, "a": p.a, "instance_id": p.instance_id,
-                 "style": p.style, "label": p.label},
-                sort_keys=True,
-            ))
-            fh.write("\n")
+    write_jsonl(path, map(asdict, pairs))
 
 
 def load_pairs(path):
-    out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            d = json.loads(line)
-            missing = {"q", "a", "instance_id", "style", "label"} - set(d)
-            if missing:
-                raise ValueError(
-                    f"{path}:{lineno}: missing field(s) {sorted(missing)}"
-                )
-            out.append(InstructionPair(
-                q=d["q"], a=d["a"], instance_id=d["instance_id"],
-                style=d["style"], label=d["label"],
-            ))
-    return out
+    return read_jsonl(path, lambda obj: InstructionPair(**obj))
 
 
 # ---------------------------------------------------------------------------

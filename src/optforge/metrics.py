@@ -13,7 +13,6 @@ Four views on a batch of solution attempts:
 headers ``Err. / Rec. / Perf. / Comp.``.
 """
 
-import json
 import re
 import warnings
 from dataclasses import dataclass
@@ -24,6 +23,7 @@ __all__ = [
     "DataIntegrityError",
     "error_rate",
     "recovery_cost",
+    "normalized_descent",
     "optimization_performance",
     "computational_overhead",
     "line_recovery_ratio",
@@ -110,6 +110,13 @@ def recovery_cost(records):
                for r in records) / len(records)
 
 
+def normalized_descent(f0, f_best, f_star):
+    """clamp_0^1((f0 - f_best) / (f0 - f_star)); 1 when f0 == f_star."""
+    if f0 == f_star:
+        return 1.0
+    return min(1.0, max(0.0, (f0 - f_best) / (f0 - f_star)))
+
+
 def _descent(outcome):
     if outcome.failed:
         return 0.0
@@ -124,9 +131,7 @@ def _descent(outcome):
             f"outcome {outcome.problem_id}/run{outcome.run}: starting value "
             f"{f0} below reference optimum {fs}"
         )
-    if f0 == fs:
-        return 1.0
-    return min(1.0, max(0.0, (f0 - fb) / (f0 - fs)))
+    return normalized_descent(f0, fb, fs)
 
 
 def optimization_performance(outcomes):
@@ -160,21 +165,6 @@ class MetricsReport:
     overhead: float
     n_problems: int = 0
     n_runs: int = 0
-
-    def to_dict(self):
-        return {
-            "error_rate": self.error_rate,
-            "recovery_cost": self.recovery_cost,
-            "performance": self.performance,
-            "overhead": self.overhead,
-            "n_problems": self.n_problems,
-            "n_runs": self.n_runs,
-        }
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def compute_report(outcomes, repairs, answer_texts, n_problems, n_runs):

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ..seeding import derive_seed
+from ..seeding import rng_for
 
 __all__ = [
     "GRIDS",
@@ -117,9 +117,7 @@ def enumerate_configs(optimizer, cap=DEFAULT_CONFIG_CAP, seed=0):
     if cap is None or total <= cap:
         indices = range(total)
     else:
-        rng = np.random.Generator(
-            np.random.PCG64(derive_seed(seed, "grid", optimizer, cap))
-        )
+        rng = rng_for(seed, "grid", optimizer, cap)
         indices = np.sort(rng.choice(total, size=cap, replace=False)).tolist()
     return [(int(i), config_at(optimizer, int(i))) for i in indices]
 

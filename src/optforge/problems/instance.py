@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..artifacts import read_jsonl, write_jsonl
 from .basic import BASIC_FUNCTIONS
 from .constraints import ConstraintSpec, EPS_EQ, constraint_values
 from .transforms import TransformSpec
@@ -317,17 +318,8 @@ def instance_from_dict(d):
 
 def save_instances(instances, path):
     """Write instances as JSON lines with sorted keys (byte-stable)."""
-    with open(path, "w") as fh:
-        for inst in instances:
-            fh.write(json.dumps(instance_to_dict(inst), sort_keys=True))
-            fh.write("\n")
+    write_jsonl(path, map(instance_to_dict, instances))
 
 
 def load_instances(path):
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(instance_from_dict(json.loads(line)))
-    return out
+    return read_jsonl(path, instance_from_dict)

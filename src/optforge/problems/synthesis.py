@@ -10,7 +10,7 @@ which keeps corpora stable when the set size changes.
 
 import numpy as np
 
-from ..seeding import derive_seed
+from ..seeding import derive_seed, rng_for
 from .basic import BASIC_FUNCTIONS, BASIC_NAMES
 from .constraints import CONSTRAINT_TEMPLATES, draw_constraint
 from .instance import ComponentSpec, make_instance
@@ -130,9 +130,7 @@ def synthesize_set(n_unconstrained, n_constrained, d_range=(2, 50),
     instances = []
     total = n_unconstrained + n_constrained
     for i in range(total):
-        rng_p = np.random.Generator(
-            np.random.PCG64(derive_seed(master_seed, "params", i))
-        )
+        rng_p = rng_for(master_seed, "params", i)
         d = int(rng_p.integers(d_lo, d_hi + 1))
         k = int(rng_p.integers(k_lo, min(k_hi, d) + 1))
         inst_seed = derive_seed(master_seed, "inst", i)

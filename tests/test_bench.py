@@ -1,6 +1,7 @@
 """Benchmark labelling: per-run scores, reference optimum, winner
 selection, degenerate handling and the knowledge serialization."""
 
+import dataclasses
 import json
 import math
 
@@ -10,7 +11,6 @@ import pytest
 import optforge.bench as bench
 from optforge.bench import (BenchmarkRecord, KnowledgeEntry, _feasible_best,
                             _run_eval, benchmark_instance, benchmark_set,
-                            knowledge_from_dict, knowledge_to_dict,
                             load_knowledge, save_knowledge, save_records)
 from optforge.optimizers.base import RunResult, run
 from optforge.optimizers.grids import enumerate_configs
@@ -159,7 +159,7 @@ def test_benchmark_instance_deterministic():
                                fe_budget=200)
     a, ra = benchmark_instance(inst, pool=POOL, cap=3, runs=2, seed=9)
     b, rb = benchmark_instance(inst, pool=POOL, cap=3, runs=2, seed=9)
-    assert knowledge_to_dict(a) == knowledge_to_dict(b)
+    assert a == b
     assert [r.mean_eval for r in ra] == [r.mean_eval for r in rb]
     assert all(x.per_run[0].best_f == y.per_run[0].best_f
                for x, y in zip(ra, rb))
@@ -237,8 +237,7 @@ def test_benchmark_set_parallel_equals_serial():
                            master_seed=0)[0]
     parallel = benchmark_set(instances, pool=POOL, cap=2, runs=2,
                              master_seed=0, parallelism=2)[0]
-    assert ([knowledge_to_dict(e) for e in serial]
-            == [knowledge_to_dict(e) for e in parallel])
+    assert serial == parallel
 
 
 def test_benchmark_set_keep_records_concatenates():
@@ -286,8 +285,7 @@ def test_knowledge_round_trip(tmp_path):
     path = tmp_path / "knowledge.jsonl"
     save_knowledge(entries, path)
     loaded = load_knowledge(path)
-    assert [knowledge_to_dict(e) for e in loaded] \
-        == [knowledge_to_dict(e) for e in entries]
+    assert loaded == entries
     # degenerate reference optimum survives as JSON null
     assert loaded[1].f_star is None
 
@@ -300,6 +298,18 @@ def test_knowledge_file_is_sorted_jsonl(tmp_path):
     assert len(lines) == 1
     obj = json.loads(lines[0])
     assert list(obj) == sorted(obj)
+
+
+def test_load_knowledge_names_line_of_missing_field(tmp_path):
+    good = dataclasses.asdict(KnowledgeEntry("abc", "nsa", {"sigma": 0.3}, 2,
+                                             1.0, 0.5))
+    bad = {k: v for k, v in good.items() if k != "mean_eval"}
+    path = tmp_path / "knowledge.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(ValueError) as err:
+        load_knowledge(path)
+    assert f"{path}:2:" in str(err.value)
+    assert "mean_eval" in str(err.value)
 
 
 def test_save_records_schema(tmp_path):
@@ -316,9 +326,3 @@ def test_save_records_schema(tmp_path):
                 "mean_eval", "per_run"} <= set(row)
         for pr in row["per_run"]:
             assert {"status", "seed", "best_f", "f0", "fe_used"} <= set(pr)
-
-
-def test_knowledge_dict_round_trip_pure():
-    e = KnowledgeEntry("xyz", "samr_ga", {"population": 20}, 3, 2.5, 0.75)
-    assert knowledge_to_dict(knowledge_from_dict(knowledge_to_dict(e))) \
-        == knowledge_to_dict(e)

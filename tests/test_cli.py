@@ -1,8 +1,10 @@
 """Command-line pipeline: each stage end to end on a desk-sized corpus,
 config handling and output resumability."""
 
+import dataclasses
 import json
 import statistics
+from pathlib import Path
 
 import pytest
 
@@ -33,31 +35,30 @@ def tiny_config(tmp_path_factory):
     return str(path)
 
 
-@pytest.fixture(scope="module")
-def pipeline(tiny_config, tmp_path_factory):
-    """Run synth -> bench -> build -> split once; reuse the artifacts."""
-    d = tmp_path_factory.mktemp("pipe")
-    paths = {
-        "instances": str(d / "instances.jsonl"),
-        "knowledge": str(d / "knowledge.jsonl"),
-        "pairs": str(d / "pairs.jsonl"),
-        "train": str(d / "train.jsonl"),
-        "test": str(d / "test.jsonl"),
-        "config": tiny_config,
-    }
-    assert main(["synth", "--config", tiny_config,
-                 "--out", paths["instances"]]) == 0
-    assert main(["bench", "--config", tiny_config,
-                 "--instances", paths["instances"],
+OUTPUTS = ("instances", "knowledge", "pairs", "train", "test")
+
+
+def _run_pipeline(paths, *flags):
+    """synth -> bench -> build -> split into ``paths``."""
+    common = ["--config", paths["config"], *flags]
+    assert main(["synth", *common, "--out", paths["instances"]]) == 0
+    assert main(["bench", *common, "--instances", paths["instances"],
                  "--out", paths["knowledge"]]) == 0
-    assert main(["build", "--config", tiny_config,
-                 "--instances", paths["instances"],
+    assert main(["build", *common, "--instances", paths["instances"],
                  "--knowledge", paths["knowledge"],
                  "--out", paths["pairs"]]) == 0
-    assert main(["split", "--config", tiny_config,
-                 "--pairs", paths["pairs"],
+    assert main(["split", *common, "--pairs", paths["pairs"],
                  "--train-out", paths["train"],
                  "--test-out", paths["test"]]) == 0
+
+
+@pytest.fixture(scope="module")
+def pipeline(tiny_config, tmp_path_factory):
+    """Run the pipeline once; reuse the artifacts."""
+    d = tmp_path_factory.mktemp("pipe")
+    paths = {name: str(d / f"{name}.jsonl") for name in OUTPUTS}
+    paths["config"] = tiny_config
+    _run_pipeline(paths)
     return paths
 
 
@@ -68,7 +69,7 @@ def pipeline(tiny_config, tmp_path_factory):
 def test_config_round_trip(tmp_path):
     cfg = PipelineConfig(n_unconstrained=7, seed=9)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg.to_dict()))
+    path.write_text(json.dumps(dataclasses.asdict(cfg)))
     loaded = PipelineConfig.from_json(path)
     assert loaded == cfg
 
@@ -243,6 +244,13 @@ def test_force_rebuilds(pipeline, capsys):
     assert open(pipeline["instances"], "rb").read() == before
 
 
+def test_forced_rerun_rewrites_same_bytes_without_temp_files(pipeline):
+    before = {k: Path(pipeline[k]).read_bytes() for k in OUTPUTS}
+    _run_pipeline(pipeline, "--force")
+    assert {k: Path(pipeline[k]).read_bytes() for k in OUTPUTS} == before
+    assert not list(Path(pipeline["pairs"]).parent.glob("*.tmp"))
+
+
 def test_split_noop_only_when_both_outputs_exist(pipeline, tmp_path, capsys):
     train = tmp_path / "train.jsonl"
     test = tmp_path / "test.jsonl"
@@ -313,6 +321,18 @@ def test_metrics_rejects_malformed_results(tmp_path):
     results.write_text(json.dumps({"systems": {}}))
     with pytest.raises(ValueError):
         main(["metrics", "--results", str(results)])
+
+
+@pytest.mark.parametrize("entry, index", [("outcomes", 3), ("repairs", 0)])
+def test_metrics_rejects_unknown_field(tmp_path, entry, index):
+    results = tmp_path / "results.json"
+    payload = _results_payload()
+    payload["systems"]["demo"][entry][index]["note"] = "x"
+    results.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as err:
+        main(["metrics", "--results", str(results)])
+    assert f"{entry[:-1]} {index}" in str(err.value)
+    assert "note" in str(err.value)
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,32 @@ def test_load_pairs_reports_line_of_missing_field(tmp_path):
     assert "label" in str(err.value)
 
 
+def test_load_pairs_rejects_unknown_field(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    row = {"q": "q", "a": "a", "instance_id": "i", "style": "s",
+           "label": "l", "score": 1.0}
+    path.write_text(json.dumps(row) + "\n")
+    with pytest.raises(ValueError) as err:
+        load_pairs(path)
+    assert ":1:" in str(err.value)
+    assert "score" in str(err.value)
+
+
+def test_failed_save_keeps_the_old_file(tmp_path):
+    # the second row cannot be serialized; the target keeps its old
+    # bytes and no temp file is left beside it
+    path = tmp_path / "pairs.jsonl"
+    save_pairs(_pairs(1), path)
+    before = path.read_bytes()
+    bad = _pairs(2)
+    bad[1] = InstructionPair(q="q", a={1}, instance_id="id", style="s",
+                             label="l")
+    with pytest.raises(TypeError):
+        save_pairs(bad, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["pairs.jsonl"]
+
+
 def test_load_pairs_skips_blank_lines(tmp_path):
     path = tmp_path / "pairs.jsonl"
     save_pairs(_pairs(1), path)

@@ -1,6 +1,7 @@
 """Scoring generated-solver systems: error rate, repair cost,
 normalized descent and token overhead."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from optforge.artifacts import write_json
 from optforge.metrics import (DataIntegrityError, EvalOutcome, MetricsReport,
                               RepairRecord, _lcs_length, compute_report,
                               computational_overhead, error_rate,
@@ -179,9 +181,9 @@ def test_compute_report_values():
 def test_report_round_trips_json(tmp_path):
     rep = _small_report()
     path = tmp_path / "report.json"
-    rep.to_json(path)
+    write_json(path, dataclasses.asdict(rep))
     loaded = json.loads(path.read_text())
-    assert loaded == rep.to_dict()
+    assert MetricsReport(**loaded) == rep
     assert list(loaded) == sorted(loaded)
 
 

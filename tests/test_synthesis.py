@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,6 +163,18 @@ def test_serialization_byte_stable(tmp_path):
     save_instances(insts, p1)
     save_instances(insts, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_load_instances_names_line_of_missing_field(tmp_path):
+    insts = synthesize_set(2, 0, d_range=(2, 3), k_range=(1, 1), master_seed=4)
+    rows = [instance_to_dict(i) for i in insts]
+    del rows[1]["bounds"]
+    path = tmp_path / "instances.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    with pytest.raises(ValueError) as err:
+        load_instances(path)
+    assert f"{path}:2:" in str(err.value)
+    assert "bounds" in str(err.value)
 
 
 def test_tampered_id_rejected(tmp_path):
