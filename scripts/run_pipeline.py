@@ -19,7 +19,7 @@ import numpy as np
 from optforge import (SamplingPlan, batch_contrastive_loss, benchmark_set,
                       build_instruction_set, save_instances, save_pairs,
                       split_pairs, synthesize_set)
-from optforge.bench import save_knowledge
+from optforge.bench import save_knowledge, winner_counts
 
 
 def main():
@@ -47,10 +47,9 @@ def main():
         instances, cap=4, runs=2, master_seed=args.seed, parallelism=4,
     )
     save_knowledge(entries, out / "knowledge.jsonl")
-    winners = {}
-    for e in entries:
-        winners[e.best_optimizer] = winners.get(e.best_optimizer, 0) + 1
-    print(f"benchmark winners: {dict(sorted(winners.items()))}")
+    winners = winner_counts(entries)
+    print(f"benchmark winners: {dict(sorted(winners.items()))} "
+          f"({len(entries) - winners.total()} degenerate)")
     if failures:
         print(f"benchmark failures: {failures}")
 

@@ -12,7 +12,7 @@ from .metrics import (EvalOutcome, MetricsReport, RepairRecord,
                       compute_report, computational_overhead, error_rate,
                       format_table, optimization_performance, recovery_cost)
 from .problems.instance import (ProblemInstance, evaluate, evaluate_batch,
-                                load_instances, make_instance, save_instances)
+                                load_instances, save_instances)
 from .problems.synthesis import synthesize_instance, synthesize_set
 from .render import (AnswerDoc, PromptDoc, WritingStyle, emit_answer,
                      render_constraints, render_objective, render_prompt)
@@ -49,7 +49,6 @@ __all__ = [
     "evaluate",
     "evaluate_batch",
     "load_instances",
-    "make_instance",
     "save_instances",
     "synthesize_instance",
     "synthesize_set",

@@ -22,6 +22,7 @@ parallelism.
 
 import logging
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
@@ -40,6 +41,7 @@ __all__ = [
     "save_knowledge",
     "load_knowledge",
     "save_records",
+    "winner_counts",
 ]
 
 log = logging.getLogger("optforge.bench")
@@ -209,6 +211,12 @@ def benchmark_set(instances, pool=DEFAULT_POOL, cap=DEFAULT_CONFIG_CAP,
             failures.append(err)
             print(f"bench: degenerate instance ({err})", file=sys.stderr)
     return entries, records, failures
+
+
+def winner_counts(entries):
+    """How many labels each optimizer won; degenerate entries have no
+    winner and are not counted."""
+    return Counter(e.best_optimizer for e in entries if not e.degenerate)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 from .artifacts import reading, write_json
 from .bench import (DEFAULT_POOL, benchmark_set, load_knowledge,
-                    save_knowledge, save_records)
+                    save_knowledge, save_records, winner_counts)
 from .dataset import (build_instruction_set, load_pairs, prompt_seed,
                       sampling_weights, save_pairs, split_pairs)
 from .metrics import (EvalOutcome, MetricsReport, RepairRecord,
@@ -108,9 +108,7 @@ def cmd_bench(args):
     save_knowledge(entries, args.out)
     if args.records is not None:
         save_records(records, args.records)
-    histogram = {}
-    for e in entries:
-        histogram[e.best_optimizer] = histogram.get(e.best_optimizer, 0) + 1
+    histogram = winner_counts(entries)
     print(f"wrote {len(entries)} knowledge entries to {args.out}")
     for name in sorted(histogram):
         print(f"  winner {name:<20} {histogram[name]}")
@@ -179,8 +177,8 @@ def cmd_plan(args):
 
 def _parse_eval_file(path):
     """Read the metrics input, naming the entry of any malformed record."""
-    with open(path) as fh:
-        systems = json.load(fh).get("systems")
+    with open(path) as fh, reading(path):
+        systems = json.load(fh)["systems"]
     if not isinstance(systems, dict) or not systems:
         raise ValueError(f"{path}: expected a non-empty 'systems' mapping")
     parsed = {}

@@ -21,6 +21,7 @@ batch scores the mean over all unordered pairs.
 """
 
 import logging
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -163,9 +164,7 @@ def sampling_weights(pairs):
     """Per-pair probabilities rho = 1 / (N_a * N_{q,a}); sums to 1."""
     if not pairs:
         raise ValueError("cannot weight an empty pair list")
-    counts = {}
-    for p in pairs:
-        counts[p.label] = counts.get(p.label, 0) + 1
+    counts = Counter(p.label for p in pairs)
     n_labels = len(counts)
     return np.array([1.0 / (n_labels * counts[p.label]) for p in pairs])
 

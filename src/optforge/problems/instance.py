@@ -9,15 +9,15 @@ An instance combines K basic functions under one of three paradigms:
   its segment of coordinates; the segments partition ``{0, .., d-1}``
   (stored 0-based).
 
-Instances are frozen and hashable by content: the ``id`` is the first
-12 hex digits of the SHA-256 of the canonical JSON payload without the
-id field, so equal specs get equal ids regardless of construction
-order.
+Instances are frozen and named by content: the ``id`` is the first 12
+hex digits of the SHA-256 of the canonical JSON payload without the id
+field, so equal specs get equal ids regardless of construction order.
+The constructor derives the id, or checks the one it is given.
 """
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "Evaluation",
     "ProblemInstance",
     "PARADIGMS",
-    "make_instance",
     "evaluate",
     "evaluate_batch",
     "violation_of",
@@ -95,7 +94,9 @@ class Evaluation:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    id: str
+    """An instance; ``id`` is derived from the content when not given,
+    and a given ``id`` that does not match the content raises."""
+
     d: int
     bounds: np.ndarray
     paradigm: str
@@ -103,8 +104,11 @@ class ProblemInstance:
     constraints: tuple = ()
     fe_budget: int = 40000
     seed: int = 0
+    id: str = None
 
     def __post_init__(self):
+        for name in ("d", "fe_budget", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.paradigm not in PARADIGMS:
             raise ValueError(f"unknown paradigm {self.paradigm!r}")
         if self.d < 1:
@@ -152,6 +156,13 @@ class ProblemInstance:
              None if c.segment is None else np.array(c.segment, dtype=np.intp),
              c.transform.apply, c.weight)
             for c in comps))
+        blob = json.dumps(_payload(self), sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
+        if self.id is None:
+            object.__setattr__(self, "id", digest)
+        elif self.id != digest:
+            raise ValueError(
+                f"instance id {self.id} does not match content hash {digest}")
 
     @property
     def k(self):
@@ -226,94 +237,44 @@ def evaluate(instance, x):
 # ---------------------------------------------------------------------------
 # serialization
 
-def _component_to_dict(comp):
+def _payload(instance):
+    """The instance as a JSON-ready dict, without its id."""
     return {
-        "basic": comp.basic,
-        "weight": comp.weight,
-        "segment": list(comp.segment) if comp.segment is not None else None,
-        "rotation": comp.transform.rotation.tolist(),
-        "shift": comp.transform.shift.tolist(),
-    }
-
-
-def _component_from_dict(d):
-    return ComponentSpec(
-        basic=d["basic"],
-        weight=d["weight"],
-        segment=tuple(d["segment"]) if d["segment"] is not None else None,
-        transform=TransformSpec(np.array(d["rotation"]), np.array(d["shift"])),
-    )
-
-
-def _payload(d, bounds, paradigm, components, constraints, fe_budget, seed):
-    return {
-        "d": int(d),
-        "bounds": np.asarray(bounds, dtype=float).tolist(),
-        "paradigm": paradigm,
-        "components": [_component_to_dict(c) for c in components],
+        "d": instance.d,
+        "bounds": instance.bounds.tolist(),
+        "paradigm": instance.paradigm,
+        "components": [
+            {"basic": c.basic, "weight": c.weight,
+             "segment": None if c.segment is None else list(c.segment),
+             "rotation": c.transform.rotation.tolist(),
+             "shift": c.transform.shift.tolist()}
+            for c in instance.components
+        ],
         "constraints": [
             {"kind": c.kind, "center": c.center.tolist(), "params": c.params}
-            for c in constraints
+            for c in instance.constraints
         ],
-        "fe_budget": int(fe_budget),
-        "seed": int(seed),
+        "fe_budget": instance.fe_budget,
+        "seed": instance.seed,
     }
-
-
-def compute_id(payload):
-    """Content hash of an id-less payload dict (12 hex digits)."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
-
-
-def make_instance(d, bounds, paradigm, components, constraints=(),
-                  fe_budget=40000, seed=0):
-    """Build an instance, deriving its content-hash id."""
-    payload = _payload(d, bounds, paradigm, components, constraints,
-                       fe_budget, seed)
-    return ProblemInstance(
-        id=compute_id(payload),
-        d=int(d),
-        bounds=np.asarray(bounds, dtype=float),
-        paradigm=paradigm,
-        components=tuple(components),
-        constraints=tuple(constraints),
-        fe_budget=int(fe_budget),
-        seed=int(seed),
-    )
 
 
 def instance_to_dict(instance):
-    out = _payload(
-        instance.d, instance.bounds, instance.paradigm, instance.components,
-        instance.constraints, instance.fe_budget, instance.seed,
-    )
-    out["id"] = instance.id
-    return out
+    return {**_payload(instance), "id": instance.id}
 
 
-def instance_from_dict(d):
-    inst = ProblemInstance(
-        id=d["id"],
-        d=d["d"],
-        bounds=np.array(d["bounds"], dtype=float),
-        paradigm=d["paradigm"],
-        components=tuple(_component_from_dict(c) for c in d["components"]),
-        constraints=tuple(
-            ConstraintSpec(kind=c["kind"], center=np.array(c["center"]),
-                           params=c["params"])
-            for c in d["constraints"]
-        ),
-        fe_budget=d["fe_budget"],
-        seed=d["seed"],
-    )
-    expect = compute_id({k: v for k, v in instance_to_dict(inst).items()
-                         if k != "id"})
-    if inst.id != expect:
-        raise ValueError(
-            f"instance id {inst.id} does not match content hash {expect}"
-        )
-    return inst
+def instance_from_dict(obj):
+    """Inverse of :func:`instance_to_dict`; a missing or unknown field at
+    any level raises, and so does an id that does not match the content."""
+    return ProblemInstance(**{
+        **obj,
+        "id": obj["id"],
+        "components": tuple(
+            ComponentSpec(transform=TransformSpec(c.pop("rotation"),
+                                                  c.pop("shift")), **c)
+            for c in map(dict, obj["components"])),
+        "constraints": tuple(ConstraintSpec(**c) for c in obj["constraints"]),
+    })
 
 
 def save_instances(instances, path):

@@ -13,7 +13,7 @@ import numpy as np
 from ..seeding import derive_seed, rng_for
 from .basic import BASIC_FUNCTIONS, BASIC_NAMES
 from .constraints import CONSTRAINT_TEMPLATES, draw_constraint
-from .instance import ComponentSpec, make_instance
+from .instance import ComponentSpec, ProblemInstance
 from .transforms import TransformSpec, make_rotation
 
 __all__ = ["synthesize_instance", "synthesize_set"]
@@ -104,7 +104,7 @@ def synthesize_instance(d, k, constrained, seed, fe_budget=40000):
                 draw_constraint(CONSTRAINT_TEMPLATES[kid], bounds, rng)
             )
 
-    return make_instance(
+    return ProblemInstance(
         d=d, bounds=bounds, paradigm=paradigm, components=components,
         constraints=constraints, fe_budget=fe_budget, seed=seed,
     )

@@ -15,7 +15,7 @@ literals come from the instance's :class:`~.literals.LiteralTable`,
 which formats each number once and shares it with the other styles.
 """
 
-from .styles import WritingStyle
+from .styles import PY_STYLES, WritingStyle
 
 __all__ = ["render_python_objective", "render_python_constraints"]
 
@@ -364,6 +364,13 @@ _MODULAR_DEFS = {
 }
 
 
+_ROTATE_SHIFT_DEF = (
+    "def rotate_shift(x, m, o):\n"
+    "    return (np.asarray(x, dtype=float) - np.asarray(o))"
+    " @ np.asarray(m)"
+)
+
+
 def _transform_lines_vector(comp, lit, c, modular):
     """Lines producing z{c} from x (vector/modular family)."""
     has_rot, has_shift = lit.has_rotation, lit.has_shift
@@ -432,78 +439,44 @@ def render_python_objective(instance, style, table):
     ``table`` is the instance's :class:`~.literals.LiteralTable`.
     """
     style = WritingStyle.parse(style)
+    if style not in PY_STYLES:
+        raise ValueError(f"{style.value} is not a Python style")
+    loop = style == WritingStyle.PY_LOOP
+    modular = style == WritingStyle.PY_MODULAR
     comps = list(zip(instance.components, table.components))
-    if style == WritingStyle.PY_LOOP:
-        data = _component_data(comps, numpy_style=False)
-        body = []
-        for c, (comp, lit) in enumerate(comps, start=1):
-            body.extend(_transform_lines_loop(comp, lit, c))
-            body.extend(_LOOP_BODIES[comp.basic](f"z{c}", f"f{c}", c))
-        ret = _combine_expr(instance, lambda c, comp: f"f{c}")
-        lines = ["import math", ""]
-        if data:
-            lines += data + [""]
-        lines += ["", "def objective(x):"]
-        lines += [f"    {ln}" for ln in body]
-        lines += [f"    return {ret}"]
-        return "\n".join(lines) + "\n"
+    kernels = _LOOP_BODIES if loop else _VECTOR_BODIES
+    body = [] if loop else ["x = np.asarray(x, dtype=float)"]
+    for c, (comp, lit) in enumerate(comps, start=1):
+        body += (_transform_lines_loop(comp, lit, c) if loop
+                 else _transform_lines_vector(comp, lit, c, modular))
+        if not modular:
+            body += kernels[comp.basic](f"z{c}", f"f{c}", c)
+    ret = _combine_expr(instance, lambda c, comp: (
+        f"{comp.basic}(z{c})" if modular else f"f{c}"))
 
-    if style == WritingStyle.PY_VECTOR:
-        data = _component_data(comps, numpy_style=True)
-        body = ["x = np.asarray(x, dtype=float)"]
-        for c, (comp, lit) in enumerate(comps, start=1):
-            body.extend(_transform_lines_vector(comp, lit, c, modular=False))
-            body.extend(_VECTOR_BODIES[comp.basic](f"z{c}", f"f{c}", c))
-        ret = _combine_expr(instance, lambda c, comp: f"f{c}")
-        lines = ["import numpy as np", ""]
-        if data:
-            lines += data + [""]
-        lines += ["", "def objective(x):"]
-        lines += [f"    {ln}" for ln in body]
-        lines += [f"    return {ret}"]
-        return "\n".join(lines) + "\n"
-
-    if style == WritingStyle.PY_MODULAR:
-        data = _component_data(comps, numpy_style=True)
-        need_rotate_shift = any(lit.has_rotation and lit.has_shift
-                                for lit in table.components)
-        helper_names = []
-        for comp in instance.components:
-            if comp.basic not in helper_names:
-                helper_names.append(comp.basic)
-        helpers = []
-        if need_rotate_shift:
-            helpers.append(
-                "def rotate_shift(x, m, o):\n"
-                "    return (np.asarray(x, dtype=float) - np.asarray(o))"
-                " @ np.asarray(m)"
-            )
-        helpers += [_MODULAR_DEFS[name] for name in helper_names]
-
-        body = ["x = np.asarray(x, dtype=float)"]
-        for c, (comp, lit) in enumerate(comps, start=1):
-            body.extend(_transform_lines_vector(comp, lit, c, modular=True))
-        ret = _combine_expr(instance, lambda c, comp: f"{comp.basic}(z{c})")
-        lines = ["import numpy as np", ""]
-        if data:
-            lines += data + [""]
+    lines = ["import math" if loop else "import numpy as np", ""]
+    data = _component_data(comps, numpy_style=not loop)
+    if data:
+        lines += data + [""]
+    if modular:
         lines += [""]
-        for h in helpers:
-            lines += [h, ""]
-        lines += ["", "def objective(x):"]
-        lines += [f"    {ln}" for ln in body]
-        lines += [f"    return {ret}"]
-        return "\n".join(lines) + "\n"
-
-    raise ValueError(f"{style.value} is not a Python style")
+        if any(lit.has_rotation and lit.has_shift for lit in table.components):
+            lines += [_ROTATE_SHIFT_DEF, ""]
+        # each helper once, in first-use order
+        for name in dict.fromkeys(comp.basic for comp in instance.components):
+            lines += [_MODULAR_DEFS[name], ""]
+    lines += ["", "def objective(x):"]
+    lines += [f"    {ln}" for ln in body]
+    lines += [f"    return {ret}"]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # constraints
 
-def _constraint_expr_vector(spec):
+def _constraint_expr_vector(spec, i):
     if spec.kind == "linear":
-        return f"float(y @ con{{i}}_a - {_num(spec.params['b'])})"
+        return f"float(y @ con{i}_a - {_num(spec.params['b'])})"
     if spec.kind == "ball":
         return f"float(np.sum(y ** 2) - {_num(spec.params['radius'])} ** 2)"
     if spec.kind == "cumsum_zero":
@@ -601,7 +574,7 @@ def render_python_constraints(instance, style, table):
             defs.append("\n".join([f"def {fname}(x):"]
                                   + _constraint_lines_loop(spec, i)))
         else:
-            expr = _constraint_expr_vector(spec).replace("{i}", str(i))
+            expr = _constraint_expr_vector(spec, i)
             defs.append(
                 f"def {fname}(x):\n"
                 f"    y = np.asarray(x, dtype=float) - con{i}_c\n"

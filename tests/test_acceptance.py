@@ -22,8 +22,8 @@ from optforge.metrics import (EvalOutcome, RepairRecord, error_rate,
 from optforge.optimizers.base import run
 from optforge.optimizers.grids import enumerate_configs, grid_size
 from optforge.problems.basic import BASIC_FUNCTIONS, BASIC_NAMES
-from optforge.problems.instance import (ComponentSpec, evaluate_batch,
-                                        make_instance)
+from optforge.problems.instance import (ComponentSpec, ProblemInstance,
+                                        evaluate_batch)
 from optforge.problems.synthesis import synthesize_instance
 from optforge.problems.transforms import TransformSpec, make_rotation
 from optforge.seeding import derive_seed
@@ -62,7 +62,7 @@ def test_criterion_01_composition_degeneracy():
         d = 2 + i % 9
         lo, hi = BASIC_FUNCTIONS[name].domain
         identity = TransformSpec(np.eye(d), np.zeros(d))
-        inst = make_instance(
+        inst = ProblemInstance(
             d=d, bounds=[[lo, hi]] * d, paradigm="composition",
             components=[ComponentSpec(basic=name, weight=1.0,
                                       transform=identity)],
@@ -177,9 +177,9 @@ def _sphere_suite():
             transform=TransformSpec(make_rotation(d, 2000 + i),
                                     rng.uniform(-50.0, 50.0, d)),
         )
-        out.append(make_instance(d=d, bounds=[[-100.0, 100.0]] * d,
-                                 paradigm="single", components=[comp],
-                                 fe_budget=20000, seed=2000 + i))
+        out.append(ProblemInstance(d=d, bounds=[[-100.0, 100.0]] * d,
+                                    paradigm="single", components=[comp],
+                                    fe_budget=20000, seed=2000 + i))
     return out
 
 

@@ -1,9 +1,13 @@
 """Command-line pipeline: each stage end to end on a desk-sized corpus,
 config handling and output resumability."""
 
+import ast
 import dataclasses
 import json
+import os
 import statistics
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -333,6 +337,38 @@ def test_metrics_rejects_unknown_field(tmp_path, entry, index):
         main(["metrics", "--results", str(results)])
     assert f"{entry[:-1]} {index}" in str(err.value)
     assert "note" in str(err.value)
+
+
+@pytest.mark.parametrize("text", ["[]", "{not json", '{"runs": 1}'],
+                         ids=["list", "invalid-json", "no-systems"])
+def test_metrics_rejects_malformed_file(tmp_path, text):
+    results = tmp_path / "results.json"
+    results.write_text(text)
+    with pytest.raises(ValueError) as err:
+        main(["metrics", "--results", str(results)])
+    assert str(results) in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# demo script
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def test_run_pipeline_script_counts_only_labelled_winners(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "run_pipeline.py"),
+         "--out-dir", str(tmp_path), "--seed", "7"],
+        env=env, capture_output=True, text=True, check=True, timeout=600,
+    ).stdout
+    line = next(ln for ln in out.splitlines()
+                if ln.startswith("benchmark winners: "))
+    winners = ast.literal_eval(line[line.index("{"):line.index("}") + 1])
+    entries = load_knowledge(tmp_path / "knowledge.jsonl")
+    assert sum(winners.values()) == sum(not e.degenerate for e in entries)
 
 
 # ---------------------------------------------------------------------------

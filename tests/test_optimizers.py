@@ -8,7 +8,7 @@ from optforge.optimizers.base import (BudgetExhausted, ObjectiveTracker,
                                       optimizer_ids, rule_argmin, rule_key,
                                       rule_le, run, uniform_init)
 from optforge.optimizers.grids import GRIDS
-from optforge.problems.instance import evaluate_batch, make_instance
+from optforge.problems.instance import ProblemInstance, evaluate_batch
 from optforge.problems.synthesis import synthesize_instance
 from optforge.problems.transforms import TransformSpec, make_rotation
 from optforge.problems.instance import ComponentSpec
@@ -22,8 +22,8 @@ def shifted_sphere(d, seed):
     shift = rng.uniform(-50.0, 50.0, d)
     comp = ComponentSpec(basic="sphere", weight=1.0,
                          transform=TransformSpec(rot, shift))
-    return make_instance(d=d, bounds=[[-100.0, 100.0]] * d,
-                         paradigm="single", components=[comp], seed=seed)
+    return ProblemInstance(d=d, bounds=[[-100.0, 100.0]] * d,
+                            paradigm="single", components=[comp], seed=seed)
 
 ALL_OPTIMIZERS = sorted(GRIDS)
 
@@ -519,8 +519,8 @@ def _sphere_in_box(bounds, shift, seed=0):
     d = len(bounds)
     comp = ComponentSpec(basic="sphere", weight=1.0,
                          transform=TransformSpec(np.eye(d), np.array(shift)))
-    return make_instance(d=d, bounds=bounds, paradigm="single",
-                         components=[comp], seed=seed)
+    return ProblemInstance(d=d, bounds=bounds, paradigm="single",
+                            components=[comp], seed=seed)
 
 
 _TOP = 2.0**27 - 2.0**-26  # the largest x with x + 1e-8 != x
@@ -553,8 +553,8 @@ def test_dual_annealing_local_search_stops_at_scipy_maxfun(monkeypatch):
     comp = ComponentSpec(basic="rosenbrock", weight=1.0,
                          transform=TransformSpec(np.eye(d),
                                                  np.full(d, 10.0)))
-    inst = make_instance(d=d, bounds=[[-100.0, 100.0]] * d,
-                         paradigm="single", components=[comp], seed=0)
+    inst = ProblemInstance(d=d, bounds=[[-100.0, 100.0]] * d,
+                            paradigm="single", components=[comp], seed=0)
     got, want, got_points, want_points, messages = _against_plain_scipy(
         monkeypatch, inst, 16500, seed=0)
     assert "TOTAL NO. OF F,G EVALUATIONS EXCEEDS LIMIT" in messages[0]

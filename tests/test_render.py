@@ -17,8 +17,8 @@ from optforge.optimizers import (BudgetExhausted, ObjectiveTracker,
 from optforge.optimizers.grids import GRIDS, config_at, enumerate_configs
 from optforge.problems.constraints import (EPS_EQ, ConstraintSpec,
                                            constraint_values)
-from optforge.problems.instance import (ComponentSpec, evaluate,
-                                        evaluate_batch, make_instance)
+from optforge.problems.instance import (ComponentSpec, ProblemInstance,
+                                        evaluate, evaluate_batch)
 from optforge.problems.synthesis import synthesize_instance
 from optforge.problems.transforms import TransformSpec, make_rotation
 from optforge.render import (DegenerateEntryError, LiteralTable, PY_STYLES,
@@ -334,7 +334,7 @@ def _tiny_turn(eps):
 def _literal_instances():
     """Hand-made instances covering every kind of embedded data."""
     quarter = np.array([[-0.0, -1.0], [1.0, 0.0]])
-    comp = make_instance(
+    comp = ProblemInstance(
         d=4, bounds=[[-5.0, 5.0]] * 4, paradigm="composition",
         components=[
             ComponentSpec("rastrigin", TransformSpec(make_rotation(4, 1),
@@ -353,7 +353,7 @@ def _literal_instances():
             ConstraintSpec("sinusoid", [0.0, 0.0, 0.0, 2.5e17], {"b": 1.0}),
         ],
         fe_budget=900, seed=4)
-    hybrid = make_instance(
+    hybrid = ProblemInstance(
         d=6, bounds=[[-1.0, 1.0]] * 5 + [[-2.0, 3.0]], paradigm="hybrid",
         components=[
             ComponentSpec("sphere", TransformSpec(_tiny_turn(1e-05),

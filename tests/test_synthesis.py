@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optforge.problems.basic import BASIC_FUNCTIONS
-from optforge.problems.instance import (evaluate, evaluate_batch,
-                                        instance_from_dict, instance_to_dict,
-                                        load_instances, save_instances)
+from optforge.problems.instance import (ProblemInstance, evaluate,
+                                        evaluate_batch, instance_from_dict,
+                                        instance_to_dict, load_instances,
+                                        save_instances)
 from optforge.problems.synthesis import synthesize_instance, synthesize_set
 
 from reference_impls import ref_instance_value
@@ -183,6 +184,37 @@ def test_tampered_id_rejected(tmp_path):
     d["id"] = "0" * 12
     with pytest.raises(ValueError):
         instance_from_dict(d)
+
+
+@pytest.mark.parametrize("where", ["top", "component", "constraint"])
+def test_load_instances_rejects_unknown_field(tmp_path, where):
+    insts = [synthesize_instance(d=3, k=2, constrained=True, seed=s)
+             for s in (1, 2)]
+    rows = [instance_to_dict(i) for i in insts]
+    target = {"top": rows[1], "component": rows[1]["components"][0],
+              "constraint": rows[1]["constraints"][0]}[where]
+    target["junk"] = 1
+    path = tmp_path / "instances.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    with pytest.raises(ValueError) as err:
+        load_instances(path)
+    assert f"{path}:2:" in str(err.value)
+    assert "junk" in str(err.value)
+
+
+def _content(inst):
+    return {k: v for k, v in vars(inst).items() if k not in ("id", "_plan")}
+
+
+def test_constructor_derives_the_synthesized_id():
+    inst = synthesize_instance(d=4, k=2, constrained=True, seed=5)
+    assert ProblemInstance(**_content(inst)).id == inst.id
+
+
+def test_constructor_rejects_wrong_id():
+    inst = synthesize_instance(d=4, k=2, constrained=True, seed=5)
+    with pytest.raises(ValueError, match="does not match"):
+        ProblemInstance(**_content(inst), id="0" * 12)
 
 
 def test_paradigm_mix_present():
