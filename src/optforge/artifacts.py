@@ -5,8 +5,9 @@ crash behaviour are decided in one place:
 
 * a JSON Lines file holds one ``json.dumps(row, sort_keys=True)`` per
   line; a JSON document is ``json.dumps(doc, indent=2,
-  sort_keys=True)`` and a newline.  Sorted keys and shortest-repr
-  floats make equal inputs give equal bytes.
+  sort_keys=True)`` and a newline; a rendering is its text as given.
+  Sorted keys and shortest-repr floats make equal inputs give equal
+  bytes.
 * A writer fills ``<path>.tmp`` beside the target, then moves it into
   place with ``os.replace``.  A stage killed mid-write leaves the old
   file, or none, never a truncated one that a resumed run would take
@@ -20,7 +21,8 @@ import contextlib
 import json
 import os
 
-__all__ = ["read_jsonl", "reading", "write_json", "write_jsonl"]
+__all__ = ["read_jsonl", "reading", "write_json", "write_jsonl",
+           "write_text"]
 
 _MALFORMED = (KeyError, TypeError, ValueError)
 
@@ -47,6 +49,11 @@ def write_jsonl(path, rows):
 def write_json(path, doc):
     """One indented, sorted-key JSON document."""
     _write(path, (json.dumps(doc, indent=2, sort_keys=True), "\n"))
+
+
+def write_text(path, text):
+    """Plain text, as given."""
+    _write(path, (text,))
 
 
 @contextlib.contextmanager

@@ -16,7 +16,7 @@ import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 
-from .artifacts import reading, write_json
+from .artifacts import reading, write_json, write_text
 from .bench import (DEFAULT_POOL, benchmark_set, load_knowledge,
                     save_knowledge, save_records, winner_counts)
 from .dataset import (build_instruction_set, load_pairs, prompt_seed,
@@ -215,6 +215,8 @@ def cmd_metrics(args):
 
 def cmd_render(args):
     _load_config(args)
+    if _outputs_exist(args, [args.out]):
+        return 0
     instances = load_instances(args.instances)
     if args.id:
         matches = [i for i in instances if i.id == args.id]
@@ -235,10 +237,7 @@ def cmd_render(args):
         out += ("\n" + "=" * 30 + f" answer ({answer.optimizer}) "
                 + "=" * 30 + "\n\n" + answer.code_text)
     if args.out:
-        if _outputs_exist(args, [args.out]):
-            return 0
-        with open(args.out, "w") as fh:
-            fh.write(out)
+        write_text(args.out, out)
         print(f"wrote rendering to {args.out}")
     else:
         print(out, end="")

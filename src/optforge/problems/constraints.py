@@ -37,6 +37,10 @@ CONSTRAINT_TEMPLATES = (
 
 _EQUALITY_KINDS = frozenset({"cumsum_zero", "chain_zero", "product"})
 
+# the scalar parameter each template subtracts (``ball`` its square)
+_OFFSET_PARAM = {"linear": "b", "ball": "radius", "product": "c",
+                 "sinusoid": "b"}
+
 
 @dataclass(frozen=True)
 class ConstraintSpec:
@@ -73,6 +77,13 @@ class ConstraintSpec:
     @property
     def is_equality(self):
         return self.kind in _EQUALITY_KINDS
+
+    @property
+    def offset(self):
+        """The template's offset parameter, or None for a template
+        without one."""
+        name = _OFFSET_PARAM.get(self.kind)
+        return None if name is None else self.params[name]
 
     @property
     def d(self):

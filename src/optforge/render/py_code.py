@@ -7,6 +7,10 @@ own evaluator (the test suite compiles rendered blocks and compares):
 * vector   -- numpy expressions inside one ``objective``;
 * modular  -- numpy helpers, one small function per basic function.
 
+Each basic function and each constraint kind is written once per
+notation, as template lines in a table: the numpy table serves both
+vector bodies and modular helpers, and loops have their own table.
+
 Data (rotation matrices, shifts, segments, constraint parameters) is
 embedded as literals with full round-trip precision.  Identity parts of
 a transform are omitted rather than multiplied out.  Segment indices
@@ -43,325 +47,169 @@ def _py_index_literal(name, values, numpy_style):
 
 
 # ---------------------------------------------------------------------------
-# vectorized bodies: lines assigning {f} from {z} (aux names carry the
-# component tag to stay collision-free)
+# basic-function formulas, one table per notation: template lines that
+# assign {f} from {z}.  Aux names carry the component tag {c} to stay
+# collision-free; the modular helpers fill {c} with "" and return the
+# right-hand side of the last line.
 
-def _vec_sphere(z, f, c):
-    return [f"{f} = np.sum({z} ** 2)"]
+_NUMPY = {
+    "sphere": ["{f} = np.sum({z} ** 2)"],
+    "rastrigin": [
+        "{f} = np.sum({z} ** 2 - 10.0 * np.cos(2.0 * np.pi * {z}) + 10.0)",
+    ],
+    "ackley": [
+        "a{c} = -20.0 * np.exp(-0.2 * np.sqrt(np.mean({z} ** 2)))",
+        "b{c} = -np.exp(np.mean(np.cos(2.0 * np.pi * {z})))",
+        "{f} = a{c} + b{c} + 20.0 + np.e",
+    ],
+    "rosenbrock": [
+        "{f} = np.sum(100.0 * ({z}[1:] - {z}[:-1] ** 2) ** 2"
+        " + (1.0 - {z}[:-1]) ** 2)",
+    ],
+    "griewank": [
+        "idx{c} = np.arange(1, {z}.size + 1)",
+        "{f} = 1.0 + np.sum({z} ** 2) / 4000.0"
+        " - np.prod(np.cos({z} / np.sqrt(idx{c})))",
+    ],
+    "schwefel": [
+        "{f} = 418.9828872724339 * {z}.size"
+        " - np.sum({z} * np.sin(np.sqrt(np.abs({z}))))",
+    ],
+    "bent_cigar": ["{f} = {z}[0] ** 2 + 1e6 * np.sum({z}[1:] ** 2)"],
+    "levy": [
+        "w{c} = 1.0 + ({z} - 1.0) / 4.0",
+        "head{c} = np.sin(np.pi * w{c}[0]) ** 2",
+        "mid{c} = np.sum((w{c}[:-1] - 1.0) ** 2"
+        " * (1.0 + 10.0 * np.sin(np.pi * w{c}[:-1] + 1.0) ** 2))",
+        "tail{c} = (w{c}[-1] - 1.0) ** 2"
+        " * (1.0 + np.sin(2.0 * np.pi * w{c}[-1]) ** 2)",
+        "{f} = head{c} + mid{c} + tail{c}",
+    ],
+    "katsuura": [
+        "pow2{c} = 2.0 ** np.arange(1, 33)",
+        "frac{c} = np.sum(np.abs({z}[:, None] * pow2{c}"
+        " - np.round({z}[:, None] * pow2{c})) / pow2{c}, axis=1)",
+        "prod{c} = np.prod((1.0 + np.arange(1, {z}.size + 1) * frac{c})"
+        " ** (10.0 / {z}.size ** 1.2))",
+        "{f} = 10.0 / {z}.size ** 2 * prod{c} - 10.0 / {z}.size ** 2",
+    ],
+    "happycat": [
+        "r{c} = np.sum({z} ** 2)",
+        "{f} = np.abs(r{c} - {z}.size) ** 0.25"
+        " + (0.5 * r{c} + np.sum({z})) / {z}.size + 0.5",
+    ],
+    "discus": ["{f} = 1e6 * {z}[0] ** 2 + np.sum({z}[1:] ** 2)"],
+    "weierstrass": [
+        "k{c} = np.arange(21)",
+        "inner{c} = np.sum(0.5 ** k{c}"
+        " * np.cos(2.0 * np.pi * 3.0 ** k{c} * ({z}[:, None] + 0.5)))",
+        "const{c} = np.sum(0.5 ** k{c} * np.cos(np.pi * 3.0 ** k{c}))",
+        "{f} = inner{c} - {z}.size * const{c}",
+    ],
+}
 
-
-def _vec_rastrigin(z, f, c):
-    return [f"{f} = np.sum({z} ** 2 - 10.0 * np.cos(2.0 * np.pi * {z}) + 10.0)"]
-
-
-def _vec_ackley(z, f, c):
-    return [
-        f"{f} = (-20.0 * np.exp(-0.2 * np.sqrt(np.mean({z} ** 2)))"
-        f" - np.exp(np.mean(np.cos(2.0 * np.pi * {z}))) + 20.0 + np.e)"
-    ]
-
-
-def _vec_rosenbrock(z, f, c):
-    return [
-        f"{f} = np.sum(100.0 * ({z}[1:] - {z}[:-1] ** 2) ** 2"
-        f" + (1.0 - {z}[:-1]) ** 2)"
-    ]
-
-
-def _vec_griewank(z, f, c):
-    return [
-        f"idx{c} = np.arange(1, {z}.size + 1)",
-        f"{f} = 1.0 + np.sum({z} ** 2) / 4000.0"
-        f" - np.prod(np.cos({z} / np.sqrt(idx{c})))",
-    ]
-
-
-def _vec_schwefel(z, f, c):
-    return [
-        f"{f} = 418.9828872724339 * {z}.size"
-        f" - np.sum({z} * np.sin(np.sqrt(np.abs({z}))))"
-    ]
-
-
-def _vec_bent_cigar(z, f, c):
-    return [f"{f} = {z}[0] ** 2 + 1e6 * np.sum({z}[1:] ** 2)"]
-
-
-def _vec_levy(z, f, c):
-    return [
-        f"w{c} = 1.0 + ({z} - 1.0) / 4.0",
-        f"{f} = (np.sin(np.pi * w{c}[0]) ** 2"
-        f" + np.sum((w{c}[:-1] - 1.0) ** 2"
-        f" * (1.0 + 10.0 * np.sin(np.pi * w{c}[:-1] + 1.0) ** 2))"
-        f" + (w{c}[-1] - 1.0) ** 2"
-        f" * (1.0 + np.sin(2.0 * np.pi * w{c}[-1]) ** 2))",
-    ]
-
-
-def _vec_katsuura(z, f, c):
-    return [
-        f"pow2{c} = 2.0 ** np.arange(1, 33)",
-        f"frac{c} = np.sum(np.abs({z}[:, None] * pow2{c}"
-        f" - np.round({z}[:, None] * pow2{c})) / pow2{c}, axis=1)",
-        f"{f} = (10.0 / {z}.size ** 2"
-        f" * np.prod((1.0 + np.arange(1, {z}.size + 1) * frac{c})"
-        f" ** (10.0 / {z}.size ** 1.2)) - 10.0 / {z}.size ** 2)",
-    ]
-
-
-def _vec_happycat(z, f, c):
-    return [
-        f"r{c} = np.sum({z} ** 2)",
-        f"{f} = (np.abs(r{c} - {z}.size) ** 0.25"
-        f" + (0.5 * r{c} + np.sum({z})) / {z}.size + 0.5)",
-    ]
-
-
-def _vec_discus(z, f, c):
-    return [f"{f} = 1e6 * {z}[0] ** 2 + np.sum({z}[1:] ** 2)"]
-
-
-def _vec_weierstrass(z, f, c):
-    return [
-        f"k{c} = np.arange(21)",
-        f"{f} = (np.sum(0.5 ** k{c}"
-        f" * np.cos(2.0 * np.pi * 3.0 ** k{c} * ({z}[:, None] + 0.5)))"
-        f" - {z}.size * np.sum(0.5 ** k{c} * np.cos(np.pi * 3.0 ** k{c})))",
-    ]
-
-
-_VECTOR_BODIES = {
-    "sphere": _vec_sphere,
-    "rastrigin": _vec_rastrigin,
-    "ackley": _vec_ackley,
-    "rosenbrock": _vec_rosenbrock,
-    "griewank": _vec_griewank,
-    "schwefel": _vec_schwefel,
-    "bent_cigar": _vec_bent_cigar,
-    "levy": _vec_levy,
-    "katsuura": _vec_katsuura,
-    "happycat": _vec_happycat,
-    "discus": _vec_discus,
-    "weierstrass": _vec_weierstrass,
+_LOOP = {
+    "sphere": [
+        "{f} = 0.0",
+        "for v in {z}:",
+        "    {f} += v * v",
+    ],
+    "rastrigin": [
+        "{f} = 0.0",
+        "for v in {z}:",
+        "    {f} += v * v - 10.0 * math.cos(2.0 * math.pi * v) + 10.0",
+    ],
+    "ackley": [
+        "sq{c} = 0.0",
+        "cs{c} = 0.0",
+        "for v in {z}:",
+        "    sq{c} += v * v",
+        "    cs{c} += math.cos(2.0 * math.pi * v)",
+        "n{c} = len({z})",
+        "{f} = (-20.0 * math.exp(-0.2 * math.sqrt(sq{c} / n{c}))"
+        " - math.exp(cs{c} / n{c}) + 20.0 + math.e)",
+    ],
+    "rosenbrock": [
+        "{f} = 0.0",
+        "for i in range(len({z}) - 1):",
+        "    {f} += (100.0 * ({z}[i + 1] - {z}[i] ** 2) ** 2"
+        " + (1.0 - {z}[i]) ** 2)",
+    ],
+    "griewank": [
+        "sq{c} = 0.0",
+        "pr{c} = 1.0",
+        "for i, v in enumerate({z}):",
+        "    sq{c} += v * v",
+        "    pr{c} *= math.cos(v / math.sqrt(i + 1.0))",
+        "{f} = 1.0 + sq{c} / 4000.0 - pr{c}",
+    ],
+    "schwefel": [
+        "{f} = 418.9828872724339 * len({z})",
+        "for v in {z}:",
+        "    {f} -= v * math.sin(math.sqrt(abs(v)))",
+    ],
+    "bent_cigar": [
+        "{f} = {z}[0] ** 2",
+        "for v in {z}[1:]:",
+        "    {f} += 1e6 * v * v",
+    ],
+    "levy": [
+        "w{c} = [1.0 + (v - 1.0) / 4.0 for v in {z}]",
+        "{f} = math.sin(math.pi * w{c}[0]) ** 2",
+        "for i in range(len(w{c}) - 1):",
+        "    {f} += ((w{c}[i] - 1.0) ** 2"
+        " * (1.0 + 10.0 * math.sin(math.pi * w{c}[i] + 1.0) ** 2))",
+        "{f} += ((w{c}[-1] - 1.0) ** 2"
+        " * (1.0 + math.sin(2.0 * math.pi * w{c}[-1]) ** 2))",
+    ],
+    "katsuura": [
+        "n{c} = len({z})",
+        "pr{c} = 1.0",
+        "for i, v in enumerate({z}):",
+        "    s = 0.0",
+        "    for j in range(1, 33):",
+        "        t = 2.0 ** j * v",
+        "        s += abs(t - round(t)) / 2.0 ** j",
+        "    pr{c} *= (1.0 + (i + 1.0) * s) ** (10.0 / n{c} ** 1.2)",
+        "{f} = 10.0 / n{c} ** 2 * pr{c} - 10.0 / n{c} ** 2",
+    ],
+    "happycat": [
+        "sq{c} = 0.0",
+        "sm{c} = 0.0",
+        "for v in {z}:",
+        "    sq{c} += v * v",
+        "    sm{c} += v",
+        "n{c} = len({z})",
+        "{f} = (abs(sq{c} - n{c}) ** 0.25"
+        " + (0.5 * sq{c} + sm{c}) / n{c} + 0.5)",
+    ],
+    "discus": [
+        "{f} = 1e6 * {z}[0] ** 2",
+        "for v in {z}[1:]:",
+        "    {f} += v * v",
+    ],
+    "weierstrass": [
+        "const{c} = 0.0",
+        "for k in range(21):",
+        "    const{c} += 0.5 ** k * math.cos(math.pi * 3.0 ** k)",
+        "{f} = 0.0",
+        "for v in {z}:",
+        "    for k in range(21):",
+        "        {f} += 0.5 ** k * math.cos(2.0 * math.pi * 3.0 ** k * (v + 0.5))",
+        "{f} -= len({z}) * const{c}",
+    ],
 }
 
 
-# ---------------------------------------------------------------------------
-# loop bodies: pure python + math
-
-def _loop_sphere(z, f, c):
-    return [
-        f"{f} = 0.0",
-        f"for v in {z}:",
-        f"    {f} += v * v",
-    ]
+def _fill(lines, **fields):
+    return [ln.format(**fields) for ln in lines]
 
 
-def _loop_rastrigin(z, f, c):
-    return [
-        f"{f} = 0.0",
-        f"for v in {z}:",
-        f"    {f} += v * v - 10.0 * math.cos(2.0 * math.pi * v) + 10.0",
-    ]
-
-
-def _loop_ackley(z, f, c):
-    return [
-        f"sq{c} = 0.0",
-        f"cs{c} = 0.0",
-        f"for v in {z}:",
-        f"    sq{c} += v * v",
-        f"    cs{c} += math.cos(2.0 * math.pi * v)",
-        f"n{c} = len({z})",
-        f"{f} = (-20.0 * math.exp(-0.2 * math.sqrt(sq{c} / n{c}))"
-        f" - math.exp(cs{c} / n{c}) + 20.0 + math.e)",
-    ]
-
-
-def _loop_rosenbrock(z, f, c):
-    return [
-        f"{f} = 0.0",
-        f"for i in range(len({z}) - 1):",
-        f"    {f} += (100.0 * ({z}[i + 1] - {z}[i] ** 2) ** 2"
-        f" + (1.0 - {z}[i]) ** 2)",
-    ]
-
-
-def _loop_griewank(z, f, c):
-    return [
-        f"sq{c} = 0.0",
-        f"pr{c} = 1.0",
-        f"for i, v in enumerate({z}):",
-        f"    sq{c} += v * v",
-        f"    pr{c} *= math.cos(v / math.sqrt(i + 1.0))",
-        f"{f} = 1.0 + sq{c} / 4000.0 - pr{c}",
-    ]
-
-
-def _loop_schwefel(z, f, c):
-    return [
-        f"{f} = 418.9828872724339 * len({z})",
-        f"for v in {z}:",
-        f"    {f} -= v * math.sin(math.sqrt(abs(v)))",
-    ]
-
-
-def _loop_bent_cigar(z, f, c):
-    return [
-        f"{f} = {z}[0] ** 2",
-        f"for v in {z}[1:]:",
-        f"    {f} += 1e6 * v * v",
-    ]
-
-
-def _loop_levy(z, f, c):
-    return [
-        f"w{c} = [1.0 + (v - 1.0) / 4.0 for v in {z}]",
-        f"{f} = math.sin(math.pi * w{c}[0]) ** 2",
-        f"for i in range(len(w{c}) - 1):",
-        f"    {f} += ((w{c}[i] - 1.0) ** 2"
-        f" * (1.0 + 10.0 * math.sin(math.pi * w{c}[i] + 1.0) ** 2))",
-        f"{f} += ((w{c}[-1] - 1.0) ** 2"
-        f" * (1.0 + math.sin(2.0 * math.pi * w{c}[-1]) ** 2))",
-    ]
-
-
-def _loop_katsuura(z, f, c):
-    return [
-        f"n{c} = len({z})",
-        f"pr{c} = 1.0",
-        f"for i, v in enumerate({z}):",
-        f"    s = 0.0",
-        f"    for j in range(1, 33):",
-        f"        t = 2.0 ** j * v",
-        f"        s += abs(t - round(t)) / 2.0 ** j",
-        f"    pr{c} *= (1.0 + (i + 1.0) * s) ** (10.0 / n{c} ** 1.2)",
-        f"{f} = 10.0 / n{c} ** 2 * pr{c} - 10.0 / n{c} ** 2",
-    ]
-
-
-def _loop_happycat(z, f, c):
-    return [
-        f"sq{c} = 0.0",
-        f"sm{c} = 0.0",
-        f"for v in {z}:",
-        f"    sq{c} += v * v",
-        f"    sm{c} += v",
-        f"n{c} = len({z})",
-        f"{f} = (abs(sq{c} - n{c}) ** 0.25"
-        f" + (0.5 * sq{c} + sm{c}) / n{c} + 0.5)",
-    ]
-
-
-def _loop_discus(z, f, c):
-    return [
-        f"{f} = 1e6 * {z}[0] ** 2",
-        f"for v in {z}[1:]:",
-        f"    {f} += v * v",
-    ]
-
-
-def _loop_weierstrass(z, f, c):
-    return [
-        f"const{c} = 0.0",
-        f"for k in range(21):",
-        f"    const{c} += 0.5 ** k * math.cos(math.pi * 3.0 ** k)",
-        f"{f} = 0.0",
-        f"for v in {z}:",
-        f"    for k in range(21):",
-        f"        {f} += 0.5 ** k * math.cos(2.0 * math.pi * 3.0 ** k * (v + 0.5))",
-        f"{f} -= len({z}) * const{c}",
-    ]
-
-
-_LOOP_BODIES = {
-    "sphere": _loop_sphere,
-    "rastrigin": _loop_rastrigin,
-    "ackley": _loop_ackley,
-    "rosenbrock": _loop_rosenbrock,
-    "griewank": _loop_griewank,
-    "schwefel": _loop_schwefel,
-    "bent_cigar": _loop_bent_cigar,
-    "levy": _loop_levy,
-    "katsuura": _loop_katsuura,
-    "happycat": _loop_happycat,
-    "discus": _loop_discus,
-    "weierstrass": _loop_weierstrass,
-}
-
-
-# ---------------------------------------------------------------------------
-# modular helper definitions (vectorized, shared across components)
-
-_MODULAR_DEFS = {
-    "sphere": "def sphere(z):\n    return np.sum(z ** 2)",
-    "rastrigin": (
-        "def rastrigin(z):\n"
-        "    return np.sum(z ** 2 - 10.0 * np.cos(2.0 * np.pi * z) + 10.0)"
-    ),
-    "ackley": (
-        "def ackley(z):\n"
-        "    a = -20.0 * np.exp(-0.2 * np.sqrt(np.mean(z ** 2)))\n"
-        "    b = -np.exp(np.mean(np.cos(2.0 * np.pi * z)))\n"
-        "    return a + b + 20.0 + np.e"
-    ),
-    "rosenbrock": (
-        "def rosenbrock(z):\n"
-        "    return np.sum(100.0 * (z[1:] - z[:-1] ** 2) ** 2"
-        " + (1.0 - z[:-1]) ** 2)"
-    ),
-    "griewank": (
-        "def griewank(z):\n"
-        "    idx = np.arange(1, z.size + 1)\n"
-        "    return 1.0 + np.sum(z ** 2) / 4000.0"
-        " - np.prod(np.cos(z / np.sqrt(idx)))"
-    ),
-    "schwefel": (
-        "def schwefel(z):\n"
-        "    return 418.9828872724339 * z.size"
-        " - np.sum(z * np.sin(np.sqrt(np.abs(z))))"
-    ),
-    "bent_cigar": (
-        "def bent_cigar(z):\n"
-        "    return z[0] ** 2 + 1e6 * np.sum(z[1:] ** 2)"
-    ),
-    "levy": (
-        "def levy(z):\n"
-        "    w = 1.0 + (z - 1.0) / 4.0\n"
-        "    head = np.sin(np.pi * w[0]) ** 2\n"
-        "    mid = np.sum((w[:-1] - 1.0) ** 2"
-        " * (1.0 + 10.0 * np.sin(np.pi * w[:-1] + 1.0) ** 2))\n"
-        "    tail = (w[-1] - 1.0) ** 2 * (1.0 + np.sin(2.0 * np.pi * w[-1]) ** 2)\n"
-        "    return head + mid + tail"
-    ),
-    "katsuura": (
-        "def katsuura(z):\n"
-        "    pow2 = 2.0 ** np.arange(1, 33)\n"
-        "    frac = np.sum(np.abs(z[:, None] * pow2"
-        " - np.round(z[:, None] * pow2)) / pow2, axis=1)\n"
-        "    prod = np.prod((1.0 + np.arange(1, z.size + 1) * frac)"
-        " ** (10.0 / z.size ** 1.2))\n"
-        "    return 10.0 / z.size ** 2 * prod - 10.0 / z.size ** 2"
-    ),
-    "happycat": (
-        "def happycat(z):\n"
-        "    r = np.sum(z ** 2)\n"
-        "    return np.abs(r - z.size) ** 0.25"
-        " + (0.5 * r + np.sum(z)) / z.size + 0.5"
-    ),
-    "discus": (
-        "def discus(z):\n"
-        "    return 1e6 * z[0] ** 2 + np.sum(z[1:] ** 2)"
-    ),
-    "weierstrass": (
-        "def weierstrass(z):\n"
-        "    k = np.arange(21)\n"
-        "    inner = np.sum(0.5 ** k"
-        " * np.cos(2.0 * np.pi * 3.0 ** k * (z[:, None] + 0.5)))\n"
-        "    const = np.sum(0.5 ** k * np.cos(np.pi * 3.0 ** k))\n"
-        "    return inner - z.size * const"
-    ),
-}
+def _modular_def(name):
+    """Helper ``name(z)`` built from the numpy formula."""
+    *aux, last = _fill(_NUMPY[name], z="z", f="f", c="")
+    body = aux + ["return " + last.partition(" = ")[2]]
+    return "\n".join([f"def {name}(z):"] + [f"    {ln}" for ln in body])
 
 
 _ROTATE_SHIFT_DEF = (
@@ -444,13 +292,13 @@ def render_python_objective(instance, style, table):
     loop = style == WritingStyle.PY_LOOP
     modular = style == WritingStyle.PY_MODULAR
     comps = list(zip(instance.components, table.components))
-    kernels = _LOOP_BODIES if loop else _VECTOR_BODIES
+    formulas = _LOOP if loop else _NUMPY
     body = [] if loop else ["x = np.asarray(x, dtype=float)"]
     for c, (comp, lit) in enumerate(comps, start=1):
         body += (_transform_lines_loop(comp, lit, c) if loop
                  else _transform_lines_vector(comp, lit, c, modular))
         if not modular:
-            body += kernels[comp.basic](f"z{c}", f"f{c}", c)
+            body += _fill(formulas[comp.basic], z=f"z{c}", f=f"f{c}", c=c)
     ret = _combine_expr(instance, lambda c, comp: (
         f"{comp.basic}(z{c})" if modular else f"f{c}"))
 
@@ -464,7 +312,7 @@ def render_python_objective(instance, style, table):
             lines += [_ROTATE_SHIFT_DEF, ""]
         # each helper once, in first-use order
         for name in dict.fromkeys(comp.basic for comp in instance.components):
-            lines += [_MODULAR_DEFS[name], ""]
+            lines += [_modular_def(name), ""]
     lines += ["", "def objective(x):"]
     lines += [f"    {ln}" for ln in body]
     lines += [f"    return {ret}"]
@@ -474,71 +322,59 @@ def render_python_objective(instance, style, table):
 # ---------------------------------------------------------------------------
 # constraints
 
-def _constraint_expr_vector(spec, i):
-    if spec.kind == "linear":
-        return f"float(y @ con{i}_a - {_num(spec.params['b'])})"
-    if spec.kind == "ball":
-        return f"float(np.sum(y ** 2) - {_num(spec.params['radius'])} ** 2)"
-    if spec.kind == "cumsum_zero":
-        return "float(np.sum(np.cumsum(y) ** 2))"
-    if spec.kind == "chain_zero":
-        return "float(np.sum((y[:-1] ** 2 - y[1:]) ** 2))"
-    if spec.kind == "product":
-        return f"float(np.prod(y) - {_num(spec.params['c'])})"
-    if spec.kind == "sinusoid":
-        return f"float(np.sum(np.sin(y)) - {_num(spec.params['b'])})"
-    raise ValueError(spec.kind)
+# constraint bodies, one table per notation: {i} is the constraint
+# index, {d} its dimension and {p} its offset parameter
 
+_CON_NUMPY = {
+    "linear": "float(y @ con{i}_a - {p})",
+    "ball": "float(np.sum(y ** 2) - {p} ** 2)",
+    "cumsum_zero": "float(np.sum(np.cumsum(y) ** 2))",
+    "chain_zero": "float(np.sum((y[:-1] ** 2 - y[1:]) ** 2))",
+    "product": "float(np.prod(y) - {p})",
+    "sinusoid": "float(np.sum(np.sin(y)) - {p})",
+}
 
-def _constraint_lines_loop(spec, i):
-    d = spec.d
-    y = f"[x[j] - con{i}_c[j] for j in range({d})]"
-    if spec.kind == "linear":
-        return [
-            f"    total = -{_num(spec.params['b'])}",
-            f"    for j in range({d}):",
-            f"        total += con{i}_a[j] * (x[j] - con{i}_c[j])",
-            "    return total",
-        ]
-    if spec.kind == "ball":
-        return [
-            "    total = 0.0",
-            f"    for j in range({d}):",
-            f"        total += (x[j] - con{i}_c[j]) ** 2",
-            f"    return total - {_num(spec.params['radius'])} ** 2",
-        ]
-    if spec.kind == "cumsum_zero":
-        return [
-            "    total = 0.0",
-            "    acc = 0.0",
-            f"    for j in range({d}):",
-            f"        acc += x[j] - con{i}_c[j]",
-            "        total += acc ** 2",
-            "    return total",
-        ]
-    if spec.kind == "chain_zero":
-        return [
-            f"    y = {y}",
-            "    total = 0.0",
-            f"    for j in range({d} - 1):",
-            "        total += (y[j] ** 2 - y[j + 1]) ** 2",
-            "    return total",
-        ]
-    if spec.kind == "product":
-        return [
-            "    prod = 1.0",
-            f"    for j in range({d}):",
-            f"        prod *= x[j] - con{i}_c[j]",
-            f"    return prod - {_num(spec.params['c'])}",
-        ]
-    if spec.kind == "sinusoid":
-        return [
-            "    total = 0.0",
-            f"    for j in range({d}):",
-            f"        total += math.sin(x[j] - con{i}_c[j])",
-            f"    return total - {_num(spec.params['b'])}",
-        ]
-    raise ValueError(spec.kind)
+_CON_LOOP = {
+    "linear": [
+        "    total = -{p}",
+        "    for j in range({d}):",
+        "        total += con{i}_a[j] * (x[j] - con{i}_c[j])",
+        "    return total",
+    ],
+    "ball": [
+        "    total = 0.0",
+        "    for j in range({d}):",
+        "        total += (x[j] - con{i}_c[j]) ** 2",
+        "    return total - {p} ** 2",
+    ],
+    "cumsum_zero": [
+        "    total = 0.0",
+        "    acc = 0.0",
+        "    for j in range({d}):",
+        "        acc += x[j] - con{i}_c[j]",
+        "        total += acc ** 2",
+        "    return total",
+    ],
+    "chain_zero": [
+        "    y = [x[j] - con{i}_c[j] for j in range({d})]",
+        "    total = 0.0",
+        "    for j in range({d} - 1):",
+        "        total += (y[j] ** 2 - y[j + 1]) ** 2",
+        "    return total",
+    ],
+    "product": [
+        "    prod = 1.0",
+        "    for j in range({d}):",
+        "        prod *= x[j] - con{i}_c[j]",
+        "    return prod - {p}",
+    ],
+    "sinusoid": [
+        "    total = 0.0",
+        "    for j in range({d}):",
+        "        total += math.sin(x[j] - con{i}_c[j])",
+        "    return total - {p}",
+    ],
+}
 
 
 def render_python_constraints(instance, style, table):
@@ -571,15 +407,13 @@ def render_python_constraints(instance, style, table):
             n_g += 1
             fname = f"g{n_g}"
         if loop:
-            defs.append("\n".join([f"def {fname}(x):"]
-                                  + _constraint_lines_loop(spec, i)))
+            body = _CON_LOOP[spec.kind]
         else:
-            expr = _constraint_expr_vector(spec, i)
-            defs.append(
-                f"def {fname}(x):\n"
-                f"    y = np.asarray(x, dtype=float) - con{i}_c\n"
-                f"    return {expr}"
-            )
+            body = ["    y = np.asarray(x, dtype=float) - con{i}_c",
+                    "    return " + _CON_NUMPY[spec.kind]]
+        p = "" if spec.offset is None else _num(spec.offset)
+        defs.append("\n".join([f"def {fname}(x):"]
+                              + _fill(body, i=i, d=spec.d, p=p)))
     head = "import math" if loop else "import numpy as np"
     blocks = [head, ""] + data + [""] + [d + "\n" for d in defs]
     return "\n".join(blocks)

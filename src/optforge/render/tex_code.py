@@ -283,12 +283,13 @@ _FACTORED = {
 }
 
 
-def _fill(terms, z, w, d):
-    return [
-        (s, t.replace("@Z@", z).replace("@W@", w)
-            .replace("@D@-1", str(d - 1)).replace("@D@", str(d)))
-        for s, t in terms
-    ]
+def _fill(text, d, **symbols):
+    """Put the dimension in ``@D@``/``@D@-1`` and each symbol in its
+    ``@NAME@`` placeholder."""
+    text = text.replace("@D@-1", str(d - 1)).replace("@D@", str(d))
+    for name, value in symbols.items():
+        text = text.replace(f"@{name}@", value)
+    return text
 
 
 def _tex_matrix(name, row_bodies):
@@ -340,7 +341,7 @@ def render_tex_objective(instance, style, table, seed=0):
         z = "z" if k_total == 1 else f"z^{{({c})}}"
         w = "w" if k_total == 1 else f"w^{{({c})}}"
         dc = len(comp.segment) if comp.segment is not None else instance.d
-        sub = _fill(forms[comp.basic], z, w, dc)
+        sub = [(sign, _fill(t, dc, Z=z, W=w)) for sign, t in forms[comp.basic]]
         if comp.segment is None and comp.weight != 1.0:
             terms.append((1, f"{tex_num(comp.weight)} ( {join_signed_terms(sub)} )"))
         else:
@@ -358,12 +359,12 @@ def render_tex_objective(instance, style, table, seed=0):
 
 
 _CON_TEX = {
-    "linear": (1, r"\sum_{i=1}^{@D@} a^{(@J@)}_{i} @Y@_{i}"),
-    "ball": (1, r"\sum_{i=1}^{@D@} (@Y@_{i})^{2}"),
-    "cumsum_zero": (1, r"\sum_{i=1}^{@D@} (\sum_{k=1}^{i} @Y@_{k})^{2}"),
-    "chain_zero": (1, r"\sum_{i=1}^{@D@-1} (@Y@_{i}^{2} - @Y@_{i+1})^{2}"),
-    "product": (1, r"\prod_{i=1}^{@D@} @Y@_{i}"),
-    "sinusoid": (1, r"\sum_{i=1}^{@D@} \sin(@Y@_{i})"),
+    "linear": r"\sum_{i=1}^{@D@} a^{(@J@)}_{i} @Y@_{i}",
+    "ball": r"\sum_{i=1}^{@D@} (@Y@_{i})^{2}",
+    "cumsum_zero": r"\sum_{i=1}^{@D@} (\sum_{k=1}^{i} @Y@_{k})^{2}",
+    "chain_zero": r"\sum_{i=1}^{@D@-1} (@Y@_{i}^{2} - @Y@_{i+1})^{2}",
+    "product": r"\prod_{i=1}^{@D@} @Y@_{i}",
+    "sinusoid": r"\sum_{i=1}^{@D@} \sin(@Y@_{i})",
 }
 
 
@@ -382,16 +383,10 @@ def render_tex_constraints(instance, style, table, seed=0):
     for j, (spec, lit) in enumerate(zip(instance.constraints,
                                         table.constraints), start=1):
         y = f"y^{{({j})}}"
-        sign, main = _CON_TEX[spec.kind]
-        main = (main.replace("@Y@", y).replace("@D@-1", str(spec.d - 1))
-                .replace("@D@", str(spec.d)).replace("@J@", str(j)))
-        terms = [(sign, main)]
-        offset = {"linear": spec.params.get("b"),
-                  "ball": None,
-                  "product": spec.params.get("c"),
-                  "sinusoid": spec.params.get("b")}.get(spec.kind)
+        terms = [(1, _fill(_CON_TEX[spec.kind], spec.d, Y=y, J=str(j)))]
+        offset = spec.offset
         if spec.kind == "ball":
-            terms.append((-1, f"{tex_num(spec.params['radius'])}^{{2}}"))
+            terms.append((-1, f"{tex_num(offset)}^{{2}}"))
         elif offset is not None and offset != 0.0:
             terms.append((-1 if offset > 0 else 1, tex_num(abs(offset))))
         lhs = join_signed_terms(terms)

@@ -255,6 +255,34 @@ def test_forced_rerun_rewrites_same_bytes_without_temp_files(pipeline):
     assert not list(Path(pipeline["pairs"]).parent.glob("*.tmp"))
 
 
+def test_render_noop_when_output_exists(tmp_path, capsys):
+    out = tmp_path / "prompt.txt"
+    out.write_text("kept")
+    assert main(["render", "--instances", str(tmp_path / "missing.jsonl"),
+                 "--out", str(out)]) == 0
+    assert "nothing to do" in capsys.readouterr().out
+    assert out.read_text() == "kept"
+
+
+def test_render_out_is_written_through_a_temp_file(pipeline, tmp_path,
+                                                   monkeypatch):
+    out = tmp_path / "prompt.txt"
+    out.write_text("stale")
+    moves = []
+    real_replace = os.replace
+
+    def spy(src, dst):
+        moves.append((str(src), str(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", spy)
+    assert main(["render", "--instances", pipeline["instances"],
+                 "--out", str(out), "--force"]) == 0
+    assert moves == [(f"{out}.tmp", str(out))]
+    assert out.read_text().startswith("You are an expert")
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_split_noop_only_when_both_outputs_exist(pipeline, tmp_path, capsys):
     train = tmp_path / "train.jsonl"
     test = tmp_path / "test.jsonl"

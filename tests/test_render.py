@@ -15,6 +15,7 @@ from optforge.bench import KnowledgeEntry
 from optforge.optimizers import (BudgetExhausted, ObjectiveTracker,
                                  optimizer_ids, run)
 from optforge.optimizers.grids import GRIDS, config_at, enumerate_configs
+from optforge.problems.basic import BASIC_FUNCTIONS, BASIC_NAMES
 from optforge.problems.constraints import (EPS_EQ, ConstraintSpec,
                                            constraint_values)
 from optforge.problems.instance import (ComponentSpec, ProblemInstance,
@@ -52,16 +53,33 @@ def _exec_block(text):
 # python styles evaluate to the true objective
 
 
+def _assert_objective_matches(inst, style, rng):
+    ns = _exec_block(render_objective(inst, style))
+    xs = rng.uniform(inst.bounds[:, 0], inst.bounds[:, 1], (5, inst.d))
+    f_true, _ = evaluate_batch(inst, xs)
+    for x, want in zip(xs, f_true):
+        got = float(ns["objective"](list(map(float, x))))
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
 @pytest.mark.parametrize("style", PY_STYLES, ids=lambda s: s.value)
 def test_python_objective_matches_engine(style):
     rng = np.random.default_rng(0)
     for inst in _sweep(9):
-        ns = _exec_block(render_objective(inst, style))
-        xs = rng.uniform(inst.bounds[:, 0], inst.bounds[:, 1], (5, inst.d))
-        f_true, _ = evaluate_batch(inst, xs)
-        for x, want in zip(xs, f_true):
-            got = float(ns["objective"](list(map(float, x))))
-            assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+        _assert_objective_matches(inst, style, rng)
+
+
+@pytest.mark.parametrize("basic", BASIC_NAMES)
+@pytest.mark.parametrize("style", PY_STYLES, ids=lambda s: s.value)
+def test_python_objective_matches_engine_per_basic(style, basic):
+    """Each basic function's formula, rotated and shifted, at d 4."""
+    d = 4
+    lo, hi = BASIC_FUNCTIONS[basic].domain
+    rng = np.random.default_rng(BASIC_NAMES.index(basic))
+    tf = TransformSpec(make_rotation(d, 7), rng.uniform(lo / 2, hi / 2, d))
+    inst = ProblemInstance(d=d, bounds=[[lo, hi]] * d, paradigm="single",
+                           components=[ComponentSpec(basic, tf, weight=1.0)])
+    _assert_objective_matches(inst, style, rng)
 
 
 @pytest.mark.parametrize("style", PY_STYLES, ids=lambda s: s.value)
