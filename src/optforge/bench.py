@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 from .artifacts import read_jsonl, write_jsonl
 from .metrics import normalized_descent
 from .optimizers.base import run
-from .optimizers.grids import DEFAULT_CONFIG_CAP, enumerate_configs
+from .optimizers.grids import DEFAULT_CONFIG_CAP, GRIDS, enumerate_configs
 from .seeding import derive_seed
 
 __all__ = [
@@ -46,18 +46,8 @@ __all__ = [
 
 log = logging.getLogger("optforge.bench")
 
-DEFAULT_POOL = (
-    "vanilla_de",
-    "deap_de",
-    "vanilla_pso",
-    "samr_ga",
-    "sep_cma_es",
-    "bipop_cma_es",
-    "simulated_annealing",
-    "dual_annealing",
-    "nsa",
-    "random_search",
-)
+# every optimizer with a grid, in grid order, which ``records.jsonl`` follows
+DEFAULT_POOL = tuple(GRIDS)
 
 
 @dataclass

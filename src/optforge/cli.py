@@ -2,10 +2,12 @@
 metrics, render.
 
 Every subcommand shares the same conventions: ``--config`` loads a
-JSON :class:`PipelineConfig` (flags override fields), ``--seed`` pins
-determinism, ``--force`` overwrites outputs (without it, a command
-whose outputs all exist is a no-op so pipelines are resumable), and
-the ``OPT_FORGE_LOG`` environment variable sets the log level.
+JSON :class:`PipelineConfig` (flags override fields), ``--force``
+overwrites outputs (without it, a command whose outputs all exist is a
+no-op so pipelines are resumable), and the ``OPT_FORGE_LOG``
+environment variable sets the log level.  The three stages that draw
+random numbers (synth, bench, split) take ``--seed``, which overrides
+the config seed.
 """
 
 import argparse
@@ -19,8 +21,8 @@ from dataclasses import asdict, dataclass, field
 from .artifacts import reading, write_json, write_text
 from .bench import (DEFAULT_POOL, benchmark_set, load_knowledge,
                     save_knowledge, save_records, winner_counts)
-from .dataset import (build_instruction_set, load_pairs, prompt_seed,
-                      sampling_weights, save_pairs, split_pairs)
+from .dataset import (build_instruction_set, load_pairs, sampling_weights,
+                      save_pairs, split_pairs)
 from .metrics import (EvalOutcome, MetricsReport, RepairRecord,
                       compute_report, format_table)
 from .problems.instance import load_instances, save_instances
@@ -226,7 +228,7 @@ def cmd_render(args):
     else:
         inst = instances[0]
     style = WritingStyle.parse(args.style)
-    doc = render_prompt(inst, style, seed=prompt_seed(inst, style))
+    doc = render_prompt(inst, style)
     out = doc.text
     if args.knowledge:
         knowledge = {e.instance_id: e for e in load_knowledge(args.knowledge)}
@@ -246,10 +248,12 @@ def cmd_render(args):
 
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, out_required=True, out_help="output path"):
+def _add_common(sub, out_required=True, out_help="output path",
+                seeded=False):
     sub.add_argument("--config", help="pipeline config JSON")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="override the config seed")
+    if seeded:
+        sub.add_argument("--seed", type=int, default=None,
+                         help="override the config seed")
     sub.add_argument("--force", action="store_true",
                      help="overwrite existing outputs")
     if out_required is not None:
@@ -265,11 +269,11 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="synthesize a problem corpus")
-    _add_common(p, out_help="instances JSONL path")
+    _add_common(p, out_help="instances JSONL path", seeded=True)
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("bench", help="benchmark instances against the pool")
-    _add_common(p, out_help="knowledge JSONL path")
+    _add_common(p, out_help="knowledge JSONL path", seeded=True)
     p.add_argument("--instances", required=True, help="instances JSONL")
     p.add_argument("--records", default=None,
                    help="optional per-config audit JSONL")
@@ -289,7 +293,7 @@ def build_parser():
     p.set_defaults(fn=cmd_build)
 
     p = sub.add_parser("split", help="instance-level train/test split")
-    _add_common(p, out_required=None)
+    _add_common(p, out_required=None, seeded=True)
     p.add_argument("--pairs", required=True, help="pairs JSONL")
     p.add_argument("--train-out", required=True)
     p.add_argument("--test-out", required=True)

@@ -31,7 +31,7 @@ from .render.answers import DegenerateEntryError, emit_answer
 from .render.literals import LiteralTable
 from .render.prompts import render_prompt
 from .render.styles import WritingStyle
-from .seeding import derive_seed, rng_for
+from .seeding import rng_for
 
 __all__ = [
     "InstructionPair",
@@ -61,11 +61,6 @@ class InstructionPair:
     instance_id: str
     style: str
     label: str
-
-
-def prompt_seed(instance, style):
-    """Seed for style-dependent prompt randomness (term commutation)."""
-    return derive_seed("prompt", instance.seed, WritingStyle.parse(style).value)
 
 
 def build_instruction_set(instances, knowledge, styles=None,
@@ -121,8 +116,7 @@ def build_instruction_set(instances, knowledge, styles=None,
             answer = emit_answer(entry)
         table = LiteralTable(inst)
         for style in styles:
-            doc = render_prompt(inst, style, seed=prompt_seed(inst, style),
-                                table=table)
+            doc = render_prompt(inst, style, table=table)
             pairs.append(InstructionPair(
                 q=doc.text, a=answer.code_text, instance_id=inst.id,
                 style=style.value, label=answer.optimizer,

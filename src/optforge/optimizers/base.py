@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..problems.instance import evaluate_batch
+from .grids import validate_config
 
 __all__ = [
     "PENALTY_COEFF",
@@ -256,8 +257,6 @@ def run(optimizer, config, instance, fe_budget, seed):
     marks the run ``failed``; a budget smaller than the optimizer's
     initial sample fails upfront without spending evaluations.
     """
-    from .grids import validate_config  # local import to avoid a cycle
-
     fn, n_init_of = _registered(optimizer)
     validate_config(optimizer, config)
 

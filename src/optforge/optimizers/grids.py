@@ -25,13 +25,8 @@ __all__ = [
 
 DEFAULT_CONFIG_CAP = 64
 
+# in pool order: ``bench.DEFAULT_POOL`` is this key order
 GRIDS = {
-    "samr_ga": {
-        "NP": (10, 20, 50, 100, 200),
-        "sigma_init": (0.0, 0.5, 1.0),
-        "sigma_meta": (1.0, 2.0, 3.0, 4.0, 5.0),
-        "sigma_best_limit": (0.0001, 0.001, 0.1),
-    },
     "vanilla_de": {
         "NP": (10, 20, 50, 100, 200),
         "F": (0.0, 0.5, 0.9),
@@ -49,6 +44,12 @@ GRIDS = {
         "NP": (10, 20, 50, 100, 200),
         "phi_1": (1.0, 2.0, 3.0),
         "phi_2": (1.0, 2.0, 3.0),
+    },
+    "samr_ga": {
+        "NP": (10, 20, 50, 100, 200),
+        "sigma_init": (0.0, 0.5, 1.0),
+        "sigma_meta": (1.0, 2.0, 3.0, 4.0, 5.0),
+        "sigma_best_limit": (0.0001, 0.001, 0.1),
     },
     "sep_cma_es": {
         "n_individuals": (10, 20, 50, 100),

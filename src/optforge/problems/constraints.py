@@ -25,21 +25,19 @@ __all__ = [
 
 EPS_EQ = 1.0e-4
 
+# each template: whether it is an equality, and its parameter names, the
+# last of which is the scalar offset it subtracts (``ball`` its square)
+_TEMPLATES = {
+    "linear": (False, ("a", "b")),
+    "ball": (False, ("radius",)),
+    "cumsum_zero": (True, ()),
+    "chain_zero": (True, ()),
+    "product": (True, ("c",)),
+    "sinusoid": (False, ("b",)),
+}
+
 # draw order for sampling templates without replacement
-CONSTRAINT_TEMPLATES = (
-    "linear",
-    "ball",
-    "cumsum_zero",
-    "chain_zero",
-    "product",
-    "sinusoid",
-)
-
-_EQUALITY_KINDS = frozenset({"cumsum_zero", "chain_zero", "product"})
-
-# the scalar parameter each template subtracts (``ball`` its square)
-_OFFSET_PARAM = {"linear": "b", "ball": "radius", "product": "c",
-                 "sinusoid": "b"}
+CONSTRAINT_TEMPLATES = tuple(_TEMPLATES)
 
 
 @dataclass(frozen=True)
@@ -47,7 +45,8 @@ class ConstraintSpec:
     """One constraint: a template name, a center shift and parameters.
 
     ``params`` holds pure-python scalars/lists so the spec serializes
-    verbatim; ``linear``'s weights are also kept as an array, built once.
+    verbatim, under exactly the template's parameter names; ``linear``'s
+    weights are also kept as an array, built once.
     """
 
     kind: str
@@ -55,35 +54,40 @@ class ConstraintSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in CONSTRAINT_TEMPLATES:
+        if self.kind not in _TEMPLATES:
             raise ValueError(f"unknown constraint template {self.kind!r}")
+        names = _TEMPLATES[self.kind][1]
+        if set(self.params) != set(names):
+            raise ValueError(
+                f"{self.kind} constraint takes parameters {list(names)}, "
+                f"got {sorted(self.params)}")
         c = np.array(self.center, dtype=float)
         if c.ndim != 1:
             raise ValueError("constraint center must be 1-d")
         c.setflags(write=False)
         object.__setattr__(self, "center", c)
         if self.kind == "linear":
-            a = self.params.get("a")
-            if a is None or len(a) != c.shape[0]:
+            a = self.params["a"]
+            if len(a) != c.shape[0]:
                 raise ValueError("linear constraint needs weights 'a' of length d")
-            if self.params.get("b", -1.0) < 0.0:
+            if self.params["b"] < 0.0:
                 raise ValueError("linear constraint offset 'b' must be >= 0")
             w = np.array(a, dtype=float)
             w.setflags(write=False)
             object.__setattr__(self, "_weights", w)
-        if self.kind == "ball" and self.params.get("radius", 0.0) <= 0.0:
+        if self.kind == "ball" and self.params["radius"] <= 0.0:
             raise ValueError("ball constraint needs radius > 0")
 
     @property
     def is_equality(self):
-        return self.kind in _EQUALITY_KINDS
+        return _TEMPLATES[self.kind][0]
 
     @property
     def offset(self):
         """The template's offset parameter, or None for a template
         without one."""
-        name = _OFFSET_PARAM.get(self.kind)
-        return None if name is None else self.params[name]
+        names = _TEMPLATES[self.kind][1]
+        return self.params[names[-1]] if names else None
 
     @property
     def d(self):

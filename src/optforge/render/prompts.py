@@ -50,22 +50,22 @@ def _table_for(instance, table):
     return table
 
 
-def render_objective(instance, style, seed=0, table=None):
+def render_objective(instance, style, table=None):
     """Objective block text in the requested style (no fences)."""
     style = WritingStyle.parse(style)
     table = _table_for(instance, table)
     if style in PY_STYLES:
         return render_python_objective(instance, style, table)
-    return render_tex_objective(instance, style, table, seed=seed)
+    return render_tex_objective(instance, style, table)
 
 
-def render_constraints(instance, style, seed=0, table=None):
+def render_constraints(instance, style, table=None):
     """Constraint block text, empty for unconstrained instances."""
     style = WritingStyle.parse(style)
     table = _table_for(instance, table)
     if style in PY_STYLES:
         return render_python_constraints(instance, style, table)
-    return render_tex_constraints(instance, style, table, seed=seed)
+    return render_tex_constraints(instance, style, table)
 
 
 def _fence(text, tag):
@@ -86,7 +86,7 @@ def _bounds_line(instance):
             f"per-coordinate bounds {per}.")
 
 
-def render_prompt(instance, style, seed=0, table=None):
+def render_prompt(instance, style, table=None):
     """Assemble the full prompt document for one instance and style.
 
     Pass the same ``table`` (a :class:`~.literals.LiteralTable` of this
@@ -96,9 +96,9 @@ def render_prompt(instance, style, seed=0, table=None):
     table = _table_for(instance, table)
     tag = "python" if style in PY_STYLES else "latex"
     sections = [_ROLE, _TASK,
-                _fence(render_objective(instance, style, seed, table), tag)]
+                _fence(render_objective(instance, style, table), tag)]
     if instance.constrained:
-        con = render_constraints(instance, style, seed, table)
+        con = render_constraints(instance, style, table)
         sections.append(
             "The solution must satisfy the following constraints "
             f"(inequalities g(x) <= 0; equalities |h(x)| <= {EPS_EQ!r}):"

@@ -2,24 +2,28 @@
 
 The canonical style writes every basic function in its textbook form
 with concrete dimensions and embedded numeric data.  The commuted style
-applies a seeded permutation to every commutative +/- term list, at any
-nesting depth the term splitter can see.  The factored style uses
-algebraically equivalent rewritings with shared constants hoisted.
+permutes every commutative +/- term list, at any nesting depth the term
+splitter can see; the instance's seed fixes the order, so each instance
+has one commuted rendering.  The factored style uses algebraically
+equivalent rewritings with shared constants hoisted.
 
 The splitter that powers commutation is exposed
 (:func:`split_signed_terms`, :func:`normalize_terms`) so tests can
 check that two renderings carry the same multiset of summands: the
 normal form recursively sorts all commutable term lists, making it
-order-invariant.  Absolute values use ``\\lvert``/``\\rvert`` (and
-norms ``\\lVert``/``\\rVert``) so bracket depth is unambiguous.
+order-invariant.  Each formula is tokenized once, into backslash
+commands and single characters, and split and rewritten on that token
+list at every bracket depth.  Absolute values use ``\\lvert``/``\\rvert``
+(and norms ``\\lVert``/``\\rVert``) so bracket depth is unambiguous.
 Subscript/superscript groups are copied verbatim -- index arithmetic
 and exponents are never rearranged.  Matrix and vector data come from
 the instance's :class:`~.literals.LiteralTable`, which formats each
 number once and shares it with the other styles.
 """
 
-import numpy as np
+import re
 
+from ..seeding import rng_for
 from .literals import tex_literal
 from .styles import WritingStyle
 
@@ -42,54 +46,31 @@ def tex_num(v):
 # ---------------------------------------------------------------------------
 # signed-term machinery
 
-_OPEN = {"(", "[", "{", "\\lvert", "\\lVert"}
-_CLOSE = {")", "]", "}", "\\rvert", "\\rVert"}
+# a token is a backslash command or a single character
+_TOKEN = re.compile(r"\\[A-Za-z]+|.", re.S)
+# bracket depth change of each bracket token
+_DEPTH = {"(": 1, "[": 1, "{": 1, "\\lvert": 1, "\\lVert": 1,
+          ")": -1, "]": -1, "}": -1, "\\rvert": -1, "\\rVert": -1}
 
 
-def _tokens(s):
-    toks = []
-    i = 0
-    n = len(s)
-    while i < n:
-        if s[i] == "\\":
-            j = i + 1
-            while j < n and s[j].isalpha():
-                j += 1
-            toks.append(s[i:j] if j > i + 1 else s[i])
-            i = j if j > i + 1 else i + 1
-        else:
-            toks.append(s[i])
-            i += 1
-    return toks
-
-
-def _delta(tok):
-    if tok in _OPEN:
-        return 1
-    if tok in _CLOSE:
-        return -1
-    return 0
-
-
-def _split_token_list(toks):
-    terms = []
-    cur = []
-    sign = 1
-    depth = 0
+def _split(toks):
+    """Top-level signed terms of a token list as ``(sign, tokens)``,
+    split at + and - outside every bracket, blank ends dropped."""
+    terms, cur, sign, depth = [], [], 1, 0
     for t in toks:
         if depth == 0 and t in ("+", "-"):
-            if not "".join(cur).strip():
-                sign = 1 if t == "+" else -1
-            else:
-                terms.append((sign, "".join(cur).strip()))
+            if cur:
+                terms.append((sign, cur))
                 cur = []
-                sign = 1 if t == "+" else -1
-            continue
-        depth += _delta(t)
-        cur.append(t)
-    tail = "".join(cur).strip()
-    if tail:
-        terms.append((sign, tail))
+            sign = 1 if t == "+" else -1
+        elif cur or not t.isspace():
+            depth += _DEPTH.get(t, 0)
+            cur.append(t)
+    if cur:
+        terms.append((sign, cur))
+    for _, body in terms:
+        while body[-1].isspace():
+            body.pop()
     return terms
 
 
@@ -100,7 +81,7 @@ def split_signed_terms(s):
     happens only at bracket depth 0, where ``( ) [ ] { }`` and the
     lvert/rvert pairs all count as brackets.
     """
-    return _split_token_list(_tokens(s.strip()))
+    return [(sign, "".join(body)) for sign, body in _split(_TOKEN.findall(s))]
 
 
 def join_signed_terms(terms):
@@ -113,64 +94,58 @@ def join_signed_terms(terms):
     return " ".join(out)
 
 
-def _rewrite_groups(text, order_fn):
-    """Apply the term transform inside every top-level bracket group,
-    except groups attached to _ or ^ (indices and exponents)."""
-    toks = _tokens(text)
-    out = []
-    i = 0
-    prev_script = False
-    while i < len(toks):
-        t = toks[i]
-        if t in _OPEN:
-            depth = 1
-            j = i + 1
-            while j < len(toks) and depth > 0:
-                depth += _delta(toks[j])
-                j += 1
-            inner = "".join(toks[i + 1:j - 1])
-            closer = toks[j - 1] if depth == 0 else ""
-            if prev_script:
-                out.append(t + inner + closer)
-            else:
-                body = _rewrite_expression(inner, order_fn)
-                if t.startswith("\\"):
-                    # keep command delimiters from gluing onto the body
-                    body = f" {body} "
-                out.append(t + body + closer)
-            prev_script = False
-            i = j
-        else:
-            prev_script = t in ("_", "^")
-            out.append(t)
-            i += 1
-    return "".join(out)
-
-
-def _rewrite_expression(s, order_fn):
-    terms = _split_token_list(_tokens(s))
+def _rewrite(toks, order):
+    """Rewrite a token list bottom-up: the bracket groups inside each
+    term first, then the term list itself through ``order``."""
+    terms = [(sign, _rewrite_groups(body, order))
+             for sign, body in _split(toks)]
     if not terms:
-        return s
-    # rewrite bottom-up so ordering sees final term texts
-    terms = [(sign, _rewrite_groups(text, order_fn)) for sign, text in terms]
-    if len(terms) > 1:
-        terms = order_fn(terms)
-    return join_signed_terms(terms)
+        return "".join(toks)
+    return join_signed_terms(order(terms) if len(terms) > 1 else terms)
+
+
+def _rewrite_groups(toks, order):
+    """Rewrite the inside of every top-level bracket group, except groups
+    attached to _ or ^ (indices and exponents), which stay verbatim."""
+    out = []
+    i, n = 0, len(toks)
+    while i < n:
+        t = toks[i]
+        i += 1
+        if _DEPTH.get(t) != 1:
+            out.append(t)
+            continue
+        start, depth = i, 1
+        while i < n and depth:
+            depth += _DEPTH.get(toks[i], 0)
+            i += 1
+        # an unclosed group runs to the end of the list
+        closed = depth == 0
+        inner, closer = toks[start:i - closed], toks[i - 1] if closed else ""
+        if start > 1 and toks[start - 2] in ("_", "^"):
+            body = "".join(inner)
+        else:
+            body = _rewrite(inner, order)
+            if t.startswith("\\"):
+                # keep command delimiters from gluing onto the body
+                body = f" {body} "
+        out.append(t + body + closer)
+    return "".join(out)
 
 
 def permute_terms(s, rng):
     """Seeded recursive permutation of all commutable term lists."""
 
-    def order_fn(terms):
+    def order(terms):
         return [terms[k] for k in rng.permutation(len(terms))]
 
-    return _rewrite_expression(s, order_fn)
+    return _rewrite(_TOKEN.findall(s), order)
 
 
 def normalize_terms(s):
     """Order-invariant normal form: recursively sorts term lists, so
     any two commutations of the same formula normalize identically."""
-    return _rewrite_expression(s, sorted)
+    return _rewrite(_TOKEN.findall(s), sorted)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +302,13 @@ def _component_data_tex(comp, lit, c, k_total):
     return lines
 
 
-def render_tex_objective(instance, style, table, seed=0):
+def _term_order(instance):
+    """The commuted style's generator: fixed by the instance's seed, so
+    every rendering of one instance commutes its terms the same way."""
+    return rng_for("prompt", instance.seed, WritingStyle.TEX_COMMUTED.value)
+
+
+def render_tex_objective(instance, style, table):
     """Objective block: the f(x) formula plus the data lines defining
     every symbol it uses.  ``table`` is the instance's
     :class:`~.literals.LiteralTable`."""
@@ -349,8 +330,7 @@ def render_tex_objective(instance, style, table, seed=0):
         data.extend(_component_data_tex(comp, lit, c, k_total))
     formula = join_signed_terms(terms)
     if style == WritingStyle.TEX_COMMUTED:
-        rng = np.random.Generator(np.random.PCG64(seed))
-        formula = permute_terms(formula, rng)
+        formula = permute_terms(formula, _term_order(instance))
     lines = [f"f(x) = {formula}"]
     if data:
         lines.append(r"\text{where}")
@@ -368,14 +348,13 @@ _CON_TEX = {
 }
 
 
-def render_tex_constraints(instance, style, table, seed=0):
+def render_tex_constraints(instance, style, table):
     """Constraint block: one relation per constraint plus data lines.
     ``table`` is the instance's :class:`~.literals.LiteralTable`."""
     style = WritingStyle.parse(style)
     if not instance.constraints:
         return ""
-    rng = (np.random.Generator(np.random.PCG64(seed))
-           if style == WritingStyle.TEX_COMMUTED else None)
+    rng = _term_order(instance) if style == WritingStyle.TEX_COMMUTED else None
     lines = []
     data = []
     n_g = 0

@@ -323,3 +323,125 @@ def ref_score_runs(results_by_config, constrained):
     winner = min(mean_evals,
                  key=lambda k: (-mean_evals[k], k[0], k[1]))
     return winner[0], winner[1], f_star, mean_evals
+
+
+# ---------------------------------------------------------------------------
+# signed-term machinery: the character-loop tokenizer that re-reads the
+# text of every bracket group, kept as an oracle for the token-list one
+
+
+_REF_OPEN = {"(", "[", "{", "\\lvert", "\\lVert"}
+_REF_CLOSE = {")", "]", "}", "\\rvert", "\\rVert"}
+
+
+def _ref_tokens(s):
+    toks = []
+    i = 0
+    n = len(s)
+    while i < n:
+        if s[i] == "\\":
+            j = i + 1
+            while j < n and s[j].isalpha():
+                j += 1
+            toks.append(s[i:j] if j > i + 1 else s[i])
+            i = j if j > i + 1 else i + 1
+        else:
+            toks.append(s[i])
+            i += 1
+    return toks
+
+
+def _ref_delta(tok):
+    if tok in _REF_OPEN:
+        return 1
+    if tok in _REF_CLOSE:
+        return -1
+    return 0
+
+
+def _ref_split_token_list(toks):
+    terms = []
+    cur = []
+    sign = 1
+    depth = 0
+    for t in toks:
+        if depth == 0 and t in ("+", "-"):
+            if not "".join(cur).strip():
+                sign = 1 if t == "+" else -1
+            else:
+                terms.append((sign, "".join(cur).strip()))
+                cur = []
+                sign = 1 if t == "+" else -1
+            continue
+        depth += _ref_delta(t)
+        cur.append(t)
+    tail = "".join(cur).strip()
+    if tail:
+        terms.append((sign, tail))
+    return terms
+
+
+def ref_split_signed_terms(s):
+    return _ref_split_token_list(_ref_tokens(s.strip()))
+
+
+def _ref_join_signed_terms(terms):
+    out = []
+    for k, (sign, text) in enumerate(terms):
+        if k == 0:
+            out.append(("-" if sign < 0 else "") + text)
+        else:
+            out.append(("- " if sign < 0 else "+ ") + text)
+    return " ".join(out)
+
+
+def _ref_rewrite_groups(text, order_fn):
+    toks = _ref_tokens(text)
+    out = []
+    i = 0
+    prev_script = False
+    while i < len(toks):
+        t = toks[i]
+        if t in _REF_OPEN:
+            depth = 1
+            j = i + 1
+            while j < len(toks) and depth > 0:
+                depth += _ref_delta(toks[j])
+                j += 1
+            inner = "".join(toks[i + 1:j - 1])
+            closer = toks[j - 1] if depth == 0 else ""
+            if prev_script:
+                out.append(t + inner + closer)
+            else:
+                body = _ref_rewrite_expression(inner, order_fn)
+                if t.startswith("\\"):
+                    body = f" {body} "
+                out.append(t + body + closer)
+            prev_script = False
+            i = j
+        else:
+            prev_script = t in ("_", "^")
+            out.append(t)
+            i += 1
+    return "".join(out)
+
+
+def _ref_rewrite_expression(s, order_fn):
+    terms = _ref_split_token_list(_ref_tokens(s))
+    if not terms:
+        return s
+    terms = [(sign, _ref_rewrite_groups(text, order_fn)) for sign, text in terms]
+    if len(terms) > 1:
+        terms = order_fn(terms)
+    return _ref_join_signed_terms(terms)
+
+
+def ref_permute_terms(s, rng):
+    def order_fn(terms):
+        return [terms[k] for k in rng.permutation(len(terms))]
+
+    return _ref_rewrite_expression(s, order_fn)
+
+
+def ref_normalize_terms(s):
+    return _ref_rewrite_expression(s, sorted)

@@ -409,3 +409,32 @@ def test_missing_subcommand_is_an_error(capsys):
     with pytest.raises(SystemExit):
         main(["synth"])  # --out is required
     capsys.readouterr()
+
+
+_STAGE_ARGS = {
+    "build": ["--instances", "i.jsonl", "--knowledge", "k.jsonl",
+              "--out", "p.jsonl"],
+    "plan": ["--pairs", "p.jsonl", "--out", "plan.json"],
+    "metrics": ["--results", "r.json"],
+    "render": ["--instances", "i.jsonl"],
+}
+
+
+@pytest.mark.parametrize("stage", sorted(_STAGE_ARGS))
+def test_seed_is_a_usage_error_where_nothing_reads_it(stage, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([stage, *_STAGE_ARGS[stage], "--seed", "1"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_cli_import_does_not_load_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    code = ("import sys, optforge.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120).stdout
+    assert out.strip() == "[]"

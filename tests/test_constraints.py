@@ -117,6 +117,38 @@ def test_spec_validation():
         ConstraintSpec("ball", center=np.zeros(2), params={"radius": 0.0})
 
 
+# one valid parameter dict per template
+_PARAMS = {"linear": {"a": [1.0, -1.0], "b": 0.5}, "ball": {"radius": 1.0},
+           "cumsum_zero": {}, "chain_zero": {}, "product": {"c": 0.5},
+           "sinusoid": {"b": 1.0}}
+
+
+@pytest.mark.parametrize("kind", CONSTRAINT_TEMPLATES)
+def test_spec_accepts_its_parameters(kind):
+    spec = ConstraintSpec(kind, center=np.zeros(2), params=_PARAMS[kind])
+    assert np.isfinite(constraint_values(spec, np.ones((1, 2)))).all()
+
+
+@pytest.mark.parametrize("kind,name", [(k, n) for k in CONSTRAINT_TEMPLATES
+                                       for n in _PARAMS[k]])
+def test_spec_rejects_missing_parameter(kind, name):
+    params = {n: v for n, v in _PARAMS[kind].items() if n != name}
+    with pytest.raises(ValueError, match="takes parameters"):
+        ConstraintSpec(kind, center=np.zeros(2), params=params)
+
+
+@pytest.mark.parametrize("kind", CONSTRAINT_TEMPLATES)
+def test_spec_rejects_unknown_parameter(kind):
+    params = {**_PARAMS[kind], "junk": 1}
+    with pytest.raises(ValueError, match="junk"):
+        ConstraintSpec(kind, center=np.zeros(2), params=params)
+
+
+def test_spec_rejects_linear_weights_of_wrong_length():
+    with pytest.raises(ValueError, match="length d"):
+        ConstraintSpec("linear", center=np.zeros(3), params=_PARAMS["linear"])
+
+
 def test_center_read_only():
     spec = ConstraintSpec("ball", center=np.zeros(2), params={"radius": 1.0})
     with pytest.raises(ValueError):

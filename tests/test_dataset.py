@@ -13,8 +13,7 @@ from optforge.bench import KnowledgeEntry
 from optforge.dataset import (InstructionPair, SamplingPlan,
                               batch_contrastive_loss, build_instruction_set,
                               contrastive_loss, cosine_distance, load_pairs,
-                              prompt_seed, sampling_weights, save_pairs,
-                              split_pairs)
+                              sampling_weights, save_pairs, split_pairs)
 from optforge.optimizers.grids import enumerate_configs
 from optforge.problems.synthesis import synthesize_instance
 from optforge.render import (PY_STYLES, TEX_STYLES, DegenerateEntryError,
@@ -68,8 +67,7 @@ def test_build_prompt_matches_direct_render():
     knowledge = {instances[0].id: _entry_for(instances[0])}
     pairs, _ = build_instruction_set(instances, knowledge,
                                      styles=["tex_commuted"])
-    doc = render_prompt(instances[0], WritingStyle.TEX_COMMUTED,
-                        seed=prompt_seed(instances[0], "tex_commuted"))
+    doc = render_prompt(instances[0], WritingStyle.TEX_COMMUTED)
     assert pairs[0].q == doc.text
 
 
@@ -90,20 +88,18 @@ def test_build_pairs_match_unshared_renders(policy):
     assert skipped == ([] if policy == "fallback" else [instances[3].id])
     assert len(pairs) == 6 * len(kept)
     want = [(inst.id, style.value,
-             render_prompt(inst, style, seed=prompt_seed(inst, style)).text)
+             render_prompt(inst, style).text)
             for inst in kept for style in WritingStyle]
     assert [(p.instance_id, p.style, p.q) for p in pairs] == want
 
 
 def test_shared_table_text_does_not_depend_on_style_order():
     for inst in _mixed_instances():
-        fresh = {s: render_prompt(inst, s, seed=prompt_seed(inst, s)).text
-                 for s in WritingStyle}
+        fresh = {s: render_prompt(inst, s).text for s in WritingStyle}
         for order in (TEX_STYLES + PY_STYLES, PY_STYLES + TEX_STYLES):
             table = LiteralTable(inst)
             for s in order:
-                doc = render_prompt(inst, s, seed=prompt_seed(inst, s),
-                                    table=table)
+                doc = render_prompt(inst, s, table=table)
                 assert doc.text == fresh[s]
 
 

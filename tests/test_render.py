@@ -16,8 +16,8 @@ from optforge.optimizers import (BudgetExhausted, ObjectiveTracker,
                                  optimizer_ids, run)
 from optforge.optimizers.grids import GRIDS, config_at, enumerate_configs
 from optforge.problems.basic import BASIC_FUNCTIONS, BASIC_NAMES
-from optforge.problems.constraints import (EPS_EQ, ConstraintSpec,
-                                           constraint_values)
+from optforge.problems.constraints import (CONSTRAINT_TEMPLATES, EPS_EQ,
+                                           ConstraintSpec, constraint_values)
 from optforge.problems.instance import (ComponentSpec, ProblemInstance,
                                         evaluate, evaluate_batch)
 from optforge.problems.synthesis import synthesize_instance
@@ -29,6 +29,8 @@ from optforge.render import (DegenerateEntryError, LiteralTable, PY_STYLES,
                              split_signed_terms)
 from optforge.render import answers
 from optforge.render.tex_code import join_signed_terms, permute_terms, tex_num
+from reference_impls import (ref_normalize_terms, ref_permute_terms,
+                             ref_split_signed_terms)
 
 
 def _sweep(n, constrained_every=3):
@@ -152,8 +154,7 @@ def test_tex_commuted_is_reordering_of_canonical():
         inst = synthesize_instance(d=2 + i % 7, k=1 + i % 3,
                                    constrained=(i % 4 == 0), seed=300 + i)
         canonical = render_objective(inst, WritingStyle.TEX_CANONICAL)
-        commuted = render_objective(inst, WritingStyle.TEX_COMMUTED,
-                                    seed=17 + i)
+        commuted = render_objective(inst, WritingStyle.TEX_COMMUTED)
         _assert_same_up_to_term_order(canonical, commuted)
 
 
@@ -162,7 +163,7 @@ def test_tex_commuted_actually_commutes_something():
     for i in range(20):
         inst = synthesize_instance(d=5, k=2, constrained=False, seed=600 + i)
         a = render_objective(inst, WritingStyle.TEX_CANONICAL)
-        b = render_objective(inst, WritingStyle.TEX_COMMUTED, seed=i)
+        b = render_objective(inst, WritingStyle.TEX_COMMUTED)
         if a != b:
             hits += 1
     # single-term bodies cannot move, but most multi-component sums can
@@ -171,8 +172,8 @@ def test_tex_commuted_actually_commutes_something():
 
 def test_tex_commuted_deterministic_in_seed():
     inst = synthesize_instance(d=6, k=3, constrained=False, seed=44)
-    a = render_objective(inst, WritingStyle.TEX_COMMUTED, seed=5)
-    b = render_objective(inst, WritingStyle.TEX_COMMUTED, seed=5)
+    a = render_objective(inst, WritingStyle.TEX_COMMUTED)
+    b = render_objective(inst, WritingStyle.TEX_COMMUTED)
     assert a == b
 
 
@@ -210,7 +211,7 @@ def test_tex_constraint_commuted_normalizes_back():
     for seed in range(20):
         inst = synthesize_instance(d=3, k=1, constrained=True, seed=seed)
         a = render_constraints(inst, WritingStyle.TEX_CANONICAL)
-        b = render_constraints(inst, WritingStyle.TEX_COMMUTED, seed=seed)
+        b = render_constraints(inst, WritingStyle.TEX_COMMUTED)
         _assert_same_up_to_term_order(a, b)
 
 
@@ -262,6 +263,54 @@ def test_permute_terms_is_a_permutation():
     rng = np.random.default_rng(3)
     out = permute_terms(s, rng)
     assert sorted(split_signed_terms(out)) == sorted(split_signed_terms(s))
+
+
+def _lhs(line):
+    """The formula of one display line: after the head, before ``= 0``
+    or ``\\le 0``."""
+    return line.partition(" = ")[2].rsplit(" ", 2)[0]
+
+
+def _formula_corpus():
+    """Every objective and constraint formula of a seeded corpus, in the
+    canonical, factored and commuted styles, plus hand-written edge
+    cases (leading and doubled signs, blank input, bare backslashes)."""
+    formulas = ["a + b - c", "-x + y", "a + - b", "  ", "", r"\, a - \;b",
+                "x_{i+1} + a^{b-c}{d - e}", r"\lvert b - a \rvert^{2} - c"]
+    basics, kinds, weighted = set(), set(), False
+    for i in range(40):
+        d = 2 + i % 7
+        inst = synthesize_instance(d=d, k=min(1 + i % 4, d),
+                                   constrained=i % 2 == 0, seed=900 + i)
+        basics.update(c.basic for c in inst.components)
+        kinds.update(c.kind for c in inst.constraints)
+        weighted |= any(c.segment is None and c.weight != 1.0
+                        for c in inst.components)
+        for style in TEX_STYLES:
+            formulas.append(render_objective(inst, style).partition(" = ")[2]
+                            .split("\n")[0])
+            block = render_constraints(inst, style)
+            formulas.extend(_lhs(line) for line in block.splitlines()
+                            if line.startswith(("g_", "h_")))
+    assert basics == set(BASIC_NAMES)
+    assert kinds == set(CONSTRAINT_TEMPLATES)
+    assert weighted
+    return formulas
+
+
+def test_term_machinery_matches_reference():
+    """The token-list splitter and rewriter give the character-loop
+    reference's results on every formula the renderer writes."""
+    for s in _formula_corpus():
+        assert split_signed_terms(s) == ref_split_signed_terms(s)
+        assert normalize_terms(s) == ref_normalize_terms(s)
+        for seed in range(3):
+            got = permute_terms(s, np.random.default_rng(seed))
+            assert got == ref_permute_terms(s, np.random.default_rng(seed))
+
+
+def test_unclosed_group_keeps_every_token():
+    assert normalize_terms("(b + a") == "(a + b"
 
 
 # ---------------------------------------------------------------------------
@@ -420,11 +469,9 @@ def _per_element_table(inst):
 @pytest.mark.parametrize("style", list(WritingStyle), ids=lambda s: s.value)
 def test_literal_table_matches_per_element_formatting(style):
     for inst in _literal_instances():
-        want = render_prompt(inst, style, seed=3,
-                             table=_per_element_table(inst)).text
-        assert render_prompt(inst, style, seed=3).text == want
-        assert render_prompt(inst, style, seed=3,
-                             table=LiteralTable(inst)).text == want
+        want = render_prompt(inst, style, table=_per_element_table(inst)).text
+        assert render_prompt(inst, style).text == want
+        assert render_prompt(inst, style, table=LiteralTable(inst)).text == want
 
 
 def test_literal_instances_reach_every_data_form():

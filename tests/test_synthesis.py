@@ -202,6 +202,20 @@ def test_load_instances_rejects_unknown_field(tmp_path, where):
     assert "junk" in str(err.value)
 
 
+def test_load_instances_names_line_of_constraint_without_parameter(tmp_path):
+    insts = [synthesize_instance(d=3, k=1, constrained=True, seed=s)
+             for s in (1, 2)]
+    rows = [instance_to_dict(i) for i in insts]
+    con = next(c for c in rows[1]["constraints"] if c["params"])
+    con["params"].popitem()
+    path = tmp_path / "instances.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    with pytest.raises(ValueError) as err:
+        load_instances(path)
+    assert f"{path}:2:" in str(err.value)
+    assert "takes parameters" in str(err.value)
+
+
 def _content(inst):
     return {k: v for k, v in vars(inst).items() if k not in ("id", "_plan")}
 
