@@ -43,9 +43,11 @@ def main():
         by_paradigm[inst.paradigm] = by_paradigm.get(inst.paradigm, 0) + 1
     print(f"synthesized {len(instances)} instances: {by_paradigm}")
 
-    entries, _, failures = benchmark_set(
+    outcomes = list(benchmark_set(
         instances, cap=4, runs=2, master_seed=args.seed, parallelism=4,
-    )
+    ))
+    entries = [entry for entry, _, _ in outcomes]
+    failures = [error for _, _, error in outcomes if error is not None]
     save_knowledge(entries, out / "knowledge.jsonl")
     winners = winner_counts(entries)
     print(f"benchmark winners: {dict(sorted(winners.items()))} "
@@ -54,11 +56,15 @@ def main():
         print(f"benchmark failures: {failures}")
 
     pairs, skipped = build_instruction_set(instances, entries)
+    pairs = list(pairs)
     save_pairs(pairs, out / "pairs.jsonl")
     print(f"built {len(pairs)} instruction pairs "
           f"({len(skipped)} degenerate instances skipped)")
 
-    train, test = split_pairs(pairs, test_fraction=0.25, seed=args.seed)
+    test_ids = split_pairs((p.instance_id for p in pairs),
+                           test_fraction=0.25, seed=args.seed)
+    train = [p for p in pairs if p.instance_id not in test_ids]
+    test = [p for p in pairs if p.instance_id in test_ids]
     overlap = {p.instance_id for p in train} & {p.instance_id for p in test}
     print(f"split: {len(train)} train / {len(test)} test, "
           f"instance overlap = {len(overlap)}")

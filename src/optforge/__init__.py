@@ -11,7 +11,7 @@ from .dataset import (InstructionPair, SamplingPlan, batch_contrastive_loss,
 from .metrics import (EvalOutcome, MetricsReport, RepairRecord,
                       compute_report, computational_overhead, error_rate,
                       format_table, optimization_performance, recovery_cost)
-from .problems.instance import (ProblemInstance, evaluate, evaluate_batch,
+from .problems.instance import (ProblemInstance, evaluate_batch,
                                 load_instances, save_instances)
 from .problems.synthesis import synthesize_instance, synthesize_set
 from .render import (AnswerDoc, PromptDoc, WritingStyle, emit_answer,
@@ -46,7 +46,6 @@ __all__ = [
     "optimization_performance",
     "recovery_cost",
     "ProblemInstance",
-    "evaluate",
     "evaluate_batch",
     "load_instances",
     "save_instances",

@@ -11,7 +11,8 @@ crash behaviour are decided in one place:
 * A writer fills ``<path>.tmp`` beside the target, then moves it into
   place with ``os.replace``.  A stage killed mid-write leaves the old
   file, or none, never a truncated one that a resumed run would take
-  as done.
+  as done.  Writers take iterables and readers yield, so a stage that
+  streams records through holds one at a time, not the whole file.
 * Readers build each record with a ``make`` callable.  A malformed
   record (missing or unknown field, bad value) raises ``ValueError``
   naming the file and line.
@@ -22,38 +23,58 @@ import json
 import os
 
 __all__ = ["read_jsonl", "reading", "write_json", "write_jsonl",
-           "write_text"]
+           "write_jsonl_split", "write_text"]
 
 _MALFORMED = (KeyError, TypeError, ValueError)
 
 
-def _write(path, chunks):
-    """Write the text chunks to ``path`` through a temp file."""
-    tmp = os.fspath(path) + ".tmp"
+@contextlib.contextmanager
+def _replacing(paths):
+    """Yield a text handle on ``<path>.tmp`` for each path.  When the
+    block ends they all move into place; if it raises, they are removed
+    and the targets keep their old bytes."""
+    tmps = [os.fspath(p) + ".tmp" for p in paths]
     try:
-        with open(tmp, "w") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        os.replace(tmp, path)
+        with contextlib.ExitStack() as stack:
+            yield [stack.enter_context(open(t, "w")) for t in tmps]
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
+        for tmp in tmps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
         raise
 
 
 def write_jsonl(path, rows):
     """One sorted-key JSON object per line."""
-    _write(path, (json.dumps(row, sort_keys=True) + "\n" for row in rows))
+    write_jsonl_split([path], ((0, row) for row in rows))
+
+
+def write_jsonl_split(paths, rows):
+    """Write each ``(i, row)`` of ``rows`` as a line of ``paths[i]``.
+
+    One pass over ``rows`` fills every file; none goes into place
+    before every row is written.  Returns the row count of each path.
+    """
+    counts = [0] * len(paths)
+    with _replacing(paths) as handles:
+        for i, row in rows:
+            handles[i].write(json.dumps(row, sort_keys=True) + "\n")
+            counts[i] += 1
+    return counts
 
 
 def write_json(path, doc):
     """One indented, sorted-key JSON document."""
-    _write(path, (json.dumps(doc, indent=2, sort_keys=True), "\n"))
+    with _replacing([path]) as (fh,):
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def write_text(path, text):
     """Plain text, as given."""
-    _write(path, (text,))
+    with _replacing([path]) as (fh,):
+        fh.write(text)
 
 
 @contextlib.contextmanager
@@ -71,11 +92,11 @@ def reading(where):
 
 
 def read_jsonl(path, make):
-    """``make(obj)`` for each non-blank line's JSON object, in order."""
-    out = []
+    """Yield ``make(obj)`` for each non-blank line's JSON object, in
+    order, reading one line at a time."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
                 with reading(f"{path}:{lineno}"):
-                    out.append(make(json.loads(line)))
-    return out
+                    record = make(json.loads(line))
+                yield record

@@ -24,7 +24,6 @@ import logging
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
 from .artifacts import read_jsonl, write_jsonl
@@ -174,33 +173,29 @@ def benchmark_set(instances, pool=DEFAULT_POOL, cap=DEFAULT_CONFIG_CAP,
                   runs=5, master_seed=0, parallelism=1, keep_records=False):
     """Benchmark a whole set; deterministic in everything but wall time.
 
-    Returns ``(entries, records, failures)``; ``records`` is None unless
-    ``keep_records``; failures lists per-instance error strings (those
-    entries are emitted degenerate rather than aborting the set).
+    Yields ``(entry, records, error)`` per instance, in input order, as
+    each instance finishes (under ``parallelism`` > 1, once the
+    instances before it have finished too).  ``records`` is None unless
+    ``keep_records``; ``error`` is None, or the error string of an
+    instance that raised, whose entry is then degenerate rather than
+    aborting the set.
     """
     tasks = [(inst, tuple(pool), cap, runs, master_seed, keep_records)
              for inst in instances]
     parallel = parallelism > 1 and len(tasks) > 1
-    outcomes = []
-    with (ProcessPoolExecutor(max_workers=parallelism) if parallel
-          else nullcontext()) as pool_ex:
+    pool_ex = ProcessPoolExecutor(max_workers=parallelism) if parallel else None
+    try:
         mapped = (pool_ex.map if parallel else map)(_bench_task, tasks)
-        for i, out in enumerate(mapped, start=1):
-            outcomes.append(out)
+        for i, ((entry, records), error) in enumerate(mapped, start=1):
+            if error is not None:
+                print(f"bench: degenerate instance ({error})", file=sys.stderr)
             if i % 10 == 0:
                 log.info("benchmarked %d/%d instances", i, len(tasks))
-
-    entries = []
-    records = [] if keep_records else None
-    failures = []
-    for (entry, recs), err in outcomes:
-        entries.append(entry)
-        if keep_records and recs is not None:
-            records.extend(recs)
-        if err is not None:
-            failures.append(err)
-            print(f"bench: degenerate instance ({err})", file=sys.stderr)
-    return entries, records, failures
+            yield entry, records, error
+    finally:
+        if parallel:
+            # a consumer that stops early does not wait for the rest
+            pool_ex.shutdown(cancel_futures=True)
 
 
 def winner_counts(entries):
@@ -217,7 +212,7 @@ def save_knowledge(entries, path):
 
 
 def load_knowledge(path):
-    return read_jsonl(path, lambda obj: KnowledgeEntry(**obj))
+    return list(read_jsonl(path, lambda obj: KnowledgeEntry(**obj)))
 
 
 def save_records(records, path):

@@ -11,6 +11,7 @@ the config seed.
 """
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -102,14 +103,27 @@ def cmd_bench(args):
     if _outputs_exist(args, [args.out, args.records]):
         return 0
     instances = load_instances(args.instances)
-    entries, records, failures = benchmark_set(
-        instances, pool=tuple(cfg.pool), cap=cfg.config_cap, runs=cfg.runs,
-        master_seed=cfg.seed, parallelism=args.jobs,
-        keep_records=args.records is not None,
-    )
+    entries, failures = [], []
+
+    def records(outcomes):
+        # each instance's records go to the file as the instance arrives
+        for entry, recs, error in outcomes:
+            entries.append(entry)
+            if error is not None:
+                failures.append(error)
+            yield from recs or ()
+
+    # closed on a failed write, so that --jobs workers stop early
+    with contextlib.closing(benchmark_set(
+            instances, pool=tuple(cfg.pool), cap=cfg.config_cap,
+            runs=cfg.runs, master_seed=cfg.seed, parallelism=args.jobs,
+            keep_records=args.records is not None)) as outcomes:
+        if args.records is None:
+            for _ in records(outcomes):
+                pass
+        else:
+            save_records(records(outcomes), args.records)
     save_knowledge(entries, args.out)
-    if args.records is not None:
-        save_records(records, args.records)
     histogram = winner_counts(entries)
     print(f"wrote {len(entries)} knowledge entries to {args.out}")
     for name in sorted(histogram):
@@ -132,10 +146,17 @@ def cmd_build(args):
     pairs, skipped = build_instruction_set(
         instances, knowledge, styles=cfg.styles, on_degenerate=policy,
     )
-    save_pairs(pairs, args.out)
-    print(f"wrote {len(pairs)} instruction pairs to {args.out}")
-    if pairs:
-        chars = sorted(len(p.q) for p in pairs)
+    chars = []
+
+    def noted(pairs):
+        for p in pairs:
+            chars.append(len(p.q))
+            yield p
+
+    save_pairs(noted(pairs), args.out)
+    print(f"wrote {len(chars)} instruction pairs to {args.out}")
+    if chars:
+        chars.sort()
         print(f"  prompt chars: p50 {chars[(len(chars) - 1) // 2]}, "
               f"max {chars[-1]}")
     if skipped:
@@ -148,13 +169,15 @@ def cmd_split(args):
     cfg = _load_config(args)
     if _outputs_exist(args, [args.train_out, args.test_out]):
         return 0
-    pairs = load_pairs(args.pairs)
-    train, test = split_pairs(pairs, test_fraction=cfg.test_fraction,
-                              seed=cfg.seed)
-    save_pairs(train, args.train_out)
-    save_pairs(test, args.test_out)
-    print(f"split {len(pairs)} pairs into {len(train)} train / "
-          f"{len(test)} test (instance-level)")
+    # two passes over the pairs file: the ids pick the test side, then
+    # each pair goes to its side
+    test_ids = split_pairs((p.instance_id for p in load_pairs(args.pairs)),
+                           test_fraction=cfg.test_fraction, seed=cfg.seed)
+    n_train, n_test = save_pairs(
+        load_pairs(args.pairs), args.train_out, args.test_out,
+        side=lambda p: p.instance_id in test_ids)
+    print(f"split {n_train + n_test} pairs into {n_train} train / "
+          f"{n_test} test (instance-level)")
     return 0
 
 
@@ -162,18 +185,17 @@ def cmd_plan(args):
     _load_config(args)
     if _outputs_exist(args, [args.out]):
         return 0
-    pairs = load_pairs(args.pairs)
-    labels = [p.label for p in pairs]
-    weights = sampling_weights(pairs)
+    labels = [p.label for p in load_pairs(args.pairs)]
+    weights = sampling_weights(labels)
     label_counts = Counter(labels)
     write_json(args.out, {
-        "n_pairs": len(pairs),
+        "n_pairs": len(labels),
         "n_labels": len(label_counts),
         "label_counts": label_counts,
         "rho_per_pair_by_label": dict(zip(labels, weights.tolist())),
         "weights_sum": float(weights.sum()),
     })
-    print(f"wrote sampling plan for {len(pairs)} pairs to {args.out}")
+    print(f"wrote sampling plan for {len(labels)} pairs to {args.out}")
     return 0
 
 

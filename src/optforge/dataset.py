@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .artifacts import read_jsonl, write_jsonl
+from .artifacts import read_jsonl, write_jsonl_split
 from .render.answers import DegenerateEntryError, emit_answer
 from .render.literals import LiteralTable
 from .render.prompts import render_prompt
@@ -79,8 +79,10 @@ def build_instruction_set(instances, knowledge, styles=None,
 
     Returns
     -------
-    (pairs, skipped) : list of InstructionPair, list of skipped
-        instance ids
+    (pairs, skipped) : an iterator of InstructionPair, each rendered as
+        it is drawn, instance by instance; the list of skipped instance
+        ids.  Missing entries and ``"error"`` raise here, before
+        anything renders.
     """
     if on_degenerate not in ("skip", "error", "fallback"):
         raise ValueError(f"unknown degenerate policy {on_degenerate!r}")
@@ -100,67 +102,74 @@ def build_instruction_set(instances, knowledge, styles=None,
             "degenerate benchmark entries for instance(s): "
             + ", ".join(sorted(degenerates))
         )
+    skipped = degenerates if on_degenerate == "skip" else []
+    for inst_id in skipped:
+        log.warning("skipping degenerate instance %s", inst_id)
 
-    pairs = []
-    skipped = []
-    for inst in instances:
-        entry = knowledge[inst.id]
-        if entry.degenerate:
-            if on_degenerate == "skip":
-                skipped.append(inst.id)
-                log.warning("skipping degenerate instance %s", inst.id)
-                continue
-            # fallback: the degenerate entry already names random_search
-            answer = emit_answer(replace(entry, degenerate=False))
-        else:
+    def pairs():
+        for inst in instances:
+            entry = knowledge[inst.id]
+            if entry.degenerate:
+                if on_degenerate == "skip":
+                    continue
+                # fallback: the degenerate entry already names random_search
+                entry = replace(entry, degenerate=False)
             answer = emit_answer(entry)
-        table = LiteralTable(inst)
-        for style in styles:
-            doc = render_prompt(inst, style, table=table)
-            pairs.append(InstructionPair(
-                q=doc.text, a=answer.code_text, instance_id=inst.id,
-                style=style.value, label=answer.optimizer,
-            ))
-    return pairs, skipped
+            table = LiteralTable(inst)
+            for style in styles:
+                doc = render_prompt(inst, style, table=table)
+                yield InstructionPair(
+                    q=doc.text, a=answer.code_text, instance_id=inst.id,
+                    style=style.value, label=answer.optimizer,
+                )
+
+    return pairs(), skipped
 
 
-def split_pairs(pairs, test_fraction=0.1, seed=0):
-    """Instance-level train/test split.
+def split_pairs(instance_ids, test_fraction=0.1, seed=0):
+    """Pick the test side of an instance-level train/test split.
 
-    All pairs of one instance land in the same side, so no test problem
-    ever appears in training under a different writing style.
+    ``instance_ids`` may repeat (one per pair, say); the result is the
+    set of ids whose pairs go to test.  Sending all pairs of one
+    instance to the same side means no test problem ever appears in
+    training under a different writing style.
     """
     if not 0.0 <= test_fraction <= 1.0:
         raise ValueError("test_fraction must be in [0, 1]")
-    ids = sorted({p.instance_id for p in pairs})
+    ids = sorted(set(instance_ids))
     rng = rng_for(seed, "split")
     rng.shuffle(ids)
     n_test = int(round(test_fraction * len(ids)))
-    test_ids = set(ids[:n_test])
-    train = [p for p in pairs if p.instance_id not in test_ids]
-    test = [p for p in pairs if p.instance_id in test_ids]
-    return train, test
+    return set(ids[:n_test])
 
 
-def save_pairs(pairs, path):
-    """JSON lines, sorted keys -- byte-stable for identical inputs."""
-    write_jsonl(path, map(asdict, pairs))
+def save_pairs(pairs, *paths, side=None):
+    """JSON lines, sorted keys -- byte-stable for identical inputs.
+
+    With more than one path, ``side(pair)`` is the index of the path a
+    pair goes to, and one pass over ``pairs`` writes them all.  Returns
+    the pair count of each path.
+    """
+    return write_jsonl_split(paths, ((side(p) if side else 0, asdict(p))
+                                     for p in pairs))
 
 
 def load_pairs(path):
+    """Yield the file's pairs, in order."""
     return read_jsonl(path, lambda obj: InstructionPair(**obj))
 
 
 # ---------------------------------------------------------------------------
 # sampling
 
-def sampling_weights(pairs):
-    """Per-pair probabilities rho = 1 / (N_a * N_{q,a}); sums to 1."""
-    if not pairs:
+def sampling_weights(labels):
+    """Per-pair probabilities rho = 1 / (N_a * N_{q,a}), given the list
+    of the pairs' labels; sums to 1."""
+    if not labels:
         raise ValueError("cannot weight an empty pair list")
-    counts = Counter(p.label for p in pairs)
+    counts = Counter(labels)
     n_labels = len(counts)
-    return np.array([1.0 / (n_labels * counts[p.label]) for p in pairs])
+    return np.array([1.0 / (n_labels * counts[lab]) for lab in labels])
 
 
 @dataclass
@@ -181,7 +190,7 @@ class SamplingPlan:
     @classmethod
     def build(cls, pairs):
         pairs = list(pairs)
-        weights = sampling_weights(pairs)
+        weights = sampling_weights([p.label for p in pairs])
         by_instance = {}
         for i, p in enumerate(pairs):
             by_instance.setdefault(p.instance_id, []).append(i)

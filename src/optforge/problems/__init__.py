@@ -8,9 +8,7 @@ from .constraints import (
 )
 from .instance import (
     ComponentSpec,
-    Evaluation,
     ProblemInstance,
-    evaluate,
     evaluate_batch,
     instance_from_dict,
     instance_to_dict,
@@ -30,9 +28,7 @@ __all__ = [
     "EPS_EQ",
     "constraint_values",
     "ComponentSpec",
-    "Evaluation",
     "ProblemInstance",
-    "evaluate",
     "evaluate_batch",
     "instance_from_dict",
     "instance_to_dict",

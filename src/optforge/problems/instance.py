@@ -28,10 +28,8 @@ from .transforms import TransformSpec
 
 __all__ = [
     "ComponentSpec",
-    "Evaluation",
     "ProblemInstance",
     "PARADIGMS",
-    "evaluate",
     "evaluate_batch",
     "violation_of",
     "instance_to_dict",
@@ -75,21 +73,6 @@ class ComponentSpec:
             object.__setattr__(self, "segment", seg)
         else:
             object.__setattr__(self, "weight", float(self.weight))
-
-
-@dataclass(frozen=True)
-class Evaluation:
-    """Full evaluation of one point: objective, raw constraint values
-    and the aggregate violation (0 when feasible)."""
-
-    f: float
-    g: tuple = ()
-    h: tuple = ()
-    violation: float = 0.0
-
-    @property
-    def feasible(self):
-        return self.violation == 0.0
 
 
 @dataclass(frozen=True)
@@ -220,20 +203,6 @@ def violation_of(specs, x):
     return total
 
 
-def evaluate(instance, x):
-    """Evaluate a single point, keeping raw per-constraint values."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (instance.d,):
-        raise ValueError(f"expected shape ({instance.d},), got {x.shape}")
-    f, viol = evaluate_batch(instance, x[None])
-    values = [(spec.is_equality, float(constraint_values(spec, x[None])[0]))
-              for spec in instance.constraints]
-    return Evaluation(f=float(f[0]),
-                      g=tuple(v for eq, v in values if not eq),
-                      h=tuple(v for eq, v in values if eq),
-                      violation=float(viol[0]))
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -283,4 +252,4 @@ def save_instances(instances, path):
 
 
 def load_instances(path):
-    return read_jsonl(path, instance_from_dict)
+    return list(read_jsonl(path, instance_from_dict))

@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from optforge.problems.instance import evaluate
+from optforge.problems.instance import evaluate_batch
+from optforge.seeding import rng_for
 
 # ---------------------------------------------------------------------------
 # scalar basic functions
@@ -236,9 +237,9 @@ def ref_de_best1(instance, np_, f_weight, cr, fe_budget, seed):
             return [], [], True
         fs, viols = [], []
         for r in rows[:take]:
-            ev = evaluate(instance, np.array(r))
-            fs.append(ev.f)
-            viols.append(ev.violation)
+            f, viol = evaluate_batch(instance, np.array(r)[None])
+            fs.append(float(f[0]))
+            viols.append(float(viol[0]))
         ref_record_batch(state, np_, rows[:take], fs, viols)
         return fs, viols, take < len(rows)
 
@@ -445,3 +446,21 @@ def ref_permute_terms(s, rng):
 
 def ref_normalize_terms(s):
     return _ref_rewrite_expression(s, sorted)
+
+
+# ---------------------------------------------------------------------------
+# instance-level split over an in-memory pair list
+
+
+def ref_split_pairs(pairs, test_fraction=0.1, seed=0):
+    """The list split: every pair in memory, both sides returned."""
+    if not 0.0 <= test_fraction <= 1.0:
+        raise ValueError("test_fraction must be in [0, 1]")
+    ids = sorted({p.instance_id for p in pairs})
+    rng = rng_for(seed, "split")
+    rng.shuffle(ids)
+    n_test = int(round(test_fraction * len(ids)))
+    test_ids = set(ids[:n_test])
+    train = [p for p in pairs if p.instance_id not in test_ids]
+    test = [p for p in pairs if p.instance_id in test_ids]
+    return train, test

@@ -226,7 +226,7 @@ def _weighted_pairs():
 @criterion(7, "per-pair sampling probabilities")
 def test_criterion_07_sampling_probabilities():
     pairs = _weighted_pairs()
-    w = sampling_weights(pairs)
+    w = sampling_weights([p.label for p in pairs])
     assert float(w[0]) == 1.0 / 300.0
     assert float(w[100]) == 1.0 / 30.0
     assert float(w[110]) == 1.0 / 3.0

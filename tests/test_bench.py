@@ -224,29 +224,50 @@ def _tiny_set(n=4, fe=150):
 
 def test_benchmark_set_preserves_order_and_ids():
     instances = _tiny_set()
-    entries, records, failures = benchmark_set(
-        instances, pool=POOL, cap=2, runs=2, master_seed=0)
-    assert [e.instance_id for e in entries] == [i.id for i in instances]
-    assert failures == []
-    assert records is None
+    outcomes = list(benchmark_set(instances, pool=POOL, cap=2, runs=2,
+                                  master_seed=0))
+    assert [e.instance_id for e, _, _ in outcomes] == [i.id for i in instances]
+    assert [(recs, err) for _, recs, err in outcomes] == [(None, None)] * 4
 
 
 def test_benchmark_set_parallel_equals_serial():
     instances = _tiny_set()
-    serial = benchmark_set(instances, pool=POOL, cap=2, runs=2,
-                           master_seed=0)[0]
-    parallel = benchmark_set(instances, pool=POOL, cap=2, runs=2,
-                             master_seed=0, parallelism=2)[0]
+    serial = list(benchmark_set(instances, pool=POOL, cap=2, runs=2,
+                                master_seed=0, keep_records=True))
+    parallel = list(benchmark_set(instances, pool=POOL, cap=2, runs=2,
+                                  master_seed=0, parallelism=2,
+                                  keep_records=True))
     assert serial == parallel
 
 
-def test_benchmark_set_keep_records_concatenates():
+def test_benchmark_set_keep_records_per_instance():
     instances = _tiny_set(n=2)
-    entries, records, _ = benchmark_set(instances, pool=POOL, cap=2, runs=1,
-                                        master_seed=0, keep_records=True)
-    assert {r.instance_id for r in records} == {i.id for i in instances}
-    # one random_search config + two capped vanilla_de configs per instance
-    assert len(records) == 2 * (1 + 2)
+    outcomes = list(benchmark_set(instances, pool=POOL, cap=2, runs=1,
+                                  master_seed=0, keep_records=True))
+    for inst, (_, records, _) in zip(instances, outcomes):
+        assert {r.instance_id for r in records} == {inst.id}
+        # one random_search config + two capped vanilla_de configs
+        assert len(records) == 1 + 2
+
+
+def test_benchmark_set_yields_each_instance_before_the_next_runs(
+        monkeypatch):
+    instances = _tiny_set(n=2)
+    ran_on = []
+    real_run = bench.run
+
+    def spy(optimizer, config, instance, fe_budget, seed):
+        ran_on.append(instance.id)
+        return real_run(optimizer, config, instance, fe_budget, seed)
+
+    monkeypatch.setattr(bench, "run", spy)
+    outcomes = benchmark_set(instances, pool=POOL, cap=2, runs=1,
+                             master_seed=0)
+    entry, _, _ = next(outcomes)
+    assert entry.instance_id == instances[0].id
+    assert ran_on and set(ran_on) == {instances[0].id}
+    next(outcomes)
+    assert ran_on[-1] == instances[1].id
 
 
 def test_benchmark_set_survives_crashing_instance(monkeypatch, capsys):
@@ -260,13 +281,16 @@ def test_benchmark_set_survives_crashing_instance(monkeypatch, capsys):
         return real_run(optimizer, config, instance, fe_budget, seed)
 
     monkeypatch.setattr(bench, "run", exploding_run)
-    entries, _, failures = benchmark_set(instances, pool=POOL, cap=2, runs=1,
-                                         master_seed=0)
+    outcomes = list(benchmark_set(instances, pool=POOL, cap=2, runs=1,
+                                  master_seed=0))
+    entries = [e for e, _, _ in outcomes]
+    failures = [err for _, _, err in outcomes if err is not None]
     assert len(entries) == 3
     assert entries[1].degenerate
     assert not entries[0].degenerate and not entries[2].degenerate
     assert len(failures) == 1 and bad_id in failures[0]
     assert "boom" in failures[0]
+    assert failures[0] in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ config handling and output resumability."""
 
 import ast
 import dataclasses
+import importlib
 import json
 import os
 import statistics
@@ -10,12 +11,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import optforge.bench as bench
+import optforge.dataset as dataset
 from optforge.bench import load_knowledge
 from optforge.cli import PipelineConfig, main
-from optforge.dataset import load_pairs
+from optforge.dataset import InstructionPair, load_pairs, save_pairs
 from optforge.problems.instance import load_instances
+from optforge.render import WritingStyle
+
+from reference_impls import ref_split_pairs
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +158,7 @@ def test_bench_parallel_matches_serial(pipeline, tmp_path):
 
 
 def test_build_output(pipeline):
-    pairs = load_pairs(pipeline["pairs"])
+    pairs = list(load_pairs(pipeline["pairs"]))
     entries = {e.instance_id: e for e in
                load_knowledge(pipeline["knowledge"])}
     usable = [iid for iid, e in entries.items() if not e.degenerate]
@@ -177,9 +184,9 @@ def test_build_reports_prompt_chars(pipeline, tmp_path, capsys):
 
 
 def test_split_output(pipeline):
-    pairs = load_pairs(pipeline["pairs"])
-    train = load_pairs(pipeline["train"])
-    test = load_pairs(pipeline["test"])
+    pairs = list(load_pairs(pipeline["pairs"]))
+    train = list(load_pairs(pipeline["train"]))
+    test = list(load_pairs(pipeline["test"]))
     assert len(train) + len(test) == len(pairs)
     assert not ({p.instance_id for p in train}
                 & {p.instance_id for p in test})
@@ -192,7 +199,7 @@ def test_plan_output(pipeline, tmp_path):
     assert main(["plan", "--pairs", pipeline["pairs"],
                  "--out", str(out)]) == 0
     plan = json.loads(out.read_text())
-    assert plan["n_pairs"] == len(load_pairs(pipeline["pairs"]))
+    assert plan["n_pairs"] == len(list(load_pairs(pipeline["pairs"])))
     assert plan["weights_sum"] == pytest.approx(1.0, abs=1e-12)
     assert sum(plan["label_counts"].values()) == plan["n_pairs"]
     for lab, count in plan["label_counts"].items():
@@ -292,6 +299,146 @@ def test_split_noop_only_when_both_outputs_exist(pipeline, tmp_path, capsys):
                  "--train-out", str(train), "--test-out", str(test)]) == 0
     assert "nothing to do" not in capsys.readouterr().out
     assert test.exists()
+
+
+# ---------------------------------------------------------------------------
+# streaming stages
+
+
+def _shuffled_pairs_file(path, seed, n_instances=12):
+    """A pairs file whose lines are shuffled, so that the pairs of one
+    instance are not next to each other."""
+    pairs = [InstructionPair(q=f"q{i}-{s.value}", a=f"a{i}",
+                             instance_id=f"{(7919 * i) % 1000:03d}",
+                             style=s.value, label=f"l{i % 3}")
+             for i in range(n_instances) for s in WritingStyle]
+    order = np.random.default_rng(seed).permutation(len(pairs))
+    pairs = [pairs[k] for k in order]
+    save_pairs(pairs, path)
+    return pairs
+
+
+def _jsonl_bytes(pairs):
+    return "".join(json.dumps(dataclasses.asdict(p), sort_keys=True) + "\n"
+                   for p in pairs).encode()
+
+
+@pytest.mark.parametrize("seed", [0, 5, 17])
+@pytest.mark.parametrize("fraction", [0.0, 0.1, 0.5, 1.0])
+def test_two_pass_split_matches_the_list_split(tmp_path, fraction, seed):
+    pairs = _shuffled_pairs_file(tmp_path / "pairs.jsonl", seed)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"test_fraction": fraction, "seed": seed}))
+    train, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+    assert main(["split", "--config", str(config),
+                 "--pairs", str(tmp_path / "pairs.jsonl"),
+                 "--train-out", str(train), "--test-out", str(test)]) == 0
+    want_train, want_test = ref_split_pairs(pairs, test_fraction=fraction,
+                                            seed=seed)
+    assert train.read_bytes() == _jsonl_bytes(want_train)
+    assert test.read_bytes() == _jsonl_bytes(want_test)
+
+
+def test_bench_interrupted_midway_keeps_the_old_outputs(pipeline, tmp_path,
+                                                        monkeypatch):
+    out, records = tmp_path / "knowledge.jsonl", tmp_path / "records.jsonl"
+    argv = ["bench", "--config", pipeline["config"],
+            "--instances", pipeline["instances"],
+            "--out", str(out), "--records", str(records)]
+    assert main(argv) == 0
+    before = {path: path.read_bytes() for path in (out, records)}
+    second = load_instances(pipeline["instances"])[1].id
+    real_run = bench.run
+
+    def interrupted_run(optimizer, config, instance, fe_budget, seed):
+        if instance.id == second:
+            raise KeyboardInterrupt
+        return real_run(optimizer, config, instance, fe_budget, seed)
+
+    monkeypatch.setattr(bench, "run", interrupted_run)
+    with pytest.raises(KeyboardInterrupt):
+        main([*argv, "--force"])
+    assert {path: path.read_bytes() for path in before} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "knowledge.jsonl", "records.jsonl"]
+
+
+def test_build_interrupted_midway_keeps_the_old_pairs(pipeline, tmp_path,
+                                                      monkeypatch):
+    out = tmp_path / "pairs.jsonl"
+    argv = ["build", "--config", pipeline["config"], "--fallback",
+            "--instances", pipeline["instances"],
+            "--knowledge", pipeline["knowledge"], "--out", str(out)]
+    assert main(argv) == 0
+    before = out.read_bytes()
+    third = load_instances(pipeline["instances"])[2].id
+    real_render = dataset.render_prompt
+
+    def interrupted_render(inst, style, **kwargs):
+        if inst.id == third:
+            raise KeyboardInterrupt
+        return real_render(inst, style, **kwargs)
+
+    monkeypatch.setattr(dataset, "render_prompt", interrupted_render)
+    with pytest.raises(KeyboardInterrupt):
+        main([*argv, "--force"])
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["pairs.jsonl"]
+
+
+def test_every_traced_binding_records_a_span(tmp_path, monkeypatch):
+    # perfbench times the layers through the bindings its tracer
+    # patches; a stage that bypasses one would read 0 there
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    tracing = importlib.import_module("tracing")
+
+    class RecordingTracer(tracing.Tracer):
+        def __init__(self):
+            super().__init__()
+            self.names = []
+
+        def patch(self, owner, attr, name, info=None):
+            self.names.append(name)
+            super().patch(owner, attr, name, info)
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "n_unconstrained": 0, "n_constrained": 1, "d_min": 2, "d_max": 3,
+        "k_min": 1, "k_max": 2, "fe_budget": 100, "runs": 1,
+        "config_cap": 1, "pool": ["random_search", "vanilla_de"],
+        "test_fraction": 0.0, "seed": 3}))
+    results = tmp_path / "results.json"
+    results.write_text(json.dumps(_results_payload()))
+    paths = {name: str(tmp_path / f"{name}.jsonl")
+             for name in ("instances", "knowledge", "records", "pairs",
+                          "train", "test")}
+    common = ["--config", str(config)]
+    tracer = RecordingTracer()
+    tracing.install(tracer)
+    try:
+        assert main(["synth", *common, "--out", paths["instances"]]) == 0
+        assert main(["bench", *common, "--instances", paths["instances"],
+                     "--out", paths["knowledge"],
+                     "--records", paths["records"]]) == 0
+        assert main(["build", *common, "--fallback",
+                     "--instances", paths["instances"],
+                     "--knowledge", paths["knowledge"],
+                     "--out", paths["pairs"]]) == 0
+        assert main(["split", *common, "--pairs", paths["pairs"],
+                     "--train-out", paths["train"],
+                     "--test-out", paths["test"]]) == 0
+        assert main(["plan", *common, "--pairs", paths["train"],
+                     "--out", str(tmp_path / "plan.json")]) == 0
+        assert main(["metrics", *common, "--results", str(results),
+                     "--out", str(tmp_path / "report.json")]) == 0
+        plan = dataset.SamplingPlan.build(dataset.load_pairs(paths["train"]))
+        batch = plan.draw_batch(2, np.random.default_rng(0))
+        dataset.batch_contrastive_loss(np.eye(2), [p.label for p in batch])
+    finally:
+        tracer.restore()
+    assert tracer.names
+    spanned = {span[0] for span in tracer.spans}
+    assert [name for name in tracer.names if name not in spanned] == []
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import optforge.dataset as dataset
 from optforge.bench import KnowledgeEntry
 from optforge.dataset import (InstructionPair, SamplingPlan,
                               batch_contrastive_loss, build_instruction_set,
@@ -38,10 +39,15 @@ def _entry_for(inst, optimizer="vanilla_de", degenerate=False):
 # build_instruction_set
 
 
+def _build(*args, **kwargs):
+    pairs, skipped = build_instruction_set(*args, **kwargs)
+    return list(pairs), skipped
+
+
 def test_build_crosses_instances_with_styles():
     instances = _instances(3)
     knowledge = {i.id: _entry_for(i) for i in instances}
-    pairs, skipped = build_instruction_set(instances, knowledge)
+    pairs, skipped = _build(instances, knowledge)
     assert skipped == []
     assert len(pairs) == 3 * 6
     seen = {(p.instance_id, p.style) for p in pairs}
@@ -55,8 +61,7 @@ def test_build_crosses_instances_with_styles():
 def test_build_accepts_entry_sequence_and_style_subset():
     instances = _instances(2)
     entries = [_entry_for(i, "nsa") for i in instances]
-    pairs, _ = build_instruction_set(
-        instances, entries, styles=["py_loop", "tex_canonical"])
+    pairs, _ = _build(instances, entries, styles=["py_loop", "tex_canonical"])
     assert len(pairs) == 4
     assert {p.style for p in pairs} == {"py_loop", "tex_canonical"}
     assert {p.label for p in pairs} == {"nsa"}
@@ -65,8 +70,7 @@ def test_build_accepts_entry_sequence_and_style_subset():
 def test_build_prompt_matches_direct_render():
     instances = _instances(1, seed0=50)
     knowledge = {instances[0].id: _entry_for(instances[0])}
-    pairs, _ = build_instruction_set(instances, knowledge,
-                                     styles=["tex_commuted"])
+    pairs, _ = _build(instances, knowledge, styles=["tex_commuted"])
     doc = render_prompt(instances[0], WritingStyle.TEX_COMMUTED)
     assert pairs[0].q == doc.text
 
@@ -82,8 +86,7 @@ def test_build_pairs_match_unshared_renders(policy):
     instances = _mixed_instances()
     knowledge = {i.id: _entry_for(i) for i in instances}
     knowledge[instances[3].id] = _entry_for(instances[3], degenerate=True)
-    pairs, skipped = build_instruction_set(instances, knowledge,
-                                           on_degenerate=policy)
+    pairs, skipped = _build(instances, knowledge, on_degenerate=policy)
     kept = [i for i in instances if policy == "fallback" or i is not instances[3]]
     assert skipped == ([] if policy == "fallback" else [instances[3].id])
     assert len(pairs) == 6 * len(kept)
@@ -115,8 +118,7 @@ def test_build_degenerate_skip_drops_all_styles():
     instances = _instances(3)
     knowledge = {i.id: _entry_for(i) for i in instances[:2]}
     knowledge[instances[2].id] = _entry_for(instances[2], degenerate=True)
-    pairs, skipped = build_instruction_set(instances, knowledge,
-                                           on_degenerate="skip")
+    pairs, skipped = _build(instances, knowledge, on_degenerate="skip")
     assert skipped == [instances[2].id]
     assert len(pairs) == 2 * 6
     assert instances[2].id not in {p.instance_id for p in pairs}
@@ -139,9 +141,9 @@ def test_build_degenerate_fallback_labels_random_search():
         instances[0].id: _entry_for(instances[0]),
         instances[1].id: _entry_for(instances[1], degenerate=True),
     }
-    pairs, skipped = build_instruction_set(instances, knowledge,
-                                           on_degenerate="fallback",
-                                           styles=["py_vector"])
+    pairs, skipped = _build(instances, knowledge,
+                            on_degenerate="fallback",
+                            styles=["py_vector"])
     assert skipped == []
     by_id = {p.instance_id: p for p in pairs}
     assert by_id[instances[1].id].label == "random_search"
@@ -155,9 +157,27 @@ def test_build_rejects_unknown_policy():
 def test_build_deterministic():
     instances = _instances(2, seed0=9)
     knowledge = {i.id: _entry_for(i) for i in instances}
-    a, _ = build_instruction_set(instances, knowledge)
-    b, _ = build_instruction_set(instances, knowledge)
+    a, _ = _build(instances, knowledge)
+    b, _ = _build(instances, knowledge)
     assert a == b
+
+
+def test_build_renders_one_instance_at_a_time(monkeypatch):
+    instances = _instances(3)
+    knowledge = {i.id: _entry_for(i) for i in instances}
+    rendered = []
+    real_render = dataset.render_prompt
+
+    def spy(inst, style, **kwargs):
+        rendered.append(inst.id)
+        return real_render(inst, style, **kwargs)
+
+    monkeypatch.setattr(dataset, "render_prompt", spy)
+    pairs, _ = build_instruction_set(instances, knowledge)
+    assert rendered == []
+    assert next(pairs).instance_id == instances[0].id
+    assert 1 <= len(rendered) <= len(WritingStyle)
+    assert set(rendered) == {instances[0].id}
 
 
 # ---------------------------------------------------------------------------
@@ -174,42 +194,37 @@ def _pairs(n_instances, styles=("s1", "s2", "s3")):
     return out
 
 
-def test_split_keeps_instances_whole():
-    pairs = _pairs(20)
-    train, test = split_pairs(pairs, test_fraction=0.25, seed=1)
-    train_ids = {p.instance_id for p in train}
-    test_ids = {p.instance_id for p in test}
-    assert not (train_ids & test_ids)
+def _ids(n_instances, copies=3):
+    """Instance ids as a pairs file lists them: one per pair."""
+    return [f"id{i:03d}" for i in range(n_instances) for _ in range(copies)]
+
+
+def test_split_picks_whole_instances():
+    ids = _ids(20)
+    test_ids = split_pairs(ids, test_fraction=0.25, seed=1)
     assert len(test_ids) == 5
-    assert len(train) + len(test) == len(pairs)
-    # every split-side instance keeps all of its styles
-    for side, ids in ((train, train_ids), (test, test_ids)):
-        for iid in ids:
-            assert sum(p.instance_id == iid for p in side) == 3
+    assert test_ids <= set(ids)
 
 
 def test_split_fraction_rounding_and_edges():
-    pairs = _pairs(10)
-    _, test = split_pairs(pairs, test_fraction=0.1)
-    assert len({p.instance_id for p in test}) == 1
-    train, test = split_pairs(pairs, test_fraction=0.0)
-    assert test == [] and len(train) == len(pairs)
-    train, test = split_pairs(pairs, test_fraction=1.0)
-    assert train == [] and len(test) == len(pairs)
+    ids = _ids(10)
+    assert len(split_pairs(ids, test_fraction=0.1)) == 1
+    assert split_pairs(ids, test_fraction=0.0) == set()
+    assert split_pairs(iter(ids), test_fraction=1.0) == set(ids)
 
 
 def test_split_deterministic_and_seed_sensitive():
-    pairs = _pairs(30)
-    a = split_pairs(pairs, 0.2, seed=4)
-    b = split_pairs(pairs, 0.2, seed=4)
-    c = split_pairs(pairs, 0.2, seed=5)
+    ids = _ids(30)
+    a = split_pairs(ids, 0.2, seed=4)
+    b = split_pairs(reversed(ids), 0.2, seed=4)
+    c = split_pairs(ids, 0.2, seed=5)
     assert a == b
-    assert {p.instance_id for p in a[1]} != {p.instance_id for p in c[1]}
+    assert a != c
 
 
 def test_split_rejects_bad_fraction():
     with pytest.raises(ValueError):
-        split_pairs(_pairs(2), test_fraction=1.5)
+        split_pairs(_ids(2), test_fraction=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +237,7 @@ def test_pairs_round_trip_and_byte_stability(tmp_path):
     save_pairs(pairs, p1)
     save_pairs(pairs, p2)
     assert p1.read_bytes() == p2.read_bytes()
-    assert load_pairs(p1) == pairs
+    assert list(load_pairs(p1)) == pairs
     obj = json.loads(p1.read_text().splitlines()[0])
     assert list(obj) == sorted(obj)
 
@@ -234,7 +249,7 @@ def test_load_pairs_reports_line_of_missing_field(tmp_path):
     bad = {"q": "q", "a": "a", "instance_id": "i", "style": "s"}
     path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
     with pytest.raises(ValueError) as err:
-        load_pairs(path)
+        list(load_pairs(path))
     assert ":2:" in str(err.value)
     assert "label" in str(err.value)
 
@@ -245,7 +260,7 @@ def test_load_pairs_rejects_unknown_field(tmp_path):
            "label": "l", "score": 1.0}
     path.write_text(json.dumps(row) + "\n")
     with pytest.raises(ValueError) as err:
-        load_pairs(path)
+        list(load_pairs(path))
     assert ":1:" in str(err.value)
     assert "score" in str(err.value)
 
@@ -265,11 +280,36 @@ def test_failed_save_keeps_the_old_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["pairs.jsonl"]
 
 
+def test_save_pairs_sends_each_pair_to_its_side(tmp_path):
+    pairs = _pairs(4)
+    train, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+    counts = save_pairs(pairs, train, test,
+                        side=lambda p: p.instance_id == "id002")
+    assert counts == [9, 3]
+    assert list(load_pairs(test)) == pairs[6:9]
+    assert list(load_pairs(train)) == pairs[:6] + pairs[9:]
+
+
+def test_failed_two_sided_save_keeps_both_old_files(tmp_path):
+    paths = [tmp_path / "test.jsonl", tmp_path / "train.jsonl"]
+    for path in paths:
+        save_pairs(_pairs(1), path)
+    before = [path.read_bytes() for path in paths]
+    bad = _pairs(3)
+    bad[-1] = InstructionPair(q="q", a={1}, instance_id="id002", style="s",
+                              label="l")
+    with pytest.raises(TypeError):
+        save_pairs(bad, *paths, side=lambda p: p.instance_id == "id001")
+    assert [path.read_bytes() for path in paths] == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "test.jsonl", "train.jsonl"]
+
+
 def test_load_pairs_skips_blank_lines(tmp_path):
     path = tmp_path / "pairs.jsonl"
     save_pairs(_pairs(1), path)
     path.write_text(path.read_text() + "\n\n")
-    assert len(load_pairs(path)) == 3
+    assert len(list(load_pairs(path))) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +317,7 @@ def test_load_pairs_skips_blank_lines(tmp_path):
 
 
 def test_weights_inverse_label_frequency():
-    pairs = ([InstructionPair("q", "a", f"i{i}", "s", "big") for i in range(100)]
-             + [InstructionPair("q", "a", f"j{i}", "s", "mid") for i in range(10)]
-             + [InstructionPair("q", "a", "k", "s", "small")])
-    w = sampling_weights(pairs)
+    w = sampling_weights(["big"] * 100 + ["mid"] * 10 + ["small"])
     assert w[0] == pytest.approx(1.0 / 300.0, abs=1e-18)
     assert w[100] == pytest.approx(1.0 / 30.0, abs=1e-18)
     assert w[110] == pytest.approx(1.0 / 3.0, abs=1e-18)
@@ -288,9 +325,8 @@ def test_weights_inverse_label_frequency():
 
 
 def test_weights_uniform_when_single_label():
-    pairs = _pairs(4)
-    w = sampling_weights(pairs)
-    assert np.allclose(w, 1.0 / len(pairs))
+    w = sampling_weights(["l"] * 12)
+    assert np.allclose(w, 1.0 / 12)
 
 
 def test_weights_empty_rejected():
@@ -301,14 +337,12 @@ def test_weights_empty_rejected():
 @given(st.lists(st.sampled_from("abc"), min_size=1, max_size=40))
 @settings(max_examples=60, deadline=None)
 def test_weights_always_normalized(labels):
-    pairs = [InstructionPair("q", "a", f"i{i}", "s", lab)
-             for i, lab in enumerate(labels)]
-    w = sampling_weights(pairs)
+    w = sampling_weights(labels)
     assert math.isclose(float(w.sum()), 1.0, abs_tol=1e-9)
     assert (w > 0).all()
     # equal mass per label class
     for lab in set(labels):
-        mass = sum(float(w[i]) for i, p in enumerate(pairs) if p.label == lab)
+        mass = sum(float(wi) for wi, l in zip(w, labels) if l == lab)
         assert math.isclose(mass, 1.0 / len(set(labels)), abs_tol=1e-9)
 
 
