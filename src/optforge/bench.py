@@ -1,19 +1,19 @@
 """Grid-search benchmarking: label every instance with its best
 configured optimizer.
 
-Scoring is two-pass.  Pass 1 executes ``runs`` independent runs per
-(optimizer, config) and records raw results.  Pass 2 fixes the
-instance's reference optimum ``f_star`` as the best objective any ok
-run found (feasible runs only on constrained instances), then scores
-each run with the normalized descent
+Every (optimizer, config) of the grid runs ``runs`` times.  Then the
+instance's reference optimum ``f_star`` is the best objective of any ok
+run that ended feasible, and each run scores the normalized descent
 
     eval = clamp_0^1 ((f0 - best_f) / (f0 - f_star))
 
-where failed runs score 0, a run whose start already equals the
-optimum scores 1, and on constrained instances a run that started
+where a failed run or one that ended infeasible scores 0, a run whose
+start already equals the optimum scores 1, and a run that started
 infeasible but ended feasible scores 1 (it realized the whole usable
-improvement).  The winner is the argmax of mean eval with ties broken
-lexicographically on (optimizer id, config index).
+improvement).  The rule is the same on both kinds of instance:
+unconstrained runs carry violation 0, so they are always feasible.  The
+winner is the argmax of mean eval with ties broken lexicographically on
+(optimizer id, config index).
 
 Per-task seeds derive from (master seed, instance id, optimizer,
 config index, run index), so results are independent of scheduling and
@@ -79,114 +79,101 @@ def _degenerate_entry(instance_id):
     )
 
 
-def _feasible_best(results):
-    """Reference optimum: best ok (and feasible, if constrained) best_f."""
-    best = None
-    for r in results:
-        if r.status != "ok":
-            continue
-        if r.best_violation is not None and r.best_violation > 0.0:
-            continue
-        if best is None or r.best_f < best:
-            best = r.best_f
-    return best
-
-
-def _run_eval(result, f_star, constrained):
+def _run_eval(result, f_star):
     if result.status != "ok" or f_star is None:
         return 0.0
-    if constrained and result.best_violation > 0.0:
+    if result.best_violation > 0.0:
         return 0.0
-    if constrained and result.f0_violation > 0.0:
+    if result.f0_violation > 0.0:
         # started infeasible, ended feasible: full usable descent
         return 1.0
     return normalized_descent(result.f0, result.best_f, f_star)
 
 
-def benchmark_instance(instance, pool=DEFAULT_POOL, cap=DEFAULT_CONFIG_CAP,
-                       runs=5, seed=0, keep_records=True):
-    """Benchmark one instance over the pool's (capped) config grids.
-
-    Returns ``(KnowledgeEntry, records)`` where ``records`` is a
-    :class:`BenchmarkRecord` per (optimizer, config), or None when
-    ``keep_records`` is false.
+def _grid(pool, cap, runs, seed):
+    """The ``(optimizer, config_index, config)`` list every instance
+    runs, in pool order.  Raises for a pool, cap or run count with which
+    no instance could get a label; a ``cap`` of None is the full grid.
     """
     if not pool:
         raise ValueError("optimizer pool must not be empty")
+    unknown = [o for o in pool if o not in GRIDS]
+    if unknown:
+        raise ValueError(f"unknown optimizers in pool: {unknown}")
     if runs < 1:
-        raise ValueError("runs must be >= 1")
+        raise ValueError(f"runs must be >= 1, got {runs}")
+    if cap is not None and cap < 1:
+        raise ValueError(f"config cap must be >= 1 or None, got {cap}")
+    return [(optimizer, config_index, config) for optimizer in pool
+            for config_index, config in enumerate_configs(optimizer, cap=cap,
+                                                          seed=seed)]
 
-    all_results = []  # (optimizer, config_index, config, [RunResult])
-    for optimizer in pool:
-        for config_index, config in enumerate_configs(optimizer, cap=cap,
-                                                      seed=seed):
-            per_run = [
-                run(optimizer, config, instance, instance.fe_budget,
-                    derive_seed(seed, instance.id, optimizer, config_index, r))
-                for r in range(runs)
-            ]
-            all_results.append((optimizer, config_index, config, per_run))
 
-    flat = [r for _, _, _, rs in all_results for r in rs]
-    f_star = _feasible_best(flat)
-    constrained = instance.constrained
+def benchmark_instance(instance, pool=DEFAULT_POOL, cap=DEFAULT_CONFIG_CAP,
+                       runs=5, seed=0):
+    """Benchmark one instance over the pool's (capped) config grids.
 
-    records = []
-    best_key = None
-    best = None
-    for optimizer, config_index, config, per_run in all_results:
-        evals = [_run_eval(r, f_star, constrained) for r in per_run]
-        mean_eval = sum(evals) / len(evals)
-        records.append(BenchmarkRecord(
+    Returns ``(KnowledgeEntry, records)`` with one
+    :class:`BenchmarkRecord` per (optimizer, config), in grid order.
+    """
+    grid = _grid(pool, cap, runs, seed)
+    per_config = [
+        [run(optimizer, config, instance, instance.fe_budget,
+             derive_seed(seed, instance.id, optimizer, config_index, r))
+         for r in range(runs)]
+        for optimizer, config_index, config in grid
+    ]
+    f_star = min((r.best_f for per_run in per_config for r in per_run
+                  if r.status == "ok" and not r.best_violation > 0.0),
+                 default=None)
+    records = [
+        BenchmarkRecord(
             instance_id=instance.id, optimizer=optimizer,
-            config_index=config_index, config=config,
-            per_run=per_run, mean_eval=mean_eval,
-        ))
-        key = (-mean_eval, optimizer, config_index)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = records[-1]
-
-    if f_star is None:
-        entry = _degenerate_entry(instance.id)
-    else:
-        entry = KnowledgeEntry(
-            instance_id=instance.id, best_optimizer=best.optimizer,
-            best_config=dict(best.config),
-            best_config_index=best.config_index,
-            f_star=f_star, mean_eval=best.mean_eval,
+            config_index=config_index, config=config, per_run=per_run,
+            mean_eval=sum(_run_eval(r, f_star) for r in per_run)
+            / len(per_run),
         )
-    return entry, (records if keep_records else None)
+        for (optimizer, config_index, config), per_run in zip(grid, per_config)
+    ]
+    if f_star is None:
+        return _degenerate_entry(instance.id), records
+    best = min(records, key=lambda rec: (-rec.mean_eval, rec.optimizer,
+                                         rec.config_index))
+    return KnowledgeEntry(
+        instance_id=instance.id, best_optimizer=best.optimizer,
+        best_config=dict(best.config), best_config_index=best.config_index,
+        f_star=f_star, mean_eval=best.mean_eval,
+    ), records
 
 
 def _bench_task(args):
-    instance, pool, cap, runs, seed, keep_records = args
+    instance, pool, cap, runs, seed = args
     try:
-        return benchmark_instance(instance, pool, cap, runs, seed,
-                                  keep_records), None
+        return (*benchmark_instance(instance, pool, cap, runs, seed), None)
     except Exception as exc:  # noqa: BLE001 -- one bad instance must not kill the set
-        return ((_degenerate_entry(instance.id), None),
+        return (_degenerate_entry(instance.id), [],
                 f"{instance.id}: {type(exc).__name__}: {exc}")
 
 
 def benchmark_set(instances, pool=DEFAULT_POOL, cap=DEFAULT_CONFIG_CAP,
-                  runs=5, master_seed=0, parallelism=1, keep_records=False):
+                  runs=5, master_seed=0, parallelism=1):
     """Benchmark a whole set; deterministic in everything but wall time.
 
     Yields ``(entry, records, error)`` per instance, in input order, as
     each instance finishes (under ``parallelism`` > 1, once the
-    instances before it have finished too).  ``records`` is None unless
-    ``keep_records``; ``error`` is None, or the error string of an
-    instance that raised, whose entry is then degenerate rather than
-    aborting the set.
+    instances before it have finished too).  ``error`` is None, or the
+    error string of an instance that raised, whose entry is then
+    degenerate and whose records are ``[]`` rather than aborting the
+    set.  A pool, cap or run count that no instance could work with
+    raises ``ValueError`` before any instance runs.
     """
-    tasks = [(inst, tuple(pool), cap, runs, master_seed, keep_records)
-             for inst in instances]
+    _grid(pool, cap, runs, master_seed)
+    tasks = [(inst, tuple(pool), cap, runs, master_seed) for inst in instances]
     parallel = parallelism > 1 and len(tasks) > 1
     pool_ex = ProcessPoolExecutor(max_workers=parallelism) if parallel else None
     try:
         mapped = (pool_ex.map if parallel else map)(_bench_task, tasks)
-        for i, ((entry, records), error) in enumerate(mapped, start=1):
+        for i, (entry, records, error) in enumerate(mapped, start=1):
             if error is not None:
                 print(f"bench: degenerate instance ({error})", file=sys.stderr)
             if i % 10 == 0:

@@ -111,13 +111,13 @@ def cmd_bench(args):
             entries.append(entry)
             if error is not None:
                 failures.append(error)
-            yield from recs or ()
+            yield from recs
 
     # closed on a failed write, so that --jobs workers stop early
     with contextlib.closing(benchmark_set(
             instances, pool=tuple(cfg.pool), cap=cfg.config_cap,
-            runs=cfg.runs, master_seed=cfg.seed, parallelism=args.jobs,
-            keep_records=args.records is not None)) as outcomes:
+            runs=cfg.runs, master_seed=cfg.seed,
+            parallelism=args.jobs)) as outcomes:
         if args.records is None:
             for _ in records(outcomes):
                 pass
@@ -282,6 +282,13 @@ def _add_common(sub, out_required=True, out_help="output path",
         sub.add_argument("--out", required=out_required, help=out_help)
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="optforge",
@@ -299,7 +306,7 @@ def build_parser():
     p.add_argument("--instances", required=True, help="instances JSONL")
     p.add_argument("--records", default=None,
                    help="optional per-config audit JSONL")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_positive_int, default=1,
                    help="parallel worker processes")
     p.set_defaults(fn=cmd_bench)
 

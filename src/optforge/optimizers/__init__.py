@@ -5,7 +5,6 @@ from .base import (
     PENALTY_COEFF,
     RunResult,
     get_optimizer,
-    optimizer_ids,
     rule_argmin,
     rule_key,
     rule_le,
@@ -32,7 +31,6 @@ __all__ = [
     "PENALTY_COEFF",
     "RunResult",
     "get_optimizer",
-    "optimizer_ids",
     "rule_argmin",
     "rule_key",
     "rule_le",

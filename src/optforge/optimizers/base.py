@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..problems.instance import evaluate_batch
-from .grids import validate_config
+from .grids import GRIDS, validate_config
 
 __all__ = [
     "PENALTY_COEFF",
@@ -30,7 +30,6 @@ __all__ = [
     "RunResult",
     "register",
     "get_optimizer",
-    "optimizer_ids",
     "run",
     "rule_key",
     "rule_argmin",
@@ -202,11 +201,13 @@ _REGISTRY = {}
 
 
 def register(name, n_init):
-    """Register an optimizer under a string id.
+    """Register an optimizer under its id in ``GRIDS``.
 
     ``n_init`` maps a config dict to the size of the optimizer's
     initial sample (how many evaluations fix ``f0``).
     """
+    if name not in GRIDS:
+        raise ValueError(f"optimizer {name!r} has no grid in GRIDS")
 
     def deco(fn):
         if name in _REGISTRY:
@@ -227,10 +228,6 @@ def _registered(name):
 
 def get_optimizer(name):
     return _registered(name)[0]
-
-
-def optimizer_ids():
-    return tuple(_REGISTRY)
 
 
 def uniform_init(rng, bounds, n):

@@ -243,7 +243,9 @@ class BasicFunction:
     f_opt : float
         Global minimum value (0 for every function here).
     tags : frozenset of str
-        Landscape descriptors used for corpus stratification.
+        Landscape descriptors (modality, separability, symmetry), for
+        reading only: synthesis draws functions uniformly and ignores
+        them.
     """
 
     name: str

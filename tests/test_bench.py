@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import optforge.bench as bench
-from optforge.bench import (BenchmarkRecord, KnowledgeEntry, _feasible_best,
-                            _run_eval, benchmark_instance, benchmark_set,
-                            load_knowledge, save_knowledge, save_records)
+from optforge.bench import (BenchmarkRecord, KnowledgeEntry, _run_eval,
+                            benchmark_instance, benchmark_set, load_knowledge,
+                            save_knowledge, save_records)
 from optforge.optimizers.base import RunResult, run
 from optforge.optimizers.grids import enumerate_configs
 from optforge.problems.synthesis import synthesize_instance
@@ -32,66 +32,72 @@ def _res(status="ok", best_f=1.0, best_violation=0.0, f0=100.0,
 
 
 def test_run_eval_failed_is_zero():
-    assert _run_eval(_res(status="failed"), f_star=0.0, constrained=False) == 0.0
+    assert _run_eval(_res(status="failed"), f_star=0.0) == 0.0
 
 
 def test_run_eval_no_reference_is_zero():
-    assert _run_eval(_res(), f_star=None, constrained=False) == 0.0
+    assert _run_eval(_res(), f_star=None) == 0.0
 
 
 def test_run_eval_plain_descent():
     # (100 - 1) / (100 - 0)
-    v = _run_eval(_res(best_f=1.0, f0=100.0), f_star=0.0, constrained=False)
+    v = _run_eval(_res(best_f=1.0, f0=100.0), f_star=0.0)
     assert v == pytest.approx(0.99, abs=0.0)
 
 
 def test_run_eval_clamped_to_unit_interval():
     # overshoot below the pooled optimum still caps at 1
-    assert _run_eval(_res(best_f=-5.0), f_star=0.0, constrained=False) == 1.0
+    assert _run_eval(_res(best_f=-5.0), f_star=0.0) == 1.0
     # a run that went uphill floors at 0
-    assert _run_eval(_res(best_f=200.0), f_star=0.0, constrained=False) == 0.0
+    assert _run_eval(_res(best_f=200.0), f_star=0.0) == 0.0
 
 
 def test_run_eval_start_equals_optimum():
-    assert _run_eval(_res(best_f=7.0, f0=7.0), f_star=7.0,
-                     constrained=False) == 1.0
+    assert _run_eval(_res(best_f=7.0, f0=7.0), f_star=7.0) == 1.0
 
 
 def test_run_eval_constrained_ended_infeasible():
     r = _res(best_f=0.5, best_violation=0.2)
-    assert _run_eval(r, f_star=0.0, constrained=True) == 0.0
+    assert _run_eval(r, f_star=0.0) == 0.0
 
 
 def test_run_eval_constrained_recovered_feasibility():
     r = _res(best_f=50.0, best_violation=0.0, f0=10.0, f0_violation=3.0)
-    assert _run_eval(r, f_star=0.0, constrained=True) == 1.0
-
-
-def test_run_eval_ignores_violation_when_unconstrained():
-    # unconstrained instances always carry violation 0, but the score
-    # must not consult the constrained branches at all
-    r = _res(best_f=1.0, f0=100.0)
-    assert _run_eval(r, f_star=0.0, constrained=False) == pytest.approx(0.99)
+    assert _run_eval(r, f_star=0.0) == 1.0
 
 
 # ---------------------------------------------------------------------------
 # reference optimum
 
 
-def test_feasible_best_ignores_failed_and_infeasible():
-    rs = [
+def _bench_stubbed(monkeypatch, results):
+    """``benchmark_instance`` on one config whose runs return ``results``."""
+    inst = synthesize_instance(d=2, k=1, constrained=False, seed=1,
+                               fe_budget=100)
+    given = iter(results)
+    monkeypatch.setattr(bench, "run", lambda *args: next(given))
+    return benchmark_instance(inst, pool=("random_search",), cap=None,
+                              runs=len(results), seed=0)
+
+
+def test_reference_optimum_ignores_failed_and_infeasible(monkeypatch):
+    entry, _ = _bench_stubbed(monkeypatch, [
         _res(status="failed", best_f=-99.0),
         _res(best_f=3.0, best_violation=0.5),
         _res(best_f=5.0),
         _res(best_f=4.0),
-    ]
-    assert _feasible_best(rs) == 4.0
+    ])
+    assert entry.f_star == 4.0
+    assert not entry.degenerate
 
 
-def test_feasible_best_none_when_nothing_usable():
-    assert _feasible_best([_res(status="failed")]) is None
-    assert _feasible_best([_res(best_violation=1.0)]) is None
-    assert _feasible_best([]) is None
+@pytest.mark.parametrize("result", [_res(status="failed"),
+                                    _res(best_violation=1.0)])
+def test_reference_optimum_none_when_nothing_usable(monkeypatch, result):
+    entry, records = _bench_stubbed(monkeypatch, [result])
+    assert entry.f_star is None
+    assert entry.degenerate
+    assert [r.mean_eval for r in records] == [0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -135,23 +141,30 @@ def test_winner_matches_reference_scorer(seed):
             mean_evals[(rec.optimizer, rec.config_index)], abs=1e-15)
 
 
-def test_winner_matches_reference_scorer_constrained():
-    inst = None
-    for seed in range(40):
-        cand = synthesize_instance(d=3, k=1, constrained=True, seed=seed,
-                                   fe_budget=300)
-        if not any(c.is_equality for c in cand.constraints):
-            inst = cand
-            break
-    assert inst is not None
-    entry, _ = benchmark_instance(inst, pool=POOL, cap=4, runs=2, seed=5)
+# both cases have runs that started infeasible and ended feasible, and
+# the equality one also has runs that ended infeasible
+@pytest.mark.parametrize("seed, equality", [(3, False), (0, True)])
+def test_winner_matches_reference_scorer_constrained(seed, equality):
+    inst = synthesize_instance(d=2, k=1, constrained=True, seed=seed,
+                               fe_budget=300)
+    assert any(c.is_equality for c in inst.constraints) == equality
+    entry, records = benchmark_instance(inst, pool=POOL, cap=4, runs=2, seed=5)
+    runs = [r for rec in records for r in rec.per_run]
+    assert any(r.status == "ok" and r.best_violation == 0.0 < r.f0_violation
+               for r in runs)
+    assert any(r.status == "ok" and r.best_violation > 0.0
+               for r in runs) == equality
     ref = ref_score_runs(_replay_runs(inst, POOL, 4, 2, 5), constrained=True)
-    if ref is None:
-        assert entry.degenerate
-    else:
-        assert entry.best_optimizer == ref[0]
-        assert entry.best_config_index == ref[1]
-        assert entry.f_star == ref[2]
+    assert ref is not None
+    opt, idx, f_star, mean_evals = ref
+    assert entry.best_optimizer == opt
+    assert entry.best_config_index == idx
+    assert entry.f_star == f_star
+    assert [(rec.optimizer, rec.config_index) for rec in records] == list(
+        mean_evals)
+    for rec in records:
+        assert rec.mean_eval == pytest.approx(
+            mean_evals[(rec.optimizer, rec.config_index)], abs=1e-15)
 
 
 def test_benchmark_instance_deterministic():
@@ -179,15 +192,6 @@ def test_benchmark_instance_record_layout():
     assert entry.f_star is not None
 
 
-def test_benchmark_instance_no_records_flag():
-    inst = synthesize_instance(d=2, k=1, constrained=False, seed=1,
-                               fe_budget=150)
-    entry, records = benchmark_instance(inst, pool=("random_search",), cap=2,
-                                        runs=1, seed=0, keep_records=False)
-    assert records is None
-    assert entry.instance_id == inst.id
-
-
 def test_benchmark_instance_validates_args():
     inst = synthesize_instance(d=2, k=1, constrained=False, seed=1,
                                fe_budget=100)
@@ -195,6 +199,10 @@ def test_benchmark_instance_validates_args():
         benchmark_instance(inst, pool=(), cap=2, runs=1)
     with pytest.raises(ValueError):
         benchmark_instance(inst, pool=POOL, cap=2, runs=0)
+    with pytest.raises(ValueError):
+        benchmark_instance(inst, pool=("random_serch",), cap=2, runs=1)
+    with pytest.raises(ValueError):
+        benchmark_instance(inst, pool=POOL, cap=0, runs=1)
 
 
 def test_degenerate_when_budget_below_every_init_sample():
@@ -227,23 +235,24 @@ def test_benchmark_set_preserves_order_and_ids():
     outcomes = list(benchmark_set(instances, pool=POOL, cap=2, runs=2,
                                   master_seed=0))
     assert [e.instance_id for e, _, _ in outcomes] == [i.id for i in instances]
-    assert [(recs, err) for _, recs, err in outcomes] == [(None, None)] * 4
+    assert [err for _, _, err in outcomes] == [None] * 4
+    for inst, (_, records, _) in zip(instances, outcomes):
+        assert records and {r.instance_id for r in records} == {inst.id}
 
 
 def test_benchmark_set_parallel_equals_serial():
     instances = _tiny_set()
     serial = list(benchmark_set(instances, pool=POOL, cap=2, runs=2,
-                                master_seed=0, keep_records=True))
+                                master_seed=0))
     parallel = list(benchmark_set(instances, pool=POOL, cap=2, runs=2,
-                                  master_seed=0, parallelism=2,
-                                  keep_records=True))
+                                  master_seed=0, parallelism=2))
     assert serial == parallel
 
 
-def test_benchmark_set_keep_records_per_instance():
+def test_benchmark_set_records_per_instance():
     instances = _tiny_set(n=2)
     outcomes = list(benchmark_set(instances, pool=POOL, cap=2, runs=1,
-                                  master_seed=0, keep_records=True))
+                                  master_seed=0))
     for inst, (_, records, _) in zip(instances, outcomes):
         assert {r.instance_id for r in records} == {inst.id}
         # one random_search config + two capped vanilla_de configs
@@ -288,6 +297,7 @@ def test_benchmark_set_survives_crashing_instance(monkeypatch, capsys):
     assert len(entries) == 3
     assert entries[1].degenerate
     assert not entries[0].degenerate and not entries[2].degenerate
+    assert [len(recs) for _, recs, _ in outcomes] == [3, 0, 3]
     assert len(failures) == 1 and bad_id in failures[0]
     assert "boom" in failures[0]
     assert failures[0] in capsys.readouterr().err

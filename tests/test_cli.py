@@ -157,6 +157,37 @@ def test_bench_parallel_matches_serial(pipeline, tmp_path):
     assert out.read_bytes() == open(pipeline["knowledge"], "rb").read()
 
 
+@pytest.mark.parametrize("override, flags, error", [
+    ({"pool": ["random_serch"]}, [], ValueError),
+    ({"runs": 0}, [], ValueError),
+    ({"config_cap": 0}, [], ValueError),
+    ({}, ["--jobs", "0"], SystemExit),
+])
+def test_bench_input_that_cannot_work_fails_before_any_run(
+        pipeline, tmp_path, monkeypatch, capsys, override, flags, error):
+    cfg = json.loads(Path(pipeline["config"]).read_text())
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**cfg, **override}))
+    calls = []
+    real_run = bench.run
+
+    def counting_run(*args):
+        calls.append(args[0])
+        return real_run(*args)
+
+    monkeypatch.setattr(bench, "run", counting_run)
+    with pytest.raises(error) as err:
+        main(["bench", "--config", str(config),
+              "--instances", pipeline["instances"],
+              "--out", str(tmp_path / "knowledge.jsonl"),
+              "--records", str(tmp_path / "records.jsonl"), *flags])
+    if error is SystemExit:
+        assert err.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+    assert calls == []
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_build_output(pipeline):
     pairs = list(load_pairs(pipeline["pairs"]))
     entries = {e.instance_id: e for e in

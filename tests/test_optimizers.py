@@ -5,7 +5,7 @@ import pytest
 
 import optforge.optimizers.base as base
 from optforge.optimizers.base import (BudgetExhausted, ObjectiveTracker,
-                                      optimizer_ids, rule_argmin, rule_key,
+                                      get_optimizer, rule_argmin, rule_key,
                                       rule_le, run, uniform_init)
 from optforge.optimizers.grids import GRIDS
 from optforge.problems.instance import ProblemInstance, evaluate_batch
@@ -300,7 +300,16 @@ def test_tracker_rejects_bad_n_init(sphere_instance):
 
 
 def test_registry_has_full_pool():
-    assert set(optimizer_ids()) == set(ALL_OPTIMIZERS)
+    for optimizer in GRIDS:
+        assert callable(get_optimizer(optimizer))
+
+
+def test_register_rejects_a_name_without_a_grid():
+    with pytest.raises(ValueError) as err:
+        base.register("no_such_optimizer", n_init=lambda cfg: 1)
+    assert "no_such_optimizer" in str(err.value)
+    with pytest.raises(KeyError):
+        get_optimizer("no_such_optimizer")
 
 
 @pytest.mark.parametrize("optimizer", ALL_OPTIMIZERS)

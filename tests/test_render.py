@@ -13,7 +13,7 @@ import pytest
 
 from optforge.bench import KnowledgeEntry
 from optforge.optimizers import (BudgetExhausted, ObjectiveTracker,
-                                 optimizer_ids, run)
+                                 get_optimizer, run)
 from optforge.optimizers.grids import GRIDS, config_at, enumerate_configs
 from optforge.problems.basic import BASIC_FUNCTIONS, BASIC_NAMES
 from optforge.problems.constraints import (CONSTRAINT_TEMPLATES, EPS_EQ,
@@ -519,8 +519,8 @@ def test_answer_compiles_for_grid_config(optimizer):
 
 
 def test_answer_templates_cover_pool():
-    assert set(optimizer_ids()) == set(GRIDS)
-    for optimizer in optimizer_ids():
+    for optimizer in GRIDS:
+        assert callable(get_optimizer(optimizer))
         assert f"def {optimizer}(tracker, config, rng):" in emit_answer(
             _entry(optimizer, config_at(optimizer, 0))).code_text
 
@@ -540,7 +540,7 @@ def unstripped_answers(monkeypatch):
     monkeypatch.setattr(answers, "_strip_prose", lambda source: source)
     try:
         return {o: emit_answer(_entry(o, config_at(o, 0))).code_text
-                for o in optimizer_ids()}
+                for o in GRIDS}
     finally:
         monkeypatch.undo()
         answers._optimizer_source.cache_clear()
