@@ -170,7 +170,9 @@ def benchmark_set(instances, pool=DEFAULT_POOL, cap=DEFAULT_CONFIG_CAP,
     _grid(pool, cap, runs, master_seed)
     tasks = [(inst, tuple(pool), cap, runs, master_seed) for inst in instances]
     parallel = parallelism > 1 and len(tasks) > 1
-    pool_ex = ProcessPoolExecutor(max_workers=parallelism) if parallel else None
+    # the fork start method starts every worker at the first submit
+    pool_ex = (ProcessPoolExecutor(max_workers=min(parallelism, len(tasks)))
+               if parallel else None)
     try:
         mapped = (pool_ex.map if parallel else map)(_bench_task, tasks)
         for i, (entry, records, error) in enumerate(mapped, start=1):

@@ -4,6 +4,7 @@ from .base import (
     ObjectiveTracker,
     PENALTY_COEFF,
     RunResult,
+    get_answer,
     get_optimizer,
     rule_argmin,
     rule_key,
@@ -30,6 +31,7 @@ __all__ = [
     "ObjectiveTracker",
     "PENALTY_COEFF",
     "RunResult",
+    "get_answer",
     "get_optimizer",
     "rule_argmin",
     "rule_key",

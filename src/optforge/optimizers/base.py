@@ -30,6 +30,7 @@ __all__ = [
     "RunResult",
     "register",
     "get_optimizer",
+    "get_answer",
     "run",
     "rule_key",
     "rule_argmin",
@@ -198,13 +199,17 @@ class RunResult:
 
 
 _REGISTRY = {}
+_ANSWERS = {}
 
 
-def register(name, n_init):
+def register(name, n_init, answer=None):
     """Register an optimizer under its id in ``GRIDS``.
 
     ``n_init`` maps a config dict to the size of the optimizer's
-    initial sample (how many evaluations fix ``f0``).
+    initial sample (how many evaluations fix ``f0``).  ``answer`` is the
+    function whose source answer programs ship, by default the
+    registered one; another must run the same evaluations, which tests
+    check.
     """
     if name not in GRIDS:
         raise ValueError(f"optimizer {name!r} has no grid in GRIDS")
@@ -213,6 +218,7 @@ def register(name, n_init):
         if name in _REGISTRY:
             raise ValueError(f"duplicate optimizer id {name!r}")
         _REGISTRY[name] = (fn, n_init)
+        _ANSWERS[name] = answer or fn
         return fn
 
     return deco
@@ -227,7 +233,14 @@ def _registered(name):
 
 
 def get_optimizer(name):
+    """The function the benchmark runs for ``name``."""
     return _registered(name)[0]
+
+
+def get_answer(name):
+    """The function whose source answer programs for ``name`` ship."""
+    _registered(name)
+    return _ANSWERS[name]
 
 
 def uniform_init(rng, bounds, n):

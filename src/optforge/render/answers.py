@@ -44,7 +44,7 @@ import tokenize
 import types
 from dataclasses import dataclass
 
-from ..optimizers import get_optimizer, validate_config
+from ..optimizers import get_answer, validate_config
 
 __all__ = ["AnswerDoc", "DegenerateEntryError", "emit_answer"]
 
@@ -161,7 +161,7 @@ def _optimizer_source(name):
                     constants.append(f"{gname} = {value!r}")
         defs.append(_definition_source(obj))
 
-    fn = get_optimizer(name)
+    fn = get_answer(name)
     bound[fn.__name__] = fn
     visit(fn)
     head = ("\n".join(sorted(imports))
@@ -184,7 +184,7 @@ def emit_answer(entry):
         )
     optimizer = entry.best_optimizer
     config = dict(entry.best_config or {})
-    fn_name = get_optimizer(optimizer).__name__
+    fn_name = get_answer(optimizer).__name__
     validate_config(optimizer, config)
     code = (
         f"# {optimizer} with the configuration the benchmark chose.\n"

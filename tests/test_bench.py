@@ -249,6 +249,32 @@ def test_benchmark_set_parallel_equals_serial():
     assert serial == parallel
 
 
+@pytest.mark.parametrize("parallelism, n, workers", [(8, 2, 2), (2, 3, 2),
+                                                      (4, 1, None)])
+def test_benchmark_set_starts_no_more_workers_than_instances(
+        parallelism, n, workers, monkeypatch):
+    started = []
+
+    class StubExecutor:
+        # records max_workers and runs the tasks in this process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", StubExecutor)
+    instances = _tiny_set(n=n)
+    outcomes = list(benchmark_set(instances, pool=("random_search",), cap=1,
+                                  runs=1, master_seed=0,
+                                  parallelism=parallelism))
+    assert len(outcomes) == n
+    assert started == ([] if workers is None else [workers])
+
+
 def test_benchmark_set_records_per_instance():
     instances = _tiny_set(n=2)
     outcomes = list(benchmark_set(instances, pool=POOL, cap=2, runs=1,

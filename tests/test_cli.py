@@ -616,3 +616,33 @@ def test_cli_import_does_not_load_scipy():
                          capture_output=True, text=True, check=True,
                          timeout=120).stdout
     assert out.strip() == "[]"
+
+
+def test_bench_runs_dual_annealing_without_scipy_optimize(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "n_unconstrained": 1, "n_constrained": 0, "d_min": 3, "d_max": 3,
+        "k_min": 1, "k_max": 1, "fe_budget": 300, "runs": 1,
+        "config_cap": 1, "pool": ["dual_annealing"], "seed": 5,
+    }))
+    paths = {name: str(tmp_path / f"{name}.jsonl")
+             for name in ("instances", "knowledge", "records")}
+    assert main(["synth", "--config", str(cfg),
+                 "--out", paths["instances"]]) == 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    argv = ["bench", "--config", str(cfg), "--instances", paths["instances"],
+            "--out", paths["knowledge"], "--records", paths["records"]]
+    code = ("import sys; from optforge.cli import main; "
+            f"assert main({argv!r}) == 0; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120).stdout
+    loaded = ast.literal_eval(out.splitlines()[-1])
+    assert "scipy.optimize" not in loaded and "scipy.special" not in loaded
+    [entry] = load_knowledge(paths["knowledge"])
+    assert entry.best_optimizer == "dual_annealing" and not entry.degenerate
+    [record] = [json.loads(line) for line in open(paths["records"])]
+    assert [r["fe_used"] for r in record["per_run"]] == [300]

@@ -1,9 +1,11 @@
+import os
 import warnings
 
 import numpy as np
 import pytest
 
 import optforge.optimizers.base as base
+from optforge.optimizers import annealing, gsa, lbfgsb
 from optforge.optimizers.base import (BudgetExhausted, ObjectiveTracker,
                                       get_optimizer, rule_argmin, rule_key,
                                       rule_le, run, uniform_init)
@@ -629,6 +631,184 @@ def test_dual_annealing_batches_gradients_within_budget(monkeypatch):
     assert calls[-1][0] == 3  # the fitting prefix of a 10-point gradient
     assert rule_key(res.best_f, res.best_violation) == rows[cut - 1][2]
     assert res.trace[-1] == (cut, res.best_f, res.best_violation)
+
+
+# ---------------------------------------------------------------------------
+# dual_annealing: the bench port against the scipy call answers ship
+
+
+class _BatchLogTracker(ObjectiveTracker):
+    """Tracker that logs the rows of every batch it evaluates."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.batches = []
+
+    def batch(self, x):
+        x = np.asarray(x, dtype=float)
+        self.batches.append(x[:max(self.remaining, 0)].tolist())
+        return super().batch(x)
+
+
+def _port_and_scipy_call(monkeypatch, inst, config, fe_budget, seed,
+                         tracker_cls=_BatchLogTracker):
+    """The registered port and the scipy call on ``inst``: both results
+    and both lists of evaluated batches."""
+    out = []
+    for fn in (get_optimizer("dual_annealing"), annealing.dual_annealing):
+        trackers = []
+
+        def make_tracker(*args):
+            trackers.append(tracker_cls(*args))
+            return trackers[-1]
+
+        monkeypatch.setattr(base, "ObjectiveTracker", make_tracker)
+        monkeypatch.setitem(base._REGISTRY, "dual_annealing",
+                            (fn, base._REGISTRY["dual_annealing"][1]))
+        out.append((run("dual_annealing", config, inst, fe_budget, seed),
+                    trackers[0].batches))
+    return out
+
+
+def _instance_of(paradigm, constrained, d=5):
+    k = 1 if paradigm == "single" else 2
+    for seed in range(100):
+        inst = synthesize_instance(d=d, k=k, constrained=constrained,
+                                   seed=seed)
+        if inst.paradigm == paradigm:
+            return inst
+    raise RuntimeError(f"no {paradigm} instance found")
+
+
+def test_dual_annealing_answer_is_the_scipy_call():
+    assert get_optimizer("dual_annealing") is not annealing.dual_annealing
+    assert base.get_answer("dual_annealing") is annealing.dual_annealing
+    assert base.get_answer("vanilla_de") is get_optimizer("vanilla_de")
+
+
+# a high restart ratio re-anneals within the budget, from a fresh draw
+@pytest.mark.parametrize("config", [
+    {"initial_temp": 5230.0, "visit": 1.62, "restart_temp_ratio": 2.0e-1},
+    {"initial_temp": 523.0, "visit": 2.62, "restart_temp_ratio": 2.0e-3},
+    {"initial_temp": 50000.0, "visit": 3.62, "restart_temp_ratio": 2.0e-5},
+])
+@pytest.mark.parametrize("constrained", [False, True])
+@pytest.mark.parametrize("paradigm", ["single", "composition", "hybrid"])
+def test_dual_annealing_port_equals_scipy_call(paradigm, constrained, config,
+                                               monkeypatch):
+    inst = _instance_of(paradigm, constrained)
+    (got, got_batches), (want, want_batches) = _port_and_scipy_call(
+        monkeypatch, inst, config, 1200, seed=3)
+    assert want.status == "ok" and want.fe_used == 1200
+    assert got_batches == want_batches
+    assert got == want
+
+
+@pytest.mark.parametrize("paradigm", ["single", "hybrid"])
+def test_dual_annealing_port_equals_scipy_call_after_stagnation(
+        paradigm, monkeypatch):
+    # d = 2 and 6000 evaluations: 1000 chains without a new best, then
+    # local searches from the chain minimum every d chains
+    inst = _instance_of(paradigm, False, d=2)
+    (got, got_batches), (want, want_batches) = _port_and_scipy_call(
+        monkeypatch, inst, SMALL_CONFIGS["dual_annealing"], 6000, seed=3)
+    assert want.status == "ok" and want.fe_used == 6000
+    assert got_batches == want_batches
+    assert got == want
+
+
+class _NonFiniteStartTracker(_BatchLogTracker):
+    """Objective ``bad`` on the first three evaluations."""
+
+    bad = np.inf
+
+    def batch(self, x):
+        fe_before = self.fe_used
+        f, viol = super().batch(x)
+        f = f.copy()
+        f[:max(0, 3 - fe_before)] = self.bad
+        return f, viol
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_dual_annealing_port_redraws_a_non_finite_start_as_scipy(
+        bad, monkeypatch):
+    # scipy redraws the start point while its energy is not finite, and
+    # keeps the first energy as the best so far
+    monkeypatch.setattr(_NonFiniteStartTracker, "bad", bad)
+    inst = _instance_of("single", False)
+    (got, got_batches), (want, want_batches) = _port_and_scipy_call(
+        monkeypatch, inst, SMALL_CONFIGS["dual_annealing"], 600, seed=1,
+        tracker_cls=_NonFiniteStartTracker)
+    assert want.status == "ok" and want.fe_used == 600
+    assert got_batches == want_batches
+    assert got == want
+
+
+def test_gammaln_table_is_scipy_gammaln():
+    from scipy.special import gammaln
+
+    assert sorted(gsa._GAMMALN_D1) == sorted(GRIDS["dual_annealing"]["visit"])
+    for visit, value in gsa._GAMMALN_D1.items():
+        assert value == gammaln(2.0 - (1.0 / (visit - 1.0) - 0.5))
+
+
+# ---------------------------------------------------------------------------
+# L-BFGS-B through setulb
+
+
+_SETULB_SIGNATURE = ("setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,"
+                     "isave,dsave,maxls,ln_task)")
+
+
+def test_lbfgsb_loads_scipy_setulb_by_path(tmp_path):
+    import scipy.optimize._lbfgsb as scipy_lbfgsb
+
+    setulb = lbfgsb._setulb()
+    assert setulb.__self__.__file__ == scipy_lbfgsb.__file__
+    assert setulb.__doc__ == _SETULB_SIGNATURE
+    loaded = lbfgsb.load_lbfgsb(os.path.dirname(scipy_lbfgsb.__file__))
+    assert loaded.__file__ == scipy_lbfgsb.__file__
+    with pytest.raises(ImportError):
+        lbfgsb.load_lbfgsb(str(tmp_path))
+
+
+def _rosenbrock_and_grad(x):
+    f = float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+    g = np.zeros_like(x)
+    g[:-1] = -400.0 * x[:-1] * (x[1:] - x[:-1] ** 2) - 2.0 * (1.0 - x[:-1])
+    g[1:] += 200.0 * (x[1:] - x[:-1] ** 2)
+    return f, g
+
+
+# converges; stops at maxiter; stops at maxfun; ends on a bound
+@pytest.mark.parametrize("lower, maxiter, maxfun", [
+    (-2.0, 1000, 15000), (-2.0, 7, 15000), (-2.0, 1000, 9), (1.2, 1000, 15000),
+])
+def test_minimize_lbfgsb_equals_scipy_minimize(lower, maxiter, maxfun):
+    from scipy.optimize import minimize
+
+    d = 4
+    lo, hi = np.full(d, lower), np.full(d, 2.0)
+    x0 = np.linspace(1.3, 1.9, d)
+    logs = ([], [])
+
+    def logged(log):
+        def fun_and_grad(x):
+            log.append(x.tolist())
+            return _rosenbrock_and_grad(x)
+        return fun_and_grad
+
+    x, f = lbfgsb.minimize_lbfgsb(logged(logs[0]), x0, lo, hi, maxiter,
+                                  maxfun)
+    fg = logged(logs[1])
+    res = minimize(lambda x: fg(x)[0], x0, method="L-BFGS-B",
+                   jac=lambda x: _rosenbrock_and_grad(x)[1],
+                   bounds=list(zip(lo, hi)),
+                   options={"maxiter": maxiter, "maxfun": maxfun})
+    assert logs[0] == logs[1]
+    assert x.tolist() == res.x.tolist() and f == res.fun
+    assert x0.tolist() == np.linspace(1.3, 1.9, d).tolist()
 
 
 # ---------------------------------------------------------------------------

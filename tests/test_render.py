@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import optforge.optimizers.base as base
 from optforge.bench import KnowledgeEntry
 from optforge.optimizers import (BudgetExhausted, ObjectiveTracker,
                                  get_optimizer, run)
@@ -665,7 +666,8 @@ def test_answer_reproduces_bench_run(optimizer, kind, monkeypatch):
             imported.add(node.module)
     assert not any(m.split(".")[0] == "optforge" for m in imported), imported
 
-    tracker = ObjectiveTracker(instance, budget, n_init=1)
+    tracker = ObjectiveTracker(instance, budget,
+                               n_init=base._registered(optimizer)[1](config))
     runtime = types.ModuleType("opt_runtime")
     runtime.load_problem = lambda: tracker
     runtime.BudgetExhausted = BudgetExhausted
@@ -678,3 +680,5 @@ def test_answer_reproduces_bench_run(optimizer, kind, monkeypatch):
     assert tracker.best_f == bench.best_f
     assert tracker.best_violation == bench.best_violation
     assert tracker.best_x.tolist() == bench.best_x
+    assert tracker.trace == bench.trace
+    assert (tracker.f0, tracker.f0_violation) == (bench.f0, bench.f0_violation)
