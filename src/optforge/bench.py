@@ -93,13 +93,18 @@ def _run_eval(result, f_star):
 def _grid(pool, cap, runs, seed):
     """The ``(optimizer, config_index, config)`` list every instance
     runs, in pool order.  Raises for a pool, cap or run count with which
-    no instance could get a label; a ``cap`` of None is the full grid.
+    no instance could get a label, and for a pool that names an
+    optimizer twice; a ``cap`` of None is the full grid.
     """
     if not pool:
         raise ValueError("optimizer pool must not be empty")
     unknown = [o for o in pool if o not in GRIDS]
     if unknown:
         raise ValueError(f"unknown optimizers in pool: {unknown}")
+    repeated = [o for o, n in Counter(pool).items() if n > 1]
+    if repeated:
+        raise ValueError(f"optimizers named more than once in pool: "
+                         f"{repeated}")
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     if cap is not None and cap < 1:
@@ -201,7 +206,18 @@ def save_knowledge(entries, path):
 
 
 def load_knowledge(path):
-    return list(read_jsonl(path, lambda obj: KnowledgeEntry(**obj)))
+    """The file's entries, in order.  A second entry for one instance
+    raises ``ValueError`` naming its line."""
+    seen = set()
+
+    def make(obj):
+        entry = KnowledgeEntry(**obj)
+        if entry.instance_id in seen:
+            raise ValueError(f"second entry for instance {entry.instance_id}")
+        seen.add(entry.instance_id)
+        return entry
+
+    return list(read_jsonl(path, make))
 
 
 def save_records(records, path):

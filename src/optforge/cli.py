@@ -28,7 +28,7 @@ from .metrics import (EvalOutcome, MetricsReport, RepairRecord,
                       compute_report, format_table)
 from .problems.instance import load_instances, save_instances
 from .problems.synthesis import synthesize_set
-from .render.answers import emit_answer
+from .render.answers import DegenerateEntryError, emit_answer
 from .render.prompts import render_prompt
 from .render.styles import WritingStyle
 
@@ -140,12 +140,10 @@ def cmd_build(args):
     cfg = _load_config(args)
     if _outputs_exist(args, [args.out]):
         return 0
-    policy = "error" if args.strict else "fallback" if args.fallback else "skip"
     instances = load_instances(args.instances)
     knowledge = load_knowledge(args.knowledge)
-    pairs, skipped = build_instruction_set(
-        instances, knowledge, styles=cfg.styles, on_degenerate=policy,
-    )
+    pairs, skipped = build_instruction_set(instances, knowledge,
+                                           styles=cfg.styles)
     chars = []
 
     def noted(pairs):
@@ -253,11 +251,14 @@ def cmd_render(args):
     doc = render_prompt(inst, style)
     out = doc.text
     if args.knowledge:
-        knowledge = {e.instance_id: e for e in load_knowledge(args.knowledge)}
-        entry = knowledge.get(inst.id)
+        entry = next((e for e in load_knowledge(args.knowledge)
+                      if e.instance_id == inst.id), None)
         if entry is None:
             raise SystemExit(f"no knowledge entry for instance {inst.id}")
-        answer = emit_answer(entry)
+        try:
+            answer = emit_answer(entry)
+        except DegenerateEntryError as exc:
+            raise SystemExit(f"no answer to print: {exc}") from None
         out += ("\n" + "=" * 30 + f" answer ({answer.optimizer}) "
                 + "=" * 30 + "\n\n" + answer.code_text)
     if args.out:
@@ -314,11 +315,6 @@ def build_parser():
     _add_common(p, out_help="pairs JSONL path")
     p.add_argument("--instances", required=True, help="instances JSONL")
     p.add_argument("--knowledge", required=True, help="knowledge JSONL")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--strict", action="store_true",
-                   help="fail on degenerate benchmark entries")
-    g.add_argument("--fallback", action="store_true",
-                   help="emit random-search answers for degenerate entries")
     p.set_defaults(fn=cmd_build)
 
     p = sub.add_parser("split", help="instance-level train/test split")

@@ -22,12 +22,12 @@ batch scores the mean over all unordered pairs.
 
 import logging
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .artifacts import read_jsonl, write_jsonl_split
-from .render.answers import DegenerateEntryError, emit_answer
+from .render.answers import emit_answer
 from .render.literals import LiteralTable
 from .render.prompts import render_prompt
 from .render.styles import WritingStyle
@@ -63,31 +63,25 @@ class InstructionPair:
     label: str
 
 
-def build_instruction_set(instances, knowledge, styles=None,
-                          on_degenerate="skip"):
-    """Cross every instance with every style against its benchmark label.
+def build_instruction_set(instances, knowledge, styles=None):
+    """Cross every labelled instance with every style against its
+    benchmark label.
 
     Parameters
     ----------
     instances : sequence of ProblemInstance
-    knowledge : mapping instance_id -> KnowledgeEntry, or a sequence of
-        entries
+    knowledge : sequence of KnowledgeEntry, one per instance id, as
+        :func:`optforge.bench.load_knowledge` returns it
     styles : styles to render (default: all six)
-    on_degenerate : "skip" (drop with a warning), "error" (raise listing
-        offenders), or "fallback" (label degenerate instances
-        random_search and emit its answer anyway)
 
     Returns
     -------
     (pairs, skipped) : an iterator of InstructionPair, each rendered as
-        it is drawn, instance by instance; the list of skipped instance
-        ids.  Missing entries and ``"error"`` raise here, before
-        anything renders.
+        it is drawn, instance by instance; the ids of the degenerate
+        instances, which get no pairs.  A missing entry raises here,
+        before anything renders.
     """
-    if on_degenerate not in ("skip", "error", "fallback"):
-        raise ValueError(f"unknown degenerate policy {on_degenerate!r}")
-    if not isinstance(knowledge, dict):
-        knowledge = {e.instance_id: e for e in knowledge}
+    knowledge = {e.instance_id: e for e in knowledge}
     styles = [WritingStyle.parse(s) for s in (styles or list(WritingStyle))]
 
     missing = [inst.id for inst in instances if inst.id not in knowledge]
@@ -95,14 +89,7 @@ def build_instruction_set(instances, knowledge, styles=None,
         raise ValueError(
             "no benchmark entry for instance(s): " + ", ".join(sorted(missing))
         )
-    degenerates = [inst.id for inst in instances
-                   if knowledge[inst.id].degenerate]
-    if degenerates and on_degenerate == "error":
-        raise DegenerateEntryError(
-            "degenerate benchmark entries for instance(s): "
-            + ", ".join(sorted(degenerates))
-        )
-    skipped = degenerates if on_degenerate == "skip" else []
+    skipped = [inst.id for inst in instances if knowledge[inst.id].degenerate]
     for inst_id in skipped:
         log.warning("skipping degenerate instance %s", inst_id)
 
@@ -110,10 +97,7 @@ def build_instruction_set(instances, knowledge, styles=None,
         for inst in instances:
             entry = knowledge[inst.id]
             if entry.degenerate:
-                if on_degenerate == "skip":
-                    continue
-                # fallback: the degenerate entry already names random_search
-                entry = replace(entry, degenerate=False)
+                continue
             answer = emit_answer(entry)
             table = LiteralTable(inst)
             for style in styles:

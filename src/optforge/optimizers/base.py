@@ -4,7 +4,7 @@ handling, the run protocol and the optimizer registry.
 Optimizers are functions ``fn(tracker, config, rng)`` that loop until
 the tracker raises :class:`BudgetExhausted`; the tracker records every
 evaluation, maintains the running best under the feasibility rule and
-freezes the initial-sample objective ``f0`` used later for descent
+the initial-sample objective ``f0`` used later for descent
 normalization.  An optimizer sees nothing of the instance but the
 tracker's ``bounds`` and ``d``, so its source runs unchanged as an
 answer program against any runtime with the tracker's surface (see
@@ -77,9 +77,10 @@ class ObjectiveTracker:
     in the remaining budget, the fitting prefix is evaluated (and
     recorded) before :class:`BudgetExhausted` is raised.
 
-    ``f0``/``f0_violation`` freeze the rule-best point among the first
-    ``n_init`` evaluations -- the optimizer's own initial sample --
-    which anchors descent scoring.
+    ``f0``/``f0_violation`` hold the rule-best point among the first
+    ``n_init`` evaluations seen so far -- the optimizer's own initial
+    sample -- which anchors descent scoring; later evaluations leave
+    them unchanged.
     """
 
     def __init__(self, instance, fe_budget, n_init):
@@ -94,7 +95,6 @@ class ObjectiveTracker:
         self.best_violation = np.inf
         self.f0 = None
         self.f0_violation = None
-        self._init_best = None  # rule-best (f, viol) within the first n_init evals
         self.trace = []  # (fe_used_at_improvement, f, violation)
 
     @property
@@ -128,16 +128,12 @@ class ObjectiveTracker:
     def _record(self, x, f, viol, fe_before):
         # f0 anchor: rule-best over exactly the first n_init evaluations,
         # even when a batch straddles that boundary
-        if self.f0 is None:
+        if fe_before < self.n_init:
             k = min(len(f), self.n_init - fe_before)
-            if k > 0:
-                j = self._best_row(f[:k], viol[:k])
-                cand = (float(f[j]), float(viol[j]))
-                if (self._init_best is None
-                        or rule_key(*cand) < rule_key(*self._init_best)):
-                    self._init_best = cand
-            if self.fe_used >= self.n_init:
-                self.f0, self.f0_violation = self._init_best
+            j = self._best_row(f[:k], viol[:k])
+            if self.f0 is None or (rule_key(float(f[j]), float(viol[j]))
+                                   < rule_key(self.f0, self.f0_violation)):
+                self.f0, self.f0_violation = float(f[j]), float(viol[j])
 
         i = self._best_row(f, viol)
         key = rule_key(float(f[i]), float(viol[i]))
@@ -288,9 +284,6 @@ def run(optimizer, config, instance, fe_budget, seed):
     except Exception as exc:  # noqa: BLE001 -- any optimizer crash = failed run
         status, message = "failed", f"{type(exc).__name__}: {exc}"
 
-    if tracker.f0 is None and tracker._init_best is not None:
-        # run ended before the declared initial sample completed
-        tracker.f0, tracker.f0_violation = tracker._init_best
     if tracker.best_x is None:
         message = message or "no evaluations recorded"
         return RunResult(optimizer=optimizer, config=dict(config), seed=seed,

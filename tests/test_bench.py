@@ -203,6 +203,9 @@ def test_benchmark_instance_validates_args():
         benchmark_instance(inst, pool=("random_serch",), cap=2, runs=1)
     with pytest.raises(ValueError):
         benchmark_instance(inst, pool=POOL, cap=0, runs=1)
+    with pytest.raises(ValueError, match="more than once"):
+        benchmark_instance(inst, pool=("random_search", "random_search"),
+                           cap=2, runs=1)
 
 
 def test_degenerate_when_budget_below_every_init_sample():
@@ -370,6 +373,18 @@ def test_load_knowledge_names_line_of_missing_field(tmp_path):
         load_knowledge(path)
     assert f"{path}:2:" in str(err.value)
     assert "mean_eval" in str(err.value)
+
+
+def test_load_knowledge_rejects_second_entry_for_an_instance(tmp_path):
+    first = KnowledgeEntry("abc", "nsa", {"sigma": 0.3}, 2, 1.0, 0.5)
+    other = KnowledgeEntry("def", "nsa", {"sigma": 0.3}, 2, 1.0, 0.5)
+    second = KnowledgeEntry("abc", "random_search", {}, 0, 2.0, 0.25)
+    path = tmp_path / "knowledge.jsonl"
+    save_knowledge([first, other, second], path)
+    with pytest.raises(ValueError) as err:
+        load_knowledge(path)
+    assert f"{path}:3:" in str(err.value)
+    assert "abc" in str(err.value)
 
 
 def test_save_records_schema(tmp_path):

@@ -6,6 +6,7 @@ import dataclasses
 import importlib
 import json
 import os
+import shlex
 import statistics
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import pytest
 import optforge.bench as bench
 import optforge.dataset as dataset
 from optforge.bench import load_knowledge
-from optforge.cli import PipelineConfig, main
+from optforge.cli import PipelineConfig, build_parser, main
 from optforge.dataset import InstructionPair, load_pairs, save_pairs
 from optforge.problems.instance import load_instances
 from optforge.render import WritingStyle
@@ -162,6 +163,7 @@ def test_bench_parallel_matches_serial(pipeline, tmp_path):
     ({"runs": 0}, [], ValueError),
     ({"config_cap": 0}, [], ValueError),
     ({}, ["--jobs", "0"], SystemExit),
+    ({"pool": ["random_search", "random_search"]}, [], ValueError),
 ])
 def test_bench_input_that_cannot_work_fails_before_any_run(
         pipeline, tmp_path, monkeypatch, capsys, override, flags, error):
@@ -256,6 +258,22 @@ def test_render_with_answer(pipeline, capsys):
     out = capsys.readouterr().out
     assert f"answer ({entries[inst.id].best_optimizer})" in out
     assert "opt_runtime" in out
+
+
+def test_render_degenerate_instance_exits_with_message(pipeline, tmp_path):
+    entries = load_knowledge(pipeline["knowledge"])
+    entries[0] = bench._degenerate_entry(entries[0].instance_id)
+    knowledge = tmp_path / "knowledge.jsonl"
+    bench.save_knowledge(entries, knowledge)
+    out = tmp_path / "render.txt"
+    with pytest.raises(SystemExit) as err:
+        main(["render", "--instances", pipeline["instances"],
+              "--id", entries[0].instance_id, "--knowledge", str(knowledge),
+              "--out", str(out)])
+    assert isinstance(err.value.code, str)
+    assert entries[0].instance_id in err.value.code
+    assert "no usable winner" in err.value.code
+    assert not out.exists()
 
 
 def test_render_unknown_id_exits(pipeline):
@@ -397,16 +415,20 @@ def test_bench_interrupted_midway_keeps_the_old_outputs(pipeline, tmp_path,
 def test_build_interrupted_midway_keeps_the_old_pairs(pipeline, tmp_path,
                                                       monkeypatch):
     out = tmp_path / "pairs.jsonl"
-    argv = ["build", "--config", pipeline["config"], "--fallback",
+    argv = ["build", "--config", pipeline["config"],
             "--instances", pipeline["instances"],
             "--knowledge", pipeline["knowledge"], "--out", str(out)]
     assert main(argv) == 0
     before = out.read_bytes()
-    third = load_instances(pipeline["instances"])[2].id
+    # the second labelled instance: the first one's pairs are written
+    # by the time it renders
+    labelled = [e.instance_id for e in load_knowledge(pipeline["knowledge"])
+                if not e.degenerate]
+    second = labelled[1]
     real_render = dataset.render_prompt
 
     def interrupted_render(inst, style, **kwargs):
-        if inst.id == third:
+        if inst.id == second:
             raise KeyboardInterrupt
         return real_render(inst, style, **kwargs)
 
@@ -415,6 +437,39 @@ def test_build_interrupted_midway_keeps_the_old_pairs(pipeline, tmp_path,
         main([*argv, "--force"])
     assert out.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["pairs.jsonl"]
+
+
+@pytest.mark.parametrize("flag", ["--strict", "--fallback"])
+def test_build_has_no_degenerate_policy_flags(pipeline, tmp_path, capsys,
+                                              flag):
+    out = tmp_path / "pairs.jsonl"
+    with pytest.raises(SystemExit) as err:
+        main(["build", "--config", pipeline["config"], flag,
+              "--instances", pipeline["instances"],
+              "--knowledge", pipeline["knowledge"], "--out", str(out)])
+    assert err.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _readme_commands():
+    """The ``optforge ...`` commands of the README's pipeline walkthrough,
+    each as an argv without the program name."""
+    text = (REPO / "README.md").read_text()
+    start = text.index("## Pipeline walkthrough")
+    section = text[start:text.index("\n## ", start + 1)]
+    lines = section.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("optforge ")]
+
+
+def test_readme_walkthrough_commands_parse():
+    commands = _readme_commands()
+    parser = build_parser()
+    assert {argv[0] for argv in commands} == set(
+        parser._subparsers._group_actions[0].choices)
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 def test_every_traced_binding_records_a_span(tmp_path, monkeypatch):
@@ -434,7 +489,7 @@ def test_every_traced_binding_records_a_span(tmp_path, monkeypatch):
 
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
-        "n_unconstrained": 0, "n_constrained": 1, "d_min": 2, "d_max": 3,
+        "n_unconstrained": 1, "n_constrained": 1, "d_min": 2, "d_max": 3,
         "k_min": 1, "k_max": 2, "fe_budget": 100, "runs": 1,
         "config_cap": 1, "pool": ["random_search", "vanilla_de"],
         "test_fraction": 0.0, "seed": 3}))
@@ -451,10 +506,10 @@ def test_every_traced_binding_records_a_span(tmp_path, monkeypatch):
         assert main(["bench", *common, "--instances", paths["instances"],
                      "--out", paths["knowledge"],
                      "--records", paths["records"]]) == 0
-        assert main(["build", *common, "--fallback",
-                     "--instances", paths["instances"],
+        assert main(["build", *common, "--instances", paths["instances"],
                      "--knowledge", paths["knowledge"],
                      "--out", paths["pairs"]]) == 0
+        assert list(dataset.load_pairs(paths["pairs"]))
         assert main(["split", *common, "--pairs", paths["pairs"],
                      "--train-out", paths["train"],
                      "--test-out", paths["test"]]) == 0

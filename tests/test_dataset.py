@@ -17,8 +17,7 @@ from optforge.dataset import (InstructionPair, SamplingPlan,
                               sampling_weights, save_pairs, split_pairs)
 from optforge.optimizers.grids import enumerate_configs
 from optforge.problems.synthesis import synthesize_instance
-from optforge.render import (PY_STYLES, TEX_STYLES, DegenerateEntryError,
-                             LiteralTable, WritingStyle)
+from optforge.render import PY_STYLES, TEX_STYLES, LiteralTable, WritingStyle
 from optforge.render.prompts import render_prompt
 
 
@@ -46,7 +45,7 @@ def _build(*args, **kwargs):
 
 def test_build_crosses_instances_with_styles():
     instances = _instances(3)
-    knowledge = {i.id: _entry_for(i) for i in instances}
+    knowledge = [_entry_for(i) for i in instances]
     pairs, skipped = _build(instances, knowledge)
     assert skipped == []
     assert len(pairs) == 3 * 6
@@ -69,7 +68,7 @@ def test_build_accepts_entry_sequence_and_style_subset():
 
 def test_build_prompt_matches_direct_render():
     instances = _instances(1, seed0=50)
-    knowledge = {instances[0].id: _entry_for(instances[0])}
+    knowledge = [_entry_for(instances[0])]
     pairs, _ = _build(instances, knowledge, styles=["tex_commuted"])
     doc = render_prompt(instances[0], WritingStyle.TEX_COMMUTED)
     assert pairs[0].q == doc.text
@@ -81,14 +80,13 @@ def _mixed_instances():
                                 fe_budget=500) for i in range(5)]
 
 
-@pytest.mark.parametrize("policy", ["skip", "fallback"])
-def test_build_pairs_match_unshared_renders(policy):
+def test_build_pairs_match_unshared_renders():
     instances = _mixed_instances()
-    knowledge = {i.id: _entry_for(i) for i in instances}
-    knowledge[instances[3].id] = _entry_for(instances[3], degenerate=True)
-    pairs, skipped = _build(instances, knowledge, on_degenerate=policy)
-    kept = [i for i in instances if policy == "fallback" or i is not instances[3]]
-    assert skipped == ([] if policy == "fallback" else [instances[3].id])
+    knowledge = [_entry_for(i, degenerate=i is instances[3])
+                 for i in instances]
+    pairs, skipped = _build(instances, knowledge)
+    kept = [i for i in instances if i is not instances[3]]
+    assert skipped == [instances[3].id]
     assert len(pairs) == 6 * len(kept)
     want = [(inst.id, style.value,
              render_prompt(inst, style).text)
@@ -108,7 +106,7 @@ def test_shared_table_text_does_not_depend_on_style_order():
 
 def test_build_missing_knowledge_lists_ids():
     instances = _instances(2)
-    knowledge = {instances[0].id: _entry_for(instances[0])}
+    knowledge = [_entry_for(instances[0])]
     with pytest.raises(ValueError) as err:
         build_instruction_set(instances, knowledge)
     assert instances[1].id in str(err.value)
@@ -116,47 +114,17 @@ def test_build_missing_knowledge_lists_ids():
 
 def test_build_degenerate_skip_drops_all_styles():
     instances = _instances(3)
-    knowledge = {i.id: _entry_for(i) for i in instances[:2]}
-    knowledge[instances[2].id] = _entry_for(instances[2], degenerate=True)
-    pairs, skipped = _build(instances, knowledge, on_degenerate="skip")
+    knowledge = [_entry_for(i, degenerate=i is instances[2])
+                 for i in instances]
+    pairs, skipped = _build(instances, knowledge)
     assert skipped == [instances[2].id]
     assert len(pairs) == 2 * 6
     assert instances[2].id not in {p.instance_id for p in pairs}
 
 
-def test_build_degenerate_error_raises_with_ids():
-    instances = _instances(2)
-    knowledge = {
-        instances[0].id: _entry_for(instances[0]),
-        instances[1].id: _entry_for(instances[1], degenerate=True),
-    }
-    with pytest.raises(DegenerateEntryError) as err:
-        build_instruction_set(instances, knowledge, on_degenerate="error")
-    assert instances[1].id in str(err.value)
-
-
-def test_build_degenerate_fallback_labels_random_search():
-    instances = _instances(2)
-    knowledge = {
-        instances[0].id: _entry_for(instances[0]),
-        instances[1].id: _entry_for(instances[1], degenerate=True),
-    }
-    pairs, skipped = _build(instances, knowledge,
-                            on_degenerate="fallback",
-                            styles=["py_vector"])
-    assert skipped == []
-    by_id = {p.instance_id: p for p in pairs}
-    assert by_id[instances[1].id].label == "random_search"
-
-
-def test_build_rejects_unknown_policy():
-    with pytest.raises(ValueError):
-        build_instruction_set([], {}, on_degenerate="ignore")
-
-
 def test_build_deterministic():
     instances = _instances(2, seed0=9)
-    knowledge = {i.id: _entry_for(i) for i in instances}
+    knowledge = [_entry_for(i) for i in instances]
     a, _ = _build(instances, knowledge)
     b, _ = _build(instances, knowledge)
     assert a == b
@@ -164,7 +132,7 @@ def test_build_deterministic():
 
 def test_build_renders_one_instance_at_a_time(monkeypatch):
     instances = _instances(3)
-    knowledge = {i.id: _entry_for(i) for i in instances}
+    knowledge = [_entry_for(i) for i in instances]
     rendered = []
     real_render = dataset.render_prompt
 

@@ -153,7 +153,9 @@ def test_tracker_f0_straddling_batches(sphere_instance):
     a = rng.uniform(-5, 5, (2, sphere_instance.d))
     b = rng.uniform(-5, 5, (6, sphere_instance.d))
     fa, va = t.batch(a)
-    assert t.f0 is None  # initial sample not finished yet
+    # initial sample not finished yet: the rule-best of the rows so far
+    j = rule_argmin(fa, va)
+    assert (t.f0, t.f0_violation) == (float(fa[j]), float(va[j]))
     fb, vb = t.batch(b)
     f5 = np.concatenate([fa, fb[:3]])
     v5 = np.concatenate([va, vb[:3]])
