@@ -15,15 +15,16 @@ crash behaviour are decided in one place:
   streams records through holds one at a time, not the whole file.
 * Readers build each record with a ``make`` callable.  A malformed
   record (missing or unknown field, bad value) raises ``ValueError``
-  naming the file and line.
+  naming the file and line.  So does a second record for one key, in
+  the files where each key may appear once.
 """
 
 import contextlib
 import json
 import os
 
-__all__ = ["read_jsonl", "reading", "write_json", "write_jsonl",
-           "write_jsonl_split", "write_text"]
+__all__ = ["read_jsonl", "read_jsonl_once", "reading", "write_json",
+           "write_jsonl", "write_jsonl_split", "write_text"]
 
 _MALFORMED = (KeyError, TypeError, ValueError)
 
@@ -100,3 +101,20 @@ def read_jsonl(path, make):
                 with reading(f"{path}:{lineno}"):
                     record = make(json.loads(line))
                 yield record
+
+
+def read_jsonl_once(path, make, key, repeated):
+    """The records of :func:`read_jsonl`, as a list.  A record whose
+    ``key(record)`` an earlier one had raises ``ValueError`` naming its
+    line: ``<path>:<line>: <repeated> <key>``."""
+    seen = set()
+
+    def once(obj):
+        record = make(obj)
+        k = key(record)
+        if k in seen:
+            raise ValueError(f"{repeated} {k}")
+        seen.add(k)
+        return record
+
+    return list(read_jsonl(path, once))

@@ -25,8 +25,9 @@ import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from operator import attrgetter
 
-from .artifacts import read_jsonl, write_jsonl
+from .artifacts import read_jsonl_once, write_jsonl
 from .metrics import normalized_descent
 from .optimizers.base import run
 from .optimizers.grids import DEFAULT_CONFIG_CAP, GRIDS, enumerate_configs
@@ -208,16 +209,9 @@ def save_knowledge(entries, path):
 def load_knowledge(path):
     """The file's entries, in order.  A second entry for one instance
     raises ``ValueError`` naming its line."""
-    seen = set()
-
-    def make(obj):
-        entry = KnowledgeEntry(**obj)
-        if entry.instance_id in seen:
-            raise ValueError(f"second entry for instance {entry.instance_id}")
-        seen.add(entry.instance_id)
-        return entry
-
-    return list(read_jsonl(path, make))
+    return read_jsonl_once(path, lambda obj: KnowledgeEntry(**obj),
+                           attrgetter("instance_id"),
+                           "second entry for instance")
 
 
 def save_records(records, path):

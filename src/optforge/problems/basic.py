@@ -11,6 +11,15 @@ boxes these phases reach 1e13 cycles; as plain floats they keep few
 bits of their fraction, and ``cos`` of them is several times slower
 than on a reduced argument.
 
+Katsuura and Weierstrass hold one float per (row, coordinate, term),
+with 32 and 21 terms: up to 2.6 MB per temporary for 200 rows at
+d = 50, the size of a large population.  So both run over consecutive
+row blocks whose temporaries hold at most ``_BLOCK_ELEMENTS``
+elements, and their memory stays bounded at any batch size.  Every
+step in them is elementwise or reduces along the last axis, so a row's
+value does not depend on which rows share its block: blocked values
+are bit-identical to whole-batch ones.
+
 The registry :data:`BASIC_FUNCTIONS` indexes functions by name; the
 ordered tuple :data:`BASIC_NAMES` fixes the integer ids used when
 sampling functions during synthesis.
@@ -140,6 +149,25 @@ def levy(z):
     return head + mid + tail
 
 
+# largest (rows, d, terms) temporary of a blocked kernel: 256 KiB of float64
+_BLOCK_ELEMENTS = 2**15
+
+
+def _in_row_blocks(rows_fn, z, terms):
+    """``rows_fn`` over consecutive row blocks of ``z``, each with
+    ``rows * d * terms`` at most ``_BLOCK_ELEMENTS`` (one row at least);
+    a batch that fits is one block."""
+    z = np.asarray(z, dtype=float)
+    n, d = z.shape
+    rows = max(1, _BLOCK_ELEMENTS // (d * terms))
+    if n <= rows:
+        return rows_fn(z)
+    out = np.empty(n)
+    for start in range(0, n, rows):
+        out[start:start + rows] = rows_fn(z[start:start + rows])
+    return out
+
+
 _K_POW2 = 2.0 ** np.arange(1, 33)
 
 
@@ -149,7 +177,10 @@ def katsuura(z):
     f(z) = (10 / d^2) prod_i (1 + i sum_{j=1}^{32} |2^j z_i - round(2^j z_i)| / 2^j)^(10 / d^1.2)
            - 10 / d^2
     """
-    z = np.asarray(z, dtype=float)
+    return _in_row_blocks(_katsuura_rows, z, _K_POW2.size)
+
+
+def _katsuura_rows(z):
     d = z.shape[-1]
     # (..., d, 32) grid of |2^j z - round(2^j z)| / 2^j, built in place
     t = z[..., :, None] * _K_POW2
@@ -211,7 +242,10 @@ def weierstrass(z):
     ``cos`` only sees arguments in [-pi, pi).  Since cos(pi b^k) = -1,
     the constant term is -d sum_k a^k, and f(0) is exactly 0.
     """
-    z = np.asarray(z, dtype=float)
+    return _in_row_blocks(_weierstrass_rows, z, _W_4BK.size)
+
+
+def _weierstrass_rows(z):
     d = z.shape[-1]
     u = z + 0.5
     u -= np.rint(u)

@@ -18,10 +18,11 @@ The constructor derives the id, or checks the one it is given.
 import hashlib
 import json
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
-from ..artifacts import read_jsonl, write_jsonl
+from ..artifacts import read_jsonl_once, write_jsonl
 from .basic import BASIC_FUNCTIONS
 from .constraints import ConstraintSpec, EPS_EQ, constraint_values
 from .transforms import TransformSpec
@@ -252,4 +253,7 @@ def save_instances(instances, path):
 
 
 def load_instances(path):
-    return list(read_jsonl(path, instance_from_dict))
+    """The file's instances, in order.  A second line with one id raises
+    ``ValueError`` naming its line."""
+    return read_jsonl_once(path, instance_from_dict, attrgetter("id"),
+                           "second instance")

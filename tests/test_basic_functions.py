@@ -52,6 +52,13 @@ def test_weierstrass_non_finite_rows_stay_nan():
     with np.errstate(invalid="ignore"):
         got = BASIC_FUNCTIONS["weierstrass"](z)
     assert np.isnan(got[:2]).all() and np.isfinite(got[2])
+    # at d = 50 a block holds 31 rows: rows 70 and 95 sit in later blocks
+    z = np.random.default_rng(5).uniform(-0.5, 0.5, size=(100, 50))
+    z[70, 3], z[95, 49] = np.nan, -np.inf
+    with np.errstate(invalid="ignore"):
+        got = BASIC_FUNCTIONS["weierstrass"](z)
+    assert np.flatnonzero(np.isnan(got)).tolist() == [70, 95]
+    assert np.isfinite(np.delete(got, [70, 95])).all()
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (1, 50), (22, 45),
@@ -98,14 +105,17 @@ def test_no_lower_value_nearby(name):
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_batch_consistency(name):
-    # evaluating a stacked batch equals evaluating rows one by one
+    # evaluating a stacked batch equals evaluating rows one by one; katsuura
+    # and weierstrass split the larger shapes into several row blocks, with
+    # a remainder block (of one row for katsuura at (137, 30))
     bf = BASIC_FUNCTIONS[name]
     rng = np.random.default_rng(3)
     lo, hi = bf.domain
-    z = rng.uniform(lo, hi, size=(16, 5))
-    whole = bf(z)
-    single = np.array([float(bf(row[None])[0]) for row in z])
-    np.testing.assert_array_equal(whole, single)
+    for shape in [(16, 5), (1, 50), (137, 30), (200, 50), (400, 7)]:
+        z = rng.uniform(lo, hi, size=shape)
+        whole = bf(z)
+        single = np.array([float(bf(row[None])[0]) for row in z])
+        np.testing.assert_array_equal(whole, single)
 
 
 def test_tags_cover_axes():

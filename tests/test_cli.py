@@ -190,6 +190,21 @@ def test_bench_input_that_cannot_work_fails_before_any_run(
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
+@pytest.mark.parametrize("stage", ["bench", "build"])
+def test_repeated_instance_fails_before_any_output(pipeline, tmp_path, stage):
+    lines = Path(pipeline["instances"]).read_text().splitlines(keepends=True)
+    instances = tmp_path / "instances.jsonl"
+    instances.write_text("".join([*lines, lines[0]]))
+    flags = {"bench": ["--records", str(tmp_path / "records.jsonl")],
+             "build": ["--knowledge", pipeline["knowledge"]]}[stage]
+    with pytest.raises(ValueError) as err:
+        main([stage, "--config", pipeline["config"],
+              "--instances", str(instances),
+              "--out", str(tmp_path / "out.jsonl"), *flags])
+    assert f"{instances}:{len(lines) + 1}: second instance" in str(err.value)
+    assert [p.name for p in tmp_path.iterdir()] == ["instances.jsonl"]
+
+
 def test_build_output(pipeline):
     pairs = list(load_pairs(pipeline["pairs"]))
     entries = {e.instance_id: e for e in

@@ -89,6 +89,20 @@ def test_sinusoid_values():
     np.testing.assert_allclose(constraint_values(spec, x), [1.0], atol=1e-12)
 
 
+# linear (y @ a) is a BLAS product, whose bits may depend on the batch
+# size (ROADMAP item 1), so it is left out
+@pytest.mark.parametrize("kind", ["ball", "cumsum_zero", "chain_zero",
+                                  "product", "sinusoid"])
+def test_values_on_a_batch_equal_one_row_calls(kind):
+    rng = np.random.default_rng(11)
+    for n, d in [(1, 3), (37, 8), (200, 50)]:
+        spec = draw_constraint(kind, _box(d), rng)
+        x = rng.uniform(-5.0, 5.0, (n, d))
+        single = np.concatenate([constraint_values(spec, row[None])
+                                 for row in x])
+        assert np.array_equal(constraint_values(spec, x), single)
+
+
 def test_violation_aggregates_and_eps():
     ineq = ConstraintSpec("ball", center=np.zeros(2), params={"radius": 1.0})
     eq = ConstraintSpec("product", center=np.zeros(2), params={"c": 0.0})

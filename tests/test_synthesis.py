@@ -177,6 +177,15 @@ def test_load_instances_names_line_of_missing_field(tmp_path):
     assert "bounds" in str(err.value)
 
 
+def test_load_instances_rejects_second_line_for_an_instance(tmp_path):
+    insts = synthesize_set(2, 0, d_range=(2, 3), k_range=(1, 1), master_seed=4)
+    path = tmp_path / "instances.jsonl"
+    save_instances([*insts, insts[0]], path)
+    with pytest.raises(ValueError) as err:
+        load_instances(path)
+    assert f"{path}:3: second instance {insts[0].id}" in str(err.value)
+
+
 def test_tampered_id_rejected(tmp_path):
     inst = synthesize_instance(d=3, k=1, constrained=False, seed=1)
     d = instance_to_dict(inst)
