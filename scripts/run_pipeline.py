@@ -77,7 +77,8 @@ def main():
           f"{batch[0].instance_id} (styles: "
           f"{sorted({p.style for p in batch})})")
 
-    # toy embeddings: same-label pairs nearby, others spread out
+    # stand-in embeddings: iid normal rows, one per pair; the batch holds
+    # one label, so only the pull term of the loss acts
     labels = [p.label for p in batch]
     z = rng.standard_normal((len(batch), 8))
     print(f"batch contrastive loss on random embeddings: "

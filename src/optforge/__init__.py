@@ -5,8 +5,7 @@ instruction-pair dataset with sampling and contrastive machinery."""
 from .bench import (KnowledgeEntry, benchmark_instance, benchmark_set,
                     load_knowledge, save_knowledge)
 from .dataset import (InstructionPair, SamplingPlan, batch_contrastive_loss,
-                      build_instruction_set, contrastive_loss,
-                      cosine_distance, load_pairs, sampling_weights,
+                      build_instruction_set, load_pairs, sampling_weights,
                       save_pairs, split_pairs)
 from .metrics import (EvalOutcome, MetricsReport, RepairRecord,
                       compute_report, computational_overhead, error_rate,
@@ -30,8 +29,6 @@ __all__ = [
     "SamplingPlan",
     "batch_contrastive_loss",
     "build_instruction_set",
-    "contrastive_loss",
-    "cosine_distance",
     "load_pairs",
     "sampling_weights",
     "save_pairs",

@@ -228,7 +228,7 @@ def save_records(records, path):
                 "best_f": r.best_f, "best_violation": r.best_violation,
                 "f0": r.f0, "f0_violation": r.f0_violation,
                 "fe_used": r.fe_used,
-                "trace": [[fe, f, v] for fe, f, v in r.trace],
+                "trace": r.trace,
                 "message": r.message,
             }
             for r in rec.per_run

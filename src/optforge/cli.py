@@ -184,6 +184,8 @@ def cmd_plan(args):
     if _outputs_exist(args, [args.out]):
         return 0
     labels = [p.label for p in load_pairs(args.pairs)]
+    if not labels:
+        raise SystemExit(f"{args.pairs}: no pairs to weight")
     weights = sampling_weights(labels)
     label_counts = Counter(labels)
     write_json(args.out, {

@@ -14,10 +14,12 @@ drawn iid from rho, or homogeneous: all pairs share one instance (same
 underlying problem, different writing styles), the regime the
 contrastive objective is meant for.
 
-The contrastive pieces use cosine distance ``G = (1 - cos)/2`` in
-[0, 1]: same-label pairs are pulled together (loss G), different-label
-pairs pushed apart up to a margin (loss ``max(0, margin - G)``), and a
-batch scores the mean over all unordered pairs.
+The contrastive objective scores a batch of embedding rows z_1..z_n
+with labels a_1..a_n by the cosine distance
+``G_ij = (1 - cos(z_i, z_j)) / 2`` in [0, 1].  A same-label pair costs
+``G_ij`` (pull) and a different-label pair ``max(0, 0.3 - G_ij)``
+(push), and the batch scores the mean over all pairs i < j.  A
+homogeneous batch carries one label, so only the pull term acts there.
 """
 
 import logging
@@ -41,15 +43,12 @@ __all__ = [
     "load_pairs",
     "sampling_weights",
     "SamplingPlan",
-    "cosine_distance",
-    "contrastive_loss",
     "batch_contrastive_loss",
-    "DEFAULT_MARGIN",
 ]
 
 log = logging.getLogger("optforge.dataset")
 
-DEFAULT_MARGIN = 0.3
+_MARGIN = 0.3  # cosine distance a different-label pair is pushed past
 
 
 @dataclass(frozen=True)
@@ -212,39 +211,26 @@ class SamplingPlan:
 # ---------------------------------------------------------------------------
 # contrastive objective
 
-def cosine_distance(u, v):
-    """G = (1 - cos(u, v)) / 2, in [0, 1]."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine distance undefined for zero vectors")
-    cos = float(np.dot(u, v) / (nu * nv))
-    return (1.0 - min(1.0, max(-1.0, cos))) / 2.0
+def batch_contrastive_loss(z, labels):
+    """Mean pull/push loss over all unordered pairs of rows in ``z``.
 
-
-def contrastive_loss(z_i, z_j, same_label, margin=DEFAULT_MARGIN):
-    """Pull same-label embeddings together, push others past a margin."""
-    g = cosine_distance(z_i, z_j)
-    if same_label:
-        return g
-    return max(0.0, margin - g)
-
-
-def batch_contrastive_loss(z, labels, margin=DEFAULT_MARGIN):
-    """Mean pairwise loss over all unordered pairs in a batch."""
+    ``z`` holds one embedding row per label.  Fewer than two rows score
+    0.0; otherwise every row must be finite and non-zero.
+    """
     z = np.asarray(z, dtype=float)
     if z.ndim != 2 or z.shape[0] != len(labels):
         raise ValueError("need one embedding row per label")
     n = z.shape[0]
     if n < 2:
         return 0.0
-    total = 0.0
-    count = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += contrastive_loss(z[i], z[j], labels[i] == labels[j],
-                                      margin)
-            count += 1
-    return total / count
+    if not np.isfinite(z).all():
+        raise ValueError("embedding rows must be finite")
+    norms = np.linalg.norm(z, axis=1)
+    if not norms.all():
+        raise ValueError("cosine distance undefined for zero vectors")
+    u = z / norms[:, None]
+    g = (1.0 - np.clip(u @ u.T, -1.0, 1.0)) / 2.0
+    ids = {}
+    codes = np.array([ids.setdefault(lab, len(ids)) for lab in labels])
+    loss = np.where(codes[:, None] == codes, g, np.maximum(0.0, _MARGIN - g))
+    return float(np.triu(loss, 1).sum()) / (n * (n - 1) / 2)

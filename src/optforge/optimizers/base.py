@@ -180,8 +180,6 @@ class ObjectiveTracker:
 class RunResult:
     """Outcome of one optimizer run on one instance."""
 
-    optimizer: str
-    config: dict
     seed: int
     status: str  # "ok" | "failed"
     best_f: float = None
@@ -269,8 +267,7 @@ def run(optimizer, config, instance, fe_budget, seed):
     n_init = int(n_init_of(config))
     if fe_budget < n_init:
         return RunResult(
-            optimizer=optimizer, config=dict(config), seed=seed,
-            status="failed", fe_used=0,
+            seed=seed, status="failed", fe_used=0,
             message=f"budget {fe_budget} < initial sample {n_init}",
         )
 
@@ -286,13 +283,12 @@ def run(optimizer, config, instance, fe_budget, seed):
 
     if tracker.best_x is None:
         message = message or "no evaluations recorded"
-        return RunResult(optimizer=optimizer, config=dict(config), seed=seed,
-                         status="failed", fe_used=tracker.fe_used,
+        return RunResult(seed=seed, status="failed", fe_used=tracker.fe_used,
                          message=message)
     return RunResult(
-        optimizer=optimizer, config=dict(config), seed=seed, status=status,
+        seed=seed, status=status,
         best_f=tracker.best_f, best_x=tracker.best_x.tolist(),
         best_violation=tracker.best_violation, f0=tracker.f0,
         f0_violation=tracker.f0_violation, fe_used=tracker.fe_used,
-        trace=list(tracker.trace), message=message,
+        trace=tracker.trace, message=message,
     )

@@ -464,3 +464,23 @@ def ref_split_pairs(pairs, test_fraction=0.1, seed=0):
     train = [p for p in pairs if p.instance_id not in test_ids]
     test = [p for p in pairs if p.instance_id in test_ids]
     return train, test
+
+
+# ---------------------------------------------------------------------------
+# contrastive objective, one pair at a time
+
+
+def ref_batch_contrastive_loss(z, labels):
+    """Mean over pairs i < j of G (same label) or max(0, 0.3 - G)."""
+    rows = [[float(v) for v in row] for row in z]
+    total, count = 0.0, 0
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            u, v = rows[i], rows[j]
+            cos = (sum(a * b for a, b in zip(u, v))
+                   / (math.sqrt(sum(a * a for a in u))
+                      * math.sqrt(sum(b * b for b in v))))
+            g = (1.0 - min(1.0, max(-1.0, cos))) / 2.0
+            total += g if labels[i] == labels[j] else max(0.0, 0.3 - g)
+            count += 1
+    return total / count if count else 0.0

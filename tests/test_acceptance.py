@@ -15,8 +15,8 @@ import pytest
 
 from optforge.bench import benchmark_instance
 from optforge.cli import main
-from optforge.dataset import (InstructionPair, SamplingPlan, contrastive_loss,
-                              sampling_weights)
+from optforge.dataset import (InstructionPair, SamplingPlan,
+                              batch_contrastive_loss, sampling_weights)
 from optforge.metrics import (EvalOutcome, RepairRecord, error_rate,
                               optimization_performance, recovery_cost)
 from optforge.optimizers.base import run
@@ -248,10 +248,16 @@ def test_criterion_08_contrastive_loss_table():
     e1 = [1.0, 0.0]
     e2 = [0.0, 1.0]
     anti = [-1.0, 0.0]
-    assert abs(contrastive_loss(e1, e1, True) - 0.0) <= 1e-12
-    assert abs(contrastive_loss(e1, e1, False) - 0.3) <= 1e-12
-    assert abs(contrastive_loss(e1, e2, False) - 0.0) <= 1e-12
-    assert abs(contrastive_loss(e1, anti, True) - 1.0) <= 1e-12
+
+    def pair(u, v, same_label):
+        # a two-row batch scores exactly one pair
+        return batch_contrastive_loss([u, v],
+                                      ["a", "a" if same_label else "b"])
+
+    assert abs(pair(e1, e1, True) - 0.0) <= 1e-12
+    assert abs(pair(e1, e1, False) - 0.3) <= 1e-12
+    assert abs(pair(e1, e2, False) - 0.0) <= 1e-12
+    assert abs(pair(e1, anti, True) - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ from reference_impls import ref_score_runs
 
 def _res(status="ok", best_f=1.0, best_violation=0.0, f0=100.0,
          f0_violation=0.0):
-    return RunResult(optimizer="x", config={}, seed=0, status=status,
-                     best_f=best_f, best_x=[0.0], best_violation=best_violation,
-                     f0=f0, f0_violation=f0_violation, fe_used=10)
+    return RunResult(seed=0, status=status, best_f=best_f, best_x=[0.0],
+                     best_violation=best_violation, f0=f0,
+                     f0_violation=f0_violation, fe_used=10)
 
 
 # ---------------------------------------------------------------------------

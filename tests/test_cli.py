@@ -255,6 +255,24 @@ def test_plan_output(pipeline, tmp_path):
         assert plan["rho_per_pair_by_label"][lab] == pytest.approx(want)
 
 
+def test_plan_on_empty_pairs_exits_with_message(pipeline, tmp_path):
+    # test_fraction 1.0 sends every instance to the test side
+    cfg = json.loads(Path(pipeline["config"]).read_text())
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**cfg, "test_fraction": 1.0}))
+    train, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+    assert main(["split", "--config", str(config), "--pairs",
+                 pipeline["pairs"], "--train-out", str(train),
+                 "--test-out", str(test)]) == 0
+    assert train.read_bytes() == b""
+    out = tmp_path / "plan.json"
+    with pytest.raises(SystemExit) as err:
+        main(["plan", "--config", str(config), "--pairs", str(train),
+              "--out", str(out)])
+    assert err.value.code == f"{train}: no pairs to weight"
+    assert not out.exists()
+
+
 def test_render_prints_prompt(pipeline, capsys):
     assert main(["render", "--instances", pipeline["instances"],
                  "--style", "tex_canonical"]) == 0

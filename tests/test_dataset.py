@@ -13,12 +13,14 @@ import optforge.dataset as dataset
 from optforge.bench import KnowledgeEntry
 from optforge.dataset import (InstructionPair, SamplingPlan,
                               batch_contrastive_loss, build_instruction_set,
-                              contrastive_loss, cosine_distance, load_pairs,
-                              sampling_weights, save_pairs, split_pairs)
+                              load_pairs, sampling_weights, save_pairs,
+                              split_pairs)
 from optforge.optimizers.grids import enumerate_configs
 from optforge.problems.synthesis import synthesize_instance
 from optforge.render import PY_STYLES, TEX_STYLES, LiteralTable, WritingStyle
 from optforge.render.prompts import render_prompt
+
+from reference_impls import ref_batch_contrastive_loss
 
 
 def _instances(n, seed0=0):
@@ -394,31 +396,48 @@ def test_homogeneous_draws_match_index_rebuilt_per_call():
 # contrastive objective
 
 
+def _pair_loss(u, v, same_label):
+    """A two-row batch is exactly one pair: same labels score its cosine
+    distance G, different labels the push term."""
+    return batch_contrastive_loss([u, v], ["a", "a" if same_label else "b"])
+
+
 def test_cosine_distance_reference_points():
-    assert cosine_distance([1, 0], [1, 0]) == 0.0
-    assert cosine_distance([1, 0], [0, 1]) == pytest.approx(0.5, abs=1e-15)
-    assert cosine_distance([1, 0], [-1, 0]) == pytest.approx(1.0, abs=1e-15)
-    assert cosine_distance([2, 0], [5, 0]) == 0.0  # scale-invariant
+    assert _pair_loss([1, 0], [1, 0], True) == 0.0
+    assert _pair_loss([1, 0], [0, 1], True) == pytest.approx(0.5, abs=1e-15)
+    assert _pair_loss([1, 0], [-1, 0], True) == pytest.approx(1.0, abs=1e-15)
+    assert _pair_loss([2, 0], [5, 0], True) == 0.0  # scale-invariant
+    # the cosine of this row with itself rounds to 1 + 2e-16: G stays in
+    # [0, 1]
+    assert _pair_loss([1.3, 0.4], [1.3, 0.4], True) == 0.0
+    assert _pair_loss([1.3, 0.4], [-1.3, -0.4], True) == 1.0
 
 
 def test_cosine_distance_rejects_zero_vector():
     with pytest.raises(ValueError):
-        cosine_distance([0, 0], [1, 0])
+        _pair_loss([0, 0], [1, 0], True)
 
 
 def test_contrastive_loss_pulls_and_pushes():
     # same label: loss equals the distance itself
-    assert contrastive_loss([1, 0], [1, 0], True) == 0.0
-    assert contrastive_loss([1, 0], [-1, 0], True) == pytest.approx(1.0)
+    assert _pair_loss([1, 0], [1, 0], True) == 0.0
+    assert _pair_loss([1, 0], [-1, 0], True) == pytest.approx(1.0)
     # different label inside the margin: pushed by the shortfall
-    assert contrastive_loss([1, 0], [1, 0], False) == pytest.approx(0.3)
+    assert _pair_loss([1, 0], [1, 0], False) == pytest.approx(0.3)
     # different label beyond the margin: no gradient
-    assert contrastive_loss([1, 0], [0, 1], False) == 0.0
+    assert _pair_loss([1, 0], [0, 1], False) == 0.0
 
 
-def test_contrastive_loss_custom_margin():
-    assert contrastive_loss([1, 0], [1, 0], False, margin=0.7) \
-        == pytest.approx(0.7)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("same_label", [True, False])
+def test_batch_loss_rejects_non_finite_rows(bad, same_label):
+    # max(-1.0, nan) is -1.0, so clamping alone scores a NaN row as
+    # antipodal
+    with pytest.raises(ValueError, match="finite"):
+        _pair_loss([bad, 0.0], [1.0, 0.0], same_label)
+    with pytest.raises(ValueError, match="finite"):
+        batch_contrastive_loss([[1.0, 0.0], [0.0, 1.0], [1.0, bad]],
+                               ["a", "b", "a"])
 
 
 def test_batch_loss_averages_all_unordered_pairs():
@@ -436,6 +455,9 @@ def test_batch_loss_averages_all_unordered_pairs():
 def test_batch_loss_degenerate_sizes():
     assert batch_contrastive_loss(np.ones((1, 3)), ["a"]) == 0.0
     assert batch_contrastive_loss(np.empty((0, 3)), []) == 0.0
+    # under two rows there is no pair, so the row checks do not run
+    assert batch_contrastive_loss(np.zeros((1, 3)), ["a"]) == 0.0
+    assert batch_contrastive_loss([[np.nan, 0.0]], ["a"]) == 0.0
 
 
 def test_batch_loss_shape_mismatch():
@@ -451,3 +473,20 @@ def test_batch_loss_bounded(n, seed):
     labels = [str(rng.integers(0, 2)) for _ in range(n)]
     val = batch_contrastive_loss(z, labels)
     assert 0.0 <= val <= 1.0
+
+
+@given(st.integers(2, 8), st.integers(1, 6), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_batch_loss_matches_reference(n, d, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, d))
+    for k in range(1, n):
+        # some rows repeat or negate an earlier row at another scale
+        kind = rng.integers(0, 3)
+        if kind:
+            src = rng.integers(0, k)
+            sign = 1.0 if kind == 1 else -1.0
+            z[k] = sign * rng.uniform(0.5, 2.0) * z[src]
+    labels = [str(v) for v in rng.integers(0, 3, size=n)]
+    assert abs(batch_contrastive_loss(z, labels)
+               - ref_batch_contrastive_loss(z, labels)) <= 1e-12
