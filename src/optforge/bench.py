@@ -215,22 +215,8 @@ def load_knowledge(path):
 
 
 def save_records(records, path):
-    """Audit sidecar: every (optimizer, config) with its raw runs."""
-    write_jsonl(path, ({
-        "instance_id": rec.instance_id,
-        "optimizer": rec.optimizer,
-        "config_index": rec.config_index,
-        "config": rec.config,
-        "mean_eval": rec.mean_eval,
-        "per_run": [
-            {
-                "status": r.status, "seed": r.seed,
-                "best_f": r.best_f, "best_violation": r.best_violation,
-                "f0": r.f0, "f0_violation": r.f0_violation,
-                "fe_used": r.fe_used,
-                "trace": r.trace,
-                "message": r.message,
-            }
-            for r in rec.per_run
-        ],
-    } for rec in records))
+    """Audit sidecar: every (optimizer, config) with its raw runs.  A
+    line's keys are the fields of :class:`BenchmarkRecord`, and each
+    ``per_run`` entry's keys those of :class:`RunResult`."""
+    write_jsonl(path, ({**vars(rec), "per_run": list(map(vars, rec.per_run))}
+                       for rec in records))

@@ -242,6 +242,8 @@ def cmd_render(args):
     if _outputs_exist(args, [args.out]):
         return 0
     instances = load_instances(args.instances)
+    if not instances:
+        raise SystemExit(f"{args.instances}: no instances to render")
     if args.id:
         matches = [i for i in instances if i.id == args.id]
         if not matches:

@@ -225,10 +225,13 @@ def batch_contrastive_loss(z, labels):
         return 0.0
     if not np.isfinite(z).all():
         raise ValueError("embedding rows must be finite")
-    norms = np.linalg.norm(z, axis=1)
-    if not norms.all():
+    # scale each row by its largest entry's power of two, exactly, so
+    # that the norm neither overflows nor underflows
+    scale = np.abs(z).max(axis=1)
+    if not scale.all():
         raise ValueError("cosine distance undefined for zero vectors")
-    u = z / norms[:, None]
+    z = np.ldexp(z, -np.frexp(scale)[1][:, None])
+    u = z / np.linalg.norm(z, axis=1)[:, None]
     g = (1.0 - np.clip(u @ u.T, -1.0, 1.0)) / 2.0
     ids = {}
     codes = np.array([ids.setdefault(lab, len(ids)) for lab in labels])

@@ -142,17 +142,15 @@ def optimization_performance(outcomes):
     return sum(_descent(o) for o in outcomes) / len(outcomes)
 
 
-_DEFAULT_TOKEN = re.compile(r"\w+|[^\w\s]")
+_TOKEN = re.compile(r"\w+|[^\w\s]")
 
 
-def computational_overhead(texts, tokenizer=None):
+def computational_overhead(texts):
     """Mean token count per answer program."""
     texts = list(texts)
     if not texts:
         raise ValueError("cannot average overhead over zero programs")
-    if tokenizer is None:
-        tokenizer = _DEFAULT_TOKEN.findall
-    return sum(len(tokenizer(t)) for t in texts) / len(texts)
+    return sum(len(_TOKEN.findall(t)) for t in texts) / len(texts)
 
 
 @dataclass(frozen=True)

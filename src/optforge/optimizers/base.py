@@ -178,12 +178,14 @@ class ObjectiveTracker:
 
 @dataclass
 class RunResult:
-    """Outcome of one optimizer run on one instance."""
+    """Outcome of one optimizer run on one instance.  Its fields are the
+    keys of a ``per_run`` entry of ``records.jsonl``, which
+    ``RunResult(**run)`` rebuilds.  ``trace`` holds ``(fe, f,
+    violation)`` at each improvement of the best."""
 
     seed: int
     status: str  # "ok" | "failed"
     best_f: float = None
-    best_x: list = None
     best_violation: float = None
     f0: float = None
     f0_violation: float = None
@@ -286,8 +288,7 @@ def run(optimizer, config, instance, fe_budget, seed):
         return RunResult(seed=seed, status="failed", fe_used=tracker.fe_used,
                          message=message)
     return RunResult(
-        seed=seed, status=status,
-        best_f=tracker.best_f, best_x=tracker.best_x.tolist(),
+        seed=seed, status=status, best_f=tracker.best_f,
         best_violation=tracker.best_violation, f0=tracker.f0,
         f0_violation=tracker.f0_violation, fe_used=tracker.fe_used,
         trace=tracker.trace, message=message,

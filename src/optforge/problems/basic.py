@@ -25,7 +25,7 @@ ordered tuple :data:`BASIC_NAMES` fixes the integer ids used when
 sampling functions during synthesis.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -273,58 +273,38 @@ class BasicFunction:
     domain : tuple of float
         Canonical per-dimension bounds ``(lo, hi)``.
     x_opt : float
-        Coordinate of the global minimizer (same in every dimension).
-    f_opt : float
-        Global minimum value (0 for every function here).
-    tags : frozenset of str
-        Landscape descriptors (modality, separability, symmetry), for
-        reading only: synthesis draws functions uniformly and ignores
-        them.
+        Coordinate of the global minimizer (same in every dimension),
+        where every function here takes its minimum value 0.
     """
 
     name: str
     fn: callable
     domain: tuple
     x_opt: float
-    f_opt: float = 0.0
-    tags: frozenset = field(default_factory=frozenset)
 
     def __call__(self, z):
         return self.fn(z)
 
 
-def _bf(name, fn, lo, hi, x_opt, *tags):
-    return BasicFunction(name, fn, (float(lo), float(hi)), float(x_opt),
-                         tags=frozenset(tags))
+def _bf(name, fn, lo, hi, x_opt):
+    return BasicFunction(name, fn, (float(lo), float(hi)), float(x_opt))
 
 
 BASIC_FUNCTIONS = {
     b.name: b
     for b in [
-        _bf("sphere", sphere, -100, 100, 0.0,
-            "unimodal", "separable", "symmetric"),
-        _bf("rastrigin", rastrigin, -5.12, 5.12, 0.0,
-            "multimodal", "separable", "symmetric"),
-        _bf("ackley", ackley, -32.768, 32.768, 0.0,
-            "multimodal", "nonseparable", "symmetric"),
-        _bf("rosenbrock", rosenbrock, -30, 30, 1.0,
-            "unimodal", "nonseparable", "asymmetric"),
-        _bf("griewank", griewank, -600, 600, 0.0,
-            "multimodal", "nonseparable", "symmetric"),
-        _bf("schwefel", schwefel, -500, 500, _SCHWEFEL_X,
-            "multimodal", "separable", "asymmetric"),
-        _bf("bent_cigar", bent_cigar, -100, 100, 0.0,
-            "unimodal", "separable", "symmetric"),
-        _bf("levy", levy, -10, 10, 1.0,
-            "multimodal", "separable", "asymmetric"),
-        _bf("katsuura", katsuura, -100, 100, 0.0,
-            "multimodal", "nonseparable", "symmetric"),
-        _bf("happycat", happycat, -2, 2, -1.0,
-            "multimodal", "nonseparable", "asymmetric"),
-        _bf("discus", discus, -100, 100, 0.0,
-            "unimodal", "separable", "symmetric"),
-        _bf("weierstrass", weierstrass, -0.5, 0.5, 0.0,
-            "multimodal", "separable", "symmetric"),
+        _bf("sphere", sphere, -100, 100, 0.0),
+        _bf("rastrigin", rastrigin, -5.12, 5.12, 0.0),
+        _bf("ackley", ackley, -32.768, 32.768, 0.0),
+        _bf("rosenbrock", rosenbrock, -30, 30, 1.0),
+        _bf("griewank", griewank, -600, 600, 0.0),
+        _bf("schwefel", schwefel, -500, 500, _SCHWEFEL_X),
+        _bf("bent_cigar", bent_cigar, -100, 100, 0.0),
+        _bf("levy", levy, -10, 10, 1.0),
+        _bf("katsuura", katsuura, -100, 100, 0.0),
+        _bf("happycat", happycat, -2, 2, -1.0),
+        _bf("discus", discus, -100, 100, 0.0),
+        _bf("weierstrass", weierstrass, -0.5, 0.5, 0.0),
     ]
 }
 

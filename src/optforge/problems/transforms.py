@@ -15,19 +15,20 @@ __all__ = ["TransformSpec", "make_rotation", "ORTHO_TOL"]
 ORTHO_TOL = 1.0e-9
 
 
-def make_rotation(d, seed):
+def make_rotation(d, rng):
     """Random orthogonal ``(d, d)`` matrix, uniform w.r.t. Haar measure.
 
-    QR-decomposes a seeded standard Gaussian matrix and fixes the signs
-    so the diagonal of R is positive, which makes the distribution Haar
-    and the result independent of LAPACK sign conventions.
+    QR-decomposes a standard Gaussian matrix drawn from ``rng`` and
+    fixes the signs so the diagonal of R is positive, which makes the
+    distribution Haar and the result independent of LAPACK sign
+    conventions.  ``np.random.default_rng(seed)`` gives a seeded matrix.
 
     Parameters
     ----------
     d : int
         Dimension, >= 1.
-    seed : int or numpy.random.Generator
-        Stream seed, or an existing generator to draw from in place.
+    rng : numpy.random.Generator
+        The generator to draw from, in place.
 
     Returns
     -------
@@ -35,10 +36,6 @@ def make_rotation(d, seed):
     """
     if d < 1:
         raise ValueError(f"rotation dimension must be >= 1, got {d}")
-    if isinstance(seed, np.random.Generator):
-        rng = seed
-    else:
-        rng = np.random.Generator(np.random.PCG64(seed))
     a = rng.standard_normal((d, d))
     q, r = np.linalg.qr(a)
     q = q * np.sign(np.diag(r))
@@ -81,17 +78,6 @@ class TransformSpec:
     @property
     def d(self):
         return self.rotation.shape[0]
-
-    @classmethod
-    def identity(cls, d):
-        """Identity rotation, zero shift."""
-        return cls(np.eye(d), np.zeros(d))
-
-    def is_identity(self):
-        return (
-            np.array_equal(self.rotation, np.eye(self.d))
-            and not self.shift.any()
-        )
 
     def apply(self, x):
         """Map points into component coordinates: ``z = M^T (x - o)``."""

@@ -60,8 +60,6 @@ class AnswerDoc:
 
     code_text: str
     optimizer: str
-    config: dict
-    line_count: int
 
 
 def _code_tree(code):
@@ -196,9 +194,4 @@ def emit_answer(entry):
         "except BudgetExhausted:\n"
         "    pass\n"
     )
-    return AnswerDoc(
-        code_text=code,
-        optimizer=optimizer,
-        config=config,
-        line_count=len(code.splitlines()),
-    )
+    return AnswerDoc(code_text=code, optimizer=optimizer)

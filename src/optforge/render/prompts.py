@@ -34,12 +34,10 @@ _OUTPUT = (
 
 @dataclass(frozen=True)
 class PromptDoc:
-    """A rendered prompt plus the metadata needed to pair it later."""
+    """A rendered prompt and the style it was written in."""
 
     text: str
     style: str
-    instance_id: str
-    fe_budget: int
 
 
 def _table_for(instance, table):
@@ -111,5 +109,4 @@ def render_prompt(instance, style, table=None):
     )
     sections.append(_OUTPUT)
     text = "\n\n".join(sections) + "\n"
-    return PromptDoc(text=text, style=style.value, instance_id=instance.id,
-                     fe_budget=instance.fe_budget)
+    return PromptDoc(text=text, style=style.value)

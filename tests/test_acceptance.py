@@ -113,7 +113,7 @@ def test_criterion_02_hybrid_partition_sum():
 def test_criterion_03_rotation_orthogonality():
     dims = [2 + i % 49 for i in range(100)]
     for i, d in enumerate(dims):
-        m = make_rotation(d, seed=i)
+        m = make_rotation(d, np.random.default_rng(i))
         err = np.max(np.abs(m.T @ m - np.eye(d)))
         assert err <= 1e-9, f"rotation {i} (d={d}): {err}"
 
@@ -174,7 +174,7 @@ def _sphere_suite():
         rng = np.random.default_rng(2000 + i)
         comp = ComponentSpec(
             basic="sphere", weight=1.0,
-            transform=TransformSpec(make_rotation(d, 2000 + i),
+            transform=TransformSpec(make_rotation(d, np.random.default_rng(2000 + i)),
                                     rng.uniform(-50.0, 50.0, d)),
         )
         out.append(ProblemInstance(d=d, bounds=[[-100.0, 100.0]] * d,

