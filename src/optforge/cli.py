@@ -1,13 +1,15 @@
 """Command-line pipeline: synthesize, benchmark, build, split, plan,
 metrics, render.
 
-Every subcommand shares the same conventions: ``--config`` loads a
-JSON :class:`PipelineConfig` (flags override fields), ``--force``
+Every subcommand shares the same conventions, which :func:`main`
+applies before the stage runs: ``--config`` loads a JSON
+:class:`PipelineConfig` (flags override fields), and ``--force``
 overwrites outputs (without it, a command whose outputs all exist is a
-no-op so pipelines are resumable), and the ``OPT_FORGE_LOG``
-environment variable sets the log level.  The three stages that draw
-random numbers (synth, bench, split) take ``--seed``, which overrides
-the config seed.
+no-op so pipelines are resumable).  Each subparser names its output
+flags in ``outputs``; two of them naming one file is an error.  The
+three stages that draw random numbers (synth, bench, split) take
+``--seed``, which overrides the config seed.  The ``OPT_FORGE_LOG``
+environment variable sets the log level.
 """
 
 import argparse
@@ -69,14 +71,25 @@ def _load_config(args):
     return cfg
 
 
-def _outputs_exist(args, paths):
-    """Resumability: skip work when every output is already on disk."""
-    paths = [p for p in paths if p]
-    if not paths or args.force:
+def _outputs_exist(args):
+    """Resumability: skip work when every output is already on disk.
+
+    Two outputs named by one file are an error, not a no-op: the second
+    write would replace the first, and a later run would take the
+    survivor as done.
+    """
+    outputs = {o: getattr(args, o) for o in args.outputs if getattr(args, o)}
+    seen = {}
+    for o, path in outputs.items():
+        first = seen.setdefault(os.path.realpath(path), o)
+        if first != o:
+            flags = " and ".join("--" + f.replace("_", "-") for f in (first, o))
+            raise SystemExit(f"{flags} name one file: {path}")
+    if not outputs or args.force:
         return False
-    if all(os.path.exists(p) for p in paths):
+    if all(os.path.exists(p) for p in outputs.values()):
         print("outputs exist, nothing to do (use --force to rebuild): "
-              + ", ".join(paths))
+              + ", ".join(outputs.values()))
         return True
     return False
 
@@ -84,10 +97,7 @@ def _outputs_exist(args, paths):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_synth(args):
-    cfg = _load_config(args)
-    if _outputs_exist(args, [args.out]):
-        return 0
+def cmd_synth(args, cfg):
     instances = synthesize_set(
         cfg.n_unconstrained, cfg.n_constrained,
         d_range=(cfg.d_min, cfg.d_max), k_range=(cfg.k_min, cfg.k_max),
@@ -98,10 +108,7 @@ def cmd_synth(args):
     return 0
 
 
-def cmd_bench(args):
-    cfg = _load_config(args)
-    if _outputs_exist(args, [args.out, args.records]):
-        return 0
+def cmd_bench(args, cfg):
     instances = load_instances(args.instances)
     entries, failures = [], []
 
@@ -118,11 +125,7 @@ def cmd_bench(args):
             instances, pool=tuple(cfg.pool), cap=cfg.config_cap,
             runs=cfg.runs, master_seed=cfg.seed,
             parallelism=args.jobs)) as outcomes:
-        if args.records is None:
-            for _ in records(outcomes):
-                pass
-        else:
-            save_records(records(outcomes), args.records)
+        save_records(records(outcomes), args.records)
     save_knowledge(entries, args.out)
     histogram = winner_counts(entries)
     print(f"wrote {len(entries)} knowledge entries to {args.out}")
@@ -136,10 +139,7 @@ def cmd_bench(args):
     return 0
 
 
-def cmd_build(args):
-    cfg = _load_config(args)
-    if _outputs_exist(args, [args.out]):
-        return 0
+def cmd_build(args, cfg):
     instances = load_instances(args.instances)
     knowledge = load_knowledge(args.knowledge)
     pairs, skipped = build_instruction_set(instances, knowledge,
@@ -163,10 +163,7 @@ def cmd_build(args):
     return 0
 
 
-def cmd_split(args):
-    cfg = _load_config(args)
-    if _outputs_exist(args, [args.train_out, args.test_out]):
-        return 0
+def cmd_split(args, cfg):
     # two passes over the pairs file: the ids pick the test side, then
     # each pair goes to its side
     test_ids = split_pairs((p.instance_id for p in load_pairs(args.pairs)),
@@ -179,10 +176,7 @@ def cmd_split(args):
     return 0
 
 
-def cmd_plan(args):
-    _load_config(args)
-    if _outputs_exist(args, [args.out]):
-        return 0
+def cmd_plan(args, cfg):
     labels = [p.label for p in load_pairs(args.pairs)]
     if not labels:
         raise SystemExit(f"{args.pairs}: no pairs to weight")
@@ -221,10 +215,7 @@ def _parse_eval_file(path):
     return parsed
 
 
-def cmd_metrics(args):
-    _load_config(args)
-    if _outputs_exist(args, [args.out]):
-        return 0
+def cmd_metrics(args, cfg):
     systems = _parse_eval_file(args.results)
     reports = {
         name: compute_report(*parts) for name, parts in systems.items()
@@ -237,10 +228,7 @@ def cmd_metrics(args):
     return 0
 
 
-def cmd_render(args):
-    _load_config(args)
-    if _outputs_exist(args, [args.out]):
-        return 0
+def cmd_render(args, cfg):
     instances = load_instances(args.instances)
     if not instances:
         raise SystemExit(f"{args.instances}: no instances to render")
@@ -304,40 +292,40 @@ def build_parser():
 
     p = sub.add_parser("synth", help="synthesize a problem corpus")
     _add_common(p, out_help="instances JSONL path", seeded=True)
-    p.set_defaults(fn=cmd_synth)
+    p.set_defaults(fn=cmd_synth, outputs=("out",))
 
     p = sub.add_parser("bench", help="benchmark instances against the pool")
     _add_common(p, out_help="knowledge JSONL path", seeded=True)
     p.add_argument("--instances", required=True, help="instances JSONL")
-    p.add_argument("--records", default=None,
-                   help="optional per-config audit JSONL")
+    p.add_argument("--records", required=True,
+                   help="per-config audit JSONL")
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="parallel worker processes")
-    p.set_defaults(fn=cmd_bench)
+    p.set_defaults(fn=cmd_bench, outputs=("out", "records"))
 
     p = sub.add_parser("build", help="render instruction pairs")
     _add_common(p, out_help="pairs JSONL path")
     p.add_argument("--instances", required=True, help="instances JSONL")
     p.add_argument("--knowledge", required=True, help="knowledge JSONL")
-    p.set_defaults(fn=cmd_build)
+    p.set_defaults(fn=cmd_build, outputs=("out",))
 
     p = sub.add_parser("split", help="instance-level train/test split")
     _add_common(p, out_required=None, seeded=True)
     p.add_argument("--pairs", required=True, help="pairs JSONL")
     p.add_argument("--train-out", required=True)
     p.add_argument("--test-out", required=True)
-    p.set_defaults(fn=cmd_split)
+    p.set_defaults(fn=cmd_split, outputs=("train_out", "test_out"))
 
     p = sub.add_parser("plan", help="summarize pair sampling weights")
     _add_common(p, out_help="plan JSON path")
     p.add_argument("--pairs", required=True, help="pairs JSONL")
-    p.set_defaults(fn=cmd_plan)
+    p.set_defaults(fn=cmd_plan, outputs=("out",))
 
     p = sub.add_parser("metrics", help="score evaluation results")
     _add_common(p, out_required=False, out_help="report JSON path")
     p.add_argument("--results", required=True,
                    help="evaluation results JSON (systems mapping)")
-    p.set_defaults(fn=cmd_metrics)
+    p.set_defaults(fn=cmd_metrics, outputs=("out",))
 
     p = sub.add_parser("render", help="print one instance's prompt")
     _add_common(p, out_required=False, out_help="write instead of printing")
@@ -347,7 +335,7 @@ def build_parser():
                    help="writing style (default: py_vector)")
     p.add_argument("--knowledge", default=None,
                    help="knowledge JSONL; also print the paired answer")
-    p.set_defaults(fn=cmd_render)
+    p.set_defaults(fn=cmd_render, outputs=("out",))
 
     return parser
 
@@ -358,7 +346,10 @@ def main(argv=None):
         format="%(levelname)s %(name)s: %(message)s",
     )
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    cfg = _load_config(args)
+    if _outputs_exist(args):
+        return 0
+    return args.fn(args, cfg)
 
 
 if __name__ == "__main__":

@@ -71,17 +71,24 @@ def build_instruction_set(instances, knowledge, styles=None):
     instances : sequence of ProblemInstance
     knowledge : sequence of KnowledgeEntry, one per instance id, as
         :func:`optforge.bench.load_knowledge` returns it
-    styles : styles to render (default: all six)
+    styles : styles to render, each once (default: all six)
 
     Returns
     -------
     (pairs, skipped) : an iterator of InstructionPair, each rendered as
         it is drawn, instance by instance; the ids of the degenerate
-        instances, which get no pairs.  A missing entry raises here,
-        before anything renders.
+        instances, which get no pairs.  A missing entry, or a style
+        list that is empty or names a style twice, raises here, before
+        anything renders.
     """
     knowledge = {e.instance_id: e for e in knowledge}
-    styles = [WritingStyle.parse(s) for s in (styles or list(WritingStyle))]
+    styles = [WritingStyle.parse(s)
+              for s in (list(WritingStyle) if styles is None else styles)]
+    if not styles:
+        raise ValueError("style list must not be empty")
+    repeated = [s.value for s, n in Counter(styles).items() if n > 1]
+    if repeated:
+        raise ValueError(f"styles named more than once: {repeated}")
 
     missing = [inst.id for inst in instances if inst.id not in knowledge]
     if missing:

@@ -63,6 +63,9 @@ def error_rate(outcomes, n_problems, n_runs):
     """Fraction of failed runs over the full (problems x runs) matrix."""
     outcomes = list(outcomes)
     expected = n_problems * n_runs
+    if not expected:
+        raise ValueError(f"cannot rate errors over {n_problems} problems x "
+                         f"{n_runs} runs")
     if len(outcomes) != expected:
         raise ValueError(
             f"expected {n_problems} problems x {n_runs} runs = {expected} "

@@ -316,16 +316,18 @@ def test_criterion_10_pipeline_determinism(tmp_path):
         d.mkdir()
         inst = d / "instances.jsonl"
         knw = d / "knowledge.jsonl"
+        rec = d / "records.jsonl"
         prs = d / "pairs.jsonl"
         assert main(["synth", "--config", str(cfg_path),
                      "--out", str(inst)]) == 0
         assert main(["bench", "--config", str(cfg_path),
                      "--instances", str(inst), "--out", str(knw),
-                     "--jobs", str(jobs)]) == 0
+                     "--records", str(rec), "--jobs", str(jobs)]) == 0
         assert main(["build", "--config", str(cfg_path),
                      "--instances", str(inst), "--knowledge", str(knw),
                      "--out", str(prs)]) == 0
-        return inst.read_bytes(), knw.read_bytes(), prs.read_bytes()
+        return (inst.read_bytes(), knw.read_bytes(), prs.read_bytes(),
+                rec.read_bytes())
 
     first = run_pipeline("one", jobs=1)
     second = run_pipeline("two", jobs=1)
@@ -333,6 +335,7 @@ def test_criterion_10_pipeline_determinism(tmp_path):
     assert first[0] == second[0] == parallel[0]
     assert first[1] == second[1] == parallel[1]
     assert first[2] == second[2] == parallel[2]
+    assert first[3] == second[3] == parallel[3]
     assert time.monotonic() - start < 900.0
 
 

@@ -47,7 +47,7 @@ def tiny_config(tmp_path_factory):
     return str(path)
 
 
-OUTPUTS = ("instances", "knowledge", "pairs", "train", "test")
+OUTPUTS = ("instances", "knowledge", "records", "pairs", "train", "test")
 
 
 def _run_pipeline(paths, *flags):
@@ -55,7 +55,8 @@ def _run_pipeline(paths, *flags):
     common = ["--config", paths["config"], *flags]
     assert main(["synth", *common, "--out", paths["instances"]]) == 0
     assert main(["bench", *common, "--instances", paths["instances"],
-                 "--out", paths["knowledge"]]) == 0
+                 "--out", paths["knowledge"],
+                 "--records", paths["records"]]) == 0
     assert main(["build", *common, "--instances", paths["instances"],
                  "--knowledge", paths["knowledge"],
                  "--out", paths["pairs"]]) == 0
@@ -138,24 +139,35 @@ def test_bench_output(pipeline):
             assert e.f_star is not None
 
 
-def test_bench_records_sidecar(pipeline, tmp_path):
-    out = tmp_path / "knowledge.jsonl"
-    records = tmp_path / "records.jsonl"
-    assert main(["bench", "--config", pipeline["config"],
-                 "--instances", pipeline["instances"],
-                 "--out", str(out), "--records", str(records)]) == 0
-    rows = [json.loads(l) for l in records.read_text().splitlines()]
+def test_bench_records_sidecar(pipeline):
+    rows = [json.loads(l) for l in open(pipeline["records"])]
     # 6 instances x (1 random_search + 2 capped vanilla_de) configs
     assert len(rows) == 6 * 3
-    assert out.read_text() == open(pipeline["knowledge"]).read()
+
+
+def test_bench_winner_lines_count_only_labelled_entries(pipeline, tmp_path,
+                                                        capsys):
+    out = tmp_path / "knowledge.jsonl"
+    assert main(["bench", "--config", pipeline["config"],
+                 "--instances", pipeline["instances"], "--out", str(out),
+                 "--records", str(tmp_path / "records.jsonl")]) == 0
+    winners = {line.split()[1]: int(line.split()[2])
+               for line in capsys.readouterr().out.splitlines()
+               if line.startswith("  winner ")}
+    entries = load_knowledge(out)
+    assert any(e.degenerate for e in entries)
+    assert sum(winners.values()) == sum(not e.degenerate for e in entries)
+    assert out.read_bytes() == open(pipeline["knowledge"], "rb").read()
 
 
 def test_bench_parallel_matches_serial(pipeline, tmp_path):
-    out = tmp_path / "knowledge_jobs.jsonl"
+    out, records = tmp_path / "knowledge.jsonl", tmp_path / "records.jsonl"
     assert main(["bench", "--config", pipeline["config"],
                  "--instances", pipeline["instances"],
-                 "--out", str(out), "--jobs", "3"]) == 0
+                 "--out", str(out), "--records", str(records),
+                 "--jobs", "3"]) == 0
     assert out.read_bytes() == open(pipeline["knowledge"], "rb").read()
+    assert records.read_bytes() == open(pipeline["records"], "rb").read()
 
 
 @pytest.mark.parametrize("override, flags, error", [
@@ -215,6 +227,22 @@ def test_build_output(pipeline):
         assert p.label == entries[p.instance_id].best_optimizer
         assert "```" in p.q
         assert "opt_runtime" in p.a
+
+
+@pytest.mark.parametrize("styles", [[], ["py_loop", "py_loop"],
+                                    ["PY_LOOP", "tex_canonical", "py_loop"]],
+                         ids=["empty", "repeated", "repeated-after-parse"])
+def test_build_rejects_empty_or_repeated_styles(pipeline, tmp_path, styles):
+    cfg = json.loads(Path(pipeline["config"]).read_text())
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**cfg, "styles": styles}))
+    with pytest.raises(ValueError) as err:
+        main(["build", "--config", str(config),
+              "--instances", pipeline["instances"],
+              "--knowledge", pipeline["knowledge"],
+              "--out", str(tmp_path / "pairs.jsonl")])
+    assert "style" in str(err.value)
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_build_reports_prompt_chars(pipeline, tmp_path, capsys):
@@ -328,12 +356,65 @@ def test_render_on_empty_instances_exits_with_message(tmp_path):
 # resumability
 
 
-def test_synth_noop_when_output_exists(pipeline, capsys):
-    before = open(pipeline["instances"], "rb").read()
-    assert main(["synth", "--config", pipeline["config"],
-                 "--out", pipeline["instances"]]) == 0
+# each stage's input flags, and its output flags by dest
+_PROTOCOL_CASES = {
+    "synth": ([], ["out"]),
+    "bench": (["--instances"], ["out", "records"]),
+    "build": (["--instances", "--knowledge"], ["out"]),
+    "split": (["--pairs"], ["train_out", "test_out"]),
+    "plan": (["--pairs"], ["out"]),
+    "metrics": (["--results"], ["out"]),
+    "render": (["--instances"], ["out"]),
+}
+
+
+def _stage_parsers():
+    return build_parser()._subparsers._group_actions[0].choices
+
+
+def test_protocol_cases_cover_every_stage():
+    assert set(_PROTOCOL_CASES) == set(_stage_parsers())
+
+
+@pytest.mark.parametrize("stage", sorted(_PROTOCOL_CASES))
+def test_stage_noop_when_every_output_exists(tmp_path, capsys, stage):
+    inputs, outputs = _PROTOCOL_CASES[stage]
+    sub = _stage_parsers()[stage]
+    assert sub.get_default("outputs") == tuple(outputs)
+    assert set(outputs) <= {a.dest for a in sub._actions}
+    argv = [stage]
+    for flag in inputs:
+        argv += [flag, str(tmp_path / f"missing{flag[2:]}")]
+    for dest in outputs:
+        path = tmp_path / dest
+        path.write_text(f"kept {dest}")
+        argv += ["--" + dest.replace("_", "-"), str(path)]
+    assert main(argv) == 0
     assert "nothing to do" in capsys.readouterr().out
-    assert open(pipeline["instances"], "rb").read() == before
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {
+        dest: f"kept {dest}" for dest in outputs}
+
+
+@pytest.mark.parametrize("exists", [False, True], ids=["absent", "present"])
+@pytest.mark.parametrize("stage, flags", [
+    ("split", ["--pairs", "{pairs}", "--train-out", "same.jsonl",
+               "--test-out", "{tmp}/same.jsonl"]),
+    ("bench", ["--instances", "{instances}", "--out", "same.jsonl",
+               "--records", "{tmp}/./same.jsonl"]),
+], ids=["split", "bench"])
+def test_one_file_named_for_two_outputs_is_rejected(
+        pipeline, tmp_path, monkeypatch, stage, flags, exists):
+    monkeypatch.chdir(tmp_path)
+    if exists:
+        (tmp_path / "same.jsonl").write_text("kept")
+    argv = [stage, "--config", pipeline["config"], *(
+        f.format(tmp=tmp_path, **pipeline) for f in flags)]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == (f"{flags[2]} and {flags[4]} name one file: "
+                              f"{argv[-1]}")
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == (
+        {"same.jsonl": "kept"} if exists else {})
 
 
 def test_force_rebuilds(pipeline, capsys):
@@ -351,15 +432,6 @@ def test_forced_rerun_rewrites_same_bytes_without_temp_files(pipeline):
     _run_pipeline(pipeline, "--force")
     assert {k: Path(pipeline[k]).read_bytes() for k in OUTPUTS} == before
     assert not list(Path(pipeline["pairs"]).parent.glob("*.tmp"))
-
-
-def test_render_noop_when_output_exists(tmp_path, capsys):
-    out = tmp_path / "prompt.txt"
-    out.write_text("kept")
-    assert main(["render", "--instances", str(tmp_path / "missing.jsonl"),
-                 "--out", str(out)]) == 0
-    assert "nothing to do" in capsys.readouterr().out
-    assert out.read_text() == "kept"
 
 
 def test_render_out_is_written_through_a_temp_file(pipeline, tmp_path,
@@ -617,6 +689,17 @@ def test_metrics_table_and_report(tmp_path, capsys):
     assert data["demo"]["overhead"] == pytest.approx(3.5)
 
 
+def test_metrics_on_zero_outcomes_fails_with_message(tmp_path):
+    payload = _results_payload()
+    payload["systems"]["demo"].update(n_problems=0, outcomes=[])
+    results, report = tmp_path / "results.json", tmp_path / "report.json"
+    results.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as err:
+        main(["metrics", "--results", str(results), "--out", str(report)])
+    assert "cannot rate errors over 0 problems x 5 runs" in str(err.value)
+    assert not report.exists()
+
+
 def test_metrics_rejects_malformed_results(tmp_path):
     results = tmp_path / "results.json"
     payload = _results_payload()
@@ -658,7 +741,7 @@ def test_metrics_rejects_malformed_file(tmp_path, text):
 REPO = Path(__file__).resolve().parents[1]
 
 
-def test_run_pipeline_script_counts_only_labelled_winners(tmp_path):
+def test_run_pipeline_script_writes_every_artifact(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
@@ -667,11 +750,10 @@ def test_run_pipeline_script_counts_only_labelled_winners(tmp_path):
          "--out-dir", str(tmp_path), "--seed", "7"],
         env=env, capture_output=True, text=True, check=True, timeout=600,
     ).stdout
-    line = next(ln for ln in out.splitlines()
-                if ln.startswith("benchmark winners: "))
-    winners = ast.literal_eval(line[line.index("{"):line.index("}") + 1])
-    entries = load_knowledge(tmp_path / "knowledge.jsonl")
-    assert sum(winners.values()) == sum(not e.degenerate for e in entries)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "config.json", "instances.jsonl", "knowledge.jsonl", "pairs.jsonl",
+        "plan.json", "records.jsonl", "test.jsonl", "train.jsonl"]
+    assert "batch contrastive loss on random embeddings: " in out
 
 
 # ---------------------------------------------------------------------------
@@ -684,6 +766,10 @@ def test_missing_subcommand_is_an_error(capsys):
     with pytest.raises(SystemExit):
         main(["synth"])  # --out is required
     capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(["bench", "--instances", "i.jsonl", "--out", "k.jsonl"])
+    assert err.value.code == 2
+    assert "--records" in capsys.readouterr().err
 
 
 _STAGE_ARGS = {

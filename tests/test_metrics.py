@@ -46,6 +46,13 @@ def test_error_rate_checks_cardinality():
         error_rate([_ok()], n_problems=2, n_runs=3)
 
 
+@pytest.mark.parametrize("n_problems, n_runs", [(0, 5), (4, 0), (0, 0)])
+def test_error_rate_rejects_zero_runs(n_problems, n_runs):
+    with pytest.raises(ValueError) as err:
+        error_rate([], n_problems=n_problems, n_runs=n_runs)
+    assert "cannot rate errors" in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # recovery
 
