@@ -17,7 +17,10 @@ winner is the argmax of mean eval with ties broken lexicographically on
 
 Per-task seeds derive from (master seed, instance id, optimizer,
 config index, run index), so results are independent of scheduling and
-parallelism.
+parallelism.  The runs of a stepped optimizer (``dual_annealing``) on
+one instance, every config and run of it, are driven in lockstep by a
+:class:`~optforge.optimizers.base.Lockstep`, which evaluates all their
+asks of a step in one call; each run ends as it would alone.
 """
 
 import logging
@@ -29,7 +32,7 @@ from operator import attrgetter
 
 from .artifacts import read_jsonl_once, write_jsonl
 from .metrics import normalized_descent
-from .optimizers.base import run
+from .optimizers.base import Lockstep, run
 from .optimizers.grids import DEFAULT_CONFIG_CAP, GRIDS, enumerate_configs
 from .seeding import derive_seed
 
@@ -123,11 +126,17 @@ def benchmark_instance(instance, pool=DEFAULT_POOL, cap=DEFAULT_CONFIG_CAP,
     :class:`BenchmarkRecord` per (optimizer, config), in grid order.
     """
     grid = _grid(pool, cap, runs, seed)
+    tasks = [[(optimizer, config,
+               derive_seed(seed, instance.id, optimizer, config_index, r))
+              for r in range(runs)]
+             for optimizer, config_index, config in grid]
+    lockstep = Lockstep(instance, instance.fe_budget,
+                        [task for per_run in tasks for task in per_run])
     per_config = [
-        [run(optimizer, config, instance, instance.fe_budget,
-             derive_seed(seed, instance.id, optimizer, config_index, r))
-         for r in range(runs)]
-        for optimizer, config_index, config in grid
+        [run(optimizer, config, instance, instance.fe_budget, run_seed,
+             lockstep=lockstep)
+         for optimizer, config, run_seed in per_run]
+        for per_run in tasks
     ]
     f_star = min((r.best_f for per_run in per_config for r in per_run
                   if r.status == "ok" and not r.best_violation > 0.0),

@@ -6,9 +6,10 @@ applies before the stage runs: ``--config`` loads a JSON
 :class:`PipelineConfig` (flags override fields), and ``--force``
 overwrites outputs (without it, a command whose outputs all exist is a
 no-op so pipelines are resumable).  Each subparser names its output
-flags in ``outputs``; two of them naming one file is an error.  The
-three stages that draw random numbers (synth, bench, split) take
-``--seed``, which overrides the config seed.  The ``OPT_FORGE_LOG``
+flags in ``outputs`` and its input flags in ``inputs``; two outputs
+naming one file, or an output naming an input (``--config`` too), is an
+error.  The three stages that draw random numbers (synth, bench, split)
+take ``--seed``, which overrides the config seed.  The ``OPT_FORGE_LOG``
 environment variable sets the log level.
 """
 
@@ -71,20 +72,31 @@ def _load_config(args):
     return cfg
 
 
+def _flag(dest):
+    return "--" + dest.replace("_", "-")
+
+
 def _outputs_exist(args):
     """Resumability: skip work when every output is already on disk.
 
     Two outputs named by one file are an error, not a no-op: the second
     write would replace the first, and a later run would take the
-    survivor as done.
+    survivor as done.  So is an output that names one of the stage's
+    inputs: the stage would write over what it reads.
     """
+    inputs = {os.path.realpath(getattr(args, i)): i
+              for i in ("config", *args.inputs) if getattr(args, i)}
     outputs = {o: getattr(args, o) for o in args.outputs if getattr(args, o)}
     seen = {}
     for o, path in outputs.items():
-        first = seen.setdefault(os.path.realpath(path), o)
+        real = os.path.realpath(path)
+        if real in inputs:
+            raise SystemExit(f"{_flag(o)} would write over the input "
+                             f"{_flag(inputs[real])}: {path}")
+        first = seen.setdefault(real, o)
         if first != o:
-            flags = " and ".join("--" + f.replace("_", "-") for f in (first, o))
-            raise SystemExit(f"{flags} name one file: {path}")
+            raise SystemExit(f"{_flag(first)} and {_flag(o)} name one file: "
+                             f"{path}")
     if not outputs or args.force:
         return False
     if all(os.path.exists(p) for p in outputs.values()):
@@ -217,9 +229,10 @@ def _parse_eval_file(path):
 
 def cmd_metrics(args, cfg):
     systems = _parse_eval_file(args.results)
-    reports = {
-        name: compute_report(*parts) for name, parts in systems.items()
-    }
+    reports = {}
+    for name, parts in systems.items():
+        with reading(f"{args.results}: system {name!r}"):
+            reports[name] = compute_report(*parts)
     print(format_table(reports))
     if args.out:
         write_json(args.out,
@@ -292,7 +305,7 @@ def build_parser():
 
     p = sub.add_parser("synth", help="synthesize a problem corpus")
     _add_common(p, out_help="instances JSONL path", seeded=True)
-    p.set_defaults(fn=cmd_synth, outputs=("out",))
+    p.set_defaults(fn=cmd_synth, inputs=(), outputs=("out",))
 
     p = sub.add_parser("bench", help="benchmark instances against the pool")
     _add_common(p, out_help="knowledge JSONL path", seeded=True)
@@ -301,31 +314,34 @@ def build_parser():
                    help="per-config audit JSONL")
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="parallel worker processes")
-    p.set_defaults(fn=cmd_bench, outputs=("out", "records"))
+    p.set_defaults(fn=cmd_bench, inputs=("instances",),
+                   outputs=("out", "records"))
 
     p = sub.add_parser("build", help="render instruction pairs")
     _add_common(p, out_help="pairs JSONL path")
     p.add_argument("--instances", required=True, help="instances JSONL")
     p.add_argument("--knowledge", required=True, help="knowledge JSONL")
-    p.set_defaults(fn=cmd_build, outputs=("out",))
+    p.set_defaults(fn=cmd_build, inputs=("instances", "knowledge"),
+                   outputs=("out",))
 
     p = sub.add_parser("split", help="instance-level train/test split")
     _add_common(p, out_required=None, seeded=True)
     p.add_argument("--pairs", required=True, help="pairs JSONL")
     p.add_argument("--train-out", required=True)
     p.add_argument("--test-out", required=True)
-    p.set_defaults(fn=cmd_split, outputs=("train_out", "test_out"))
+    p.set_defaults(fn=cmd_split, inputs=("pairs",),
+                   outputs=("train_out", "test_out"))
 
     p = sub.add_parser("plan", help="summarize pair sampling weights")
     _add_common(p, out_help="plan JSON path")
     p.add_argument("--pairs", required=True, help="pairs JSONL")
-    p.set_defaults(fn=cmd_plan, outputs=("out",))
+    p.set_defaults(fn=cmd_plan, inputs=("pairs",), outputs=("out",))
 
     p = sub.add_parser("metrics", help="score evaluation results")
     _add_common(p, out_required=False, out_help="report JSON path")
     p.add_argument("--results", required=True,
                    help="evaluation results JSON (systems mapping)")
-    p.set_defaults(fn=cmd_metrics, outputs=("out",))
+    p.set_defaults(fn=cmd_metrics, inputs=("results",), outputs=("out",))
 
     p = sub.add_parser("render", help="print one instance's prompt")
     _add_common(p, out_required=False, out_help="write instead of printing")
@@ -335,7 +351,8 @@ def build_parser():
                    help="writing style (default: py_vector)")
     p.add_argument("--knowledge", default=None,
                    help="knowledge JSONL; also print the paired answer")
-    p.set_defaults(fn=cmd_render, outputs=("out",))
+    p.set_defaults(fn=cmd_render, inputs=("instances", "knowledge"),
+                   outputs=("out",))
 
     return parser
 

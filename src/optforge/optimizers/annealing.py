@@ -24,7 +24,8 @@
   before its first evaluation.  This short scipy call is what answer
   programs ship; the benchmark runs the port in
   :mod:`optforge.optimizers.gsa`, which evaluates the same points
-  without importing ``scipy.optimize``.
+  without importing ``scipy.optimize``, and is stepped so that the runs
+  of one instance are evaluated together.
 
 Acceptance tests in all three compare penalized objectives, so
 constrained instances are handled by penalty rather than by the
@@ -155,4 +156,4 @@ def _dual_annealing_port(tracker, config, rng):
     # the bench runs the port, which is imported on first use, so that
     # importing the package compiles and loads none of it
     from .gsa import dual_annealing_port
-    dual_annealing_port(tracker, config, rng)
+    yield from dual_annealing_port(tracker, config, rng)

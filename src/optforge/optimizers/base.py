@@ -10,12 +10,21 @@ tracker's ``bounds`` and ``d``, so its source runs unchanged as an
 answer program against any runtime with the tracker's surface (see
 :mod:`optforge.render.answers`).
 
+An optimizer may instead be *stepped*: a generator function that
+yields each batch of points it wants evaluated and is sent their
+``(f, violation)``, and never calls the tracker's evaluation methods.
+A :class:`Lockstep` drives the stepped runs of one instance together,
+one :func:`evaluate_batch` call per step for all of them.  Each row of
+an evaluation gets the same bits in any batch, so a run driven with
+others ends exactly as it ends alone.
+
 Comparison rule for constrained problems (also used unconstrained,
 where every violation is 0): feasible beats infeasible, then smaller
 violation, then smaller objective, where a NaN objective ranks below
 every number.
 """
 
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +37,7 @@ __all__ = [
     "BudgetExhausted",
     "ObjectiveTracker",
     "RunResult",
+    "Lockstep",
     "register",
     "get_optimizer",
     "get_answer",
@@ -157,13 +167,18 @@ class ObjectiveTracker:
         truncated = x.shape[0] > remaining
         if truncated:
             x = x[:remaining]
-        fe_before = self.fe_used
         f, viol = evaluate_batch(self.instance, x)
-        self.fe_used += x.shape[0]
-        self._record(x, f, viol, fe_before)
+        self.tell(x, f, viol)
         if truncated:
             raise BudgetExhausted
         return f, viol
+
+    def tell(self, x, f, violation):
+        """Count and record rows of ``x`` evaluated elsewhere, which fit
+        in the remaining budget."""
+        fe_before = self.fe_used
+        self.fe_used += x.shape[0]
+        self._record(x, f, violation, fe_before)
 
     def penalized(self, x):
         """Single-point evaluation as ``f + 1e6 * violation`` (for
@@ -256,40 +271,163 @@ class BoxMap:
         return self.lo + np.asarray(u) * self.width
 
 
-def run(optimizer, config, instance, fe_budget, seed):
+class _Chain:
+    """One run on its way to its :class:`RunResult`.  A stepped run is
+    started here and left for :func:`_drive`; any other runs to its end
+    here."""
+
+    def __init__(self, optimizer, config, instance, fe_budget, seed):
+        fn, n_init_of = _registered(optimizer)
+        validate_config(optimizer, config)
+        self.seed = seed
+        self.status, self.message = "ok", ""
+        self.steps = self.ask = None
+        n_init = int(n_init_of(config))
+        if fe_budget < n_init:
+            # fails upfront without spending evaluations
+            self.tracker = None
+            self.status = "failed"
+            self.message = f"budget {fe_budget} < initial sample {n_init}"
+            return
+        self.tracker = ObjectiveTracker(instance, fe_budget, n_init)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        if inspect.isgeneratorfunction(fn):
+            self.steps = fn(self.tracker, config, rng)
+            self.send(None)
+        else:
+            self._guard(fn, self.tracker, config, rng)
+
+    def _guard(self, step, *args):
+        """``step(*args)``; budget exhaustion ends the run ok, any other
+        exception fails it.  Returns the step's value, or None once the
+        run has ended."""
+        try:
+            return step(*args)
+        except BudgetExhausted:
+            pass
+        except Exception as exc:  # noqa: BLE001 -- any optimizer crash = failed run
+            self.status, self.message = "failed", f"{type(exc).__name__}: {exc}"
+        return None
+
+    def send(self, value):
+        """Send ``value`` to the steps; ``ask`` becomes the points they
+        want evaluated next, or None once they have ended."""
+        self.ask = self._guard(self.steps.send, value)
+        if self.ask is not None:
+            self.ask = np.asarray(self.ask, dtype=float)
+
+    def stop(self):
+        """End the steps before their ask is answered: the budget ran
+        out, or evaluating it failed."""
+        self.steps.close()
+        self.ask = None
+
+    def result(self):
+        """The run's outcome; a run that recorded no evaluation failed."""
+        tracker = self.tracker
+        if tracker is None or tracker.best_x is None:
+            return RunResult(
+                seed=self.seed, status="failed",
+                fe_used=0 if tracker is None else tracker.fe_used,
+                message=self.message or "no evaluations recorded")
+        return RunResult(
+            seed=self.seed, status=self.status, best_f=tracker.best_f,
+            best_violation=tracker.best_violation, f0=tracker.f0,
+            f0_violation=tracker.f0_violation, fe_used=tracker.fe_used,
+            trace=tracker.trace, message=self.message,
+        )
+
+
+def _drive(chains):
+    """Step ``chains``, stepped runs on one instance, to their ends.
+
+    Each step evaluates the rows of every chain's ask that fit in that
+    chain's budget in one :func:`evaluate_batch` call, and hands each
+    chain its rows' values; a chain whose ask did not fit whole ends
+    there, as :meth:`ObjectiveTracker.batch` ends it.  A chain left alone
+    evaluates through its tracker's ``batch``, as a run of an optimizer
+    that is not stepped does, so a solo run sees the tracker it is given.
+    """
+    live = [c for c in chains if c.ask is not None]
+    while live:
+        if len(live) == 1:
+            (chain,) = live
+            value = chain._guard(chain.tracker.batch, chain.ask)
+            if value is None:
+                chain.stop()
+            else:
+                chain.send(value)
+        else:
+            fits = []
+            for chain in live:
+                if chain.tracker.remaining > 0:
+                    fits.append((chain, chain.ask[:chain.tracker.remaining]))
+                else:
+                    chain.stop()
+            if fits:
+                f, viol = evaluate_batch(
+                    live[0].tracker.instance,
+                    np.concatenate([x for _, x in fits]))
+            start = 0
+            for chain, x in fits:
+                end = start + len(x)
+                chain.tracker.tell(x, f[start:end], viol[start:end])
+                if len(x) < len(chain.ask):
+                    chain.stop()
+                else:
+                    chain.send((f[start:end], viol[start:end]))
+                start = end
+        live = [c for c in live if c.ask is not None]
+
+
+class Lockstep:
+    """The stepped runs among ``tasks``, ``(optimizer, config, seed)``
+    triples on one instance and budget, driven together.
+
+    The first :meth:`take` drives every run held to its end, so that its
+    evaluations are made in one :func:`evaluate_batch` call per step
+    rather than one per run and step.  A task whose optimizer is not
+    stepped is not held.
+    """
+
+    def __init__(self, instance, fe_budget, tasks):
+        self._chains = {}
+        for optimizer, config, seed in tasks:
+            if inspect.isgeneratorfunction(_registered(optimizer)[0]):
+                key = self._key(optimizer, config, seed)
+                if key in self._chains:
+                    raise ValueError(f"two runs of {optimizer} with config "
+                                     f"{config} and seed {seed}")
+                self._chains[key] = _Chain(optimizer, config, instance,
+                                           fe_budget, seed)
+        self._driven = False
+
+    @staticmethod
+    def _key(optimizer, config, seed):
+        return optimizer, tuple(sorted(config.items())), seed
+
+    def take(self, optimizer, config, seed):
+        """The chain held for this run, run to its end, or None when none
+        is held."""
+        chain = self._chains.pop(self._key(optimizer, config, seed), None)
+        if chain is not None and not self._driven:
+            _drive([chain, *self._chains.values()])
+            self._driven = True
+        return chain
+
+
+def run(optimizer, config, instance, fe_budget, seed, lockstep=None):
     """Execute one run and package the outcome.
 
     Any exception out of the optimizer (other than budget exhaustion)
     marks the run ``failed``; a budget smaller than the optimizer's
-    initial sample fails upfront without spending evaluations.
+    initial sample fails upfront without spending evaluations.  A
+    :class:`Lockstep` that holds this run gives its result from the runs
+    it drove together; a stepped run it does not hold is driven alone,
+    with the same result.
     """
-    fn, n_init_of = _registered(optimizer)
-    validate_config(optimizer, config)
-
-    n_init = int(n_init_of(config))
-    if fe_budget < n_init:
-        return RunResult(
-            seed=seed, status="failed", fe_used=0,
-            message=f"budget {fe_budget} < initial sample {n_init}",
-        )
-
-    tracker = ObjectiveTracker(instance, fe_budget, n_init)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    status, message = "ok", ""
-    try:
-        fn(tracker, config, rng)
-    except BudgetExhausted:
-        pass
-    except Exception as exc:  # noqa: BLE001 -- any optimizer crash = failed run
-        status, message = "failed", f"{type(exc).__name__}: {exc}"
-
-    if tracker.best_x is None:
-        message = message or "no evaluations recorded"
-        return RunResult(seed=seed, status="failed", fe_used=tracker.fe_used,
-                         message=message)
-    return RunResult(
-        seed=seed, status=status, best_f=tracker.best_f,
-        best_violation=tracker.best_violation, f0=tracker.f0,
-        f0_violation=tracker.f0_violation, fe_used=tracker.fe_used,
-        trace=tracker.trace, message=message,
-    )
+    chain = lockstep.take(optimizer, config, seed) if lockstep else None
+    if chain is None:
+        chain = _Chain(optimizer, config, instance, fe_budget, seed)
+        _drive([chain])
+    return chain.result()

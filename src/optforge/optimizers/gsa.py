@@ -9,14 +9,18 @@
 ``LocalSearchWrapper``, the outer temperature loop and the
 ``nfev``/``maxfun`` accounting.  The local search is
 :func:`~optforge.optimizers.lbfgsb.minimize_lbfgsb` with the scipy
-call's gradient and options.  The port draws from a
-``numpy.random.RandomState`` in scipy's order and does scipy's floating
-point operations on arrays of the same shapes, so it evaluates the
-points the scipy call evaluates, in the same order; tests hold the two
-to that.  Two changes keep the bits and save time: the visit scale
-that depends on the temperature alone is computed once per chain, not
-once per visit, and a one-coordinate visit wraps into the box on
-Python floats, where scipy uses numpy scalars.
+call's gradient and options.  The port is a generator: it yields each
+batch of points it wants evaluated and is sent their ``(f,
+violation)``, so that the bench can evaluate the asks of many runs on
+one instance in one call (see :class:`~optforge.optimizers.base.Lockstep`).
+The port draws from a ``numpy.random.RandomState`` in scipy's order
+and does scipy's floating point operations on arrays of the same
+shapes, so it evaluates the points the scipy call evaluates, in the
+same order; tests hold the two to that.  Two changes keep the bits
+and save time: the visit scale that depends on the temperature alone
+is computed once per chain, not once per visit, and a one-coordinate
+visit wraps into the box on Python floats, where scipy uses numpy
+scalars.
 
 What the call never reaches is left out: a callback, ``no_local_search``
 and the local search scipy starts by chance, which needs
@@ -30,7 +34,7 @@ import math
 import numpy as np
 
 from .annealing import _FD_STEP
-from .base import uniform_init
+from .base import PENALTY_COEFF, uniform_init
 from .lbfgsb import minimize_lbfgsb
 
 __all__ = []
@@ -117,44 +121,44 @@ class _VisitingDistribution:
 
 class _Annealer:
     """scipy's ``EnergyState``, ``StrategyChain``, ``LocalSearchWrapper``
-    and objective counter in one object.  Each step returns True where
-    scipy's returns a stop message."""
+    and objective counter in one object.  Every method that evaluates is
+    a generator that yields the points and is sent their ``(f,
+    violation)``; each step returns True where scipy's returns a stop
+    message."""
 
-    def __init__(self, tracker, config, x0, rs):
-        self.tracker = tracker
+    def __init__(self, bounds, maxfun, config, rs):
         self.config = config
         self.rs = rs
-        bounds = tracker.bounds
         self.lower = np.ascontiguousarray(bounds[:, 0])
         self.upper = np.ascontiguousarray(bounds[:, 1])
-        d = tracker.d
+        d = len(bounds)
         self.ls_maxiter = min(max(6 * d, 100), 1000)
         self.ls_maxfun = 15000 // (d + 1)
         self.nfev = 0
-        self.maxfun = tracker.remaining
+        self.maxfun = maxfun
         self.ebest = self.xbest = None
-        self.reset(x0)
         self.visiting = _VisitingDistribution(self.lower, self.upper,
                                               config["visit"], rs)
-        self.emin = self.current_energy
-        self.xmin = self.current_location
         self.not_improved_idx = 0
         self.not_improved_max_idx = 1000
         self.temperature_step = 0
         self.improved = False
 
     def fun(self, x):
+        """The penalized objective at the point ``x``."""
         self.nfev += 1
-        return self.tracker.penalized(x)
+        f, viol = yield x[None]
+        return float(f[0] + PENALTY_COEFF * viol[0])
 
     def fun_and_grad(self, x):
         # the scipy call's gradient: steps of 1e-8, negated where
         # x + 1e-8 passes the upper bound, the d points as one batch
-        f = self.fun(x)
+        f = yield from self.fun(x)
         x_step = x + np.where(x + _FD_STEP > self.upper, -_FD_STEP, _FD_STEP)
         points = np.repeat(x[None], x.size, axis=0)
         np.fill_diagonal(points, x_step)
-        return f, (self.tracker.penalized_batch(points) - f) / (x_step - x)
+        f_step, viol = yield points
+        return f, (f_step + PENALTY_COEFF * viol - f) / (x_step - x)
 
     def reset(self, x0=None):
         """Start at ``x0``, or at a uniform draw; redraw while the
@@ -163,7 +167,7 @@ class _Annealer:
                                     size=len(self.lower))
                     if x0 is None else x0)
         for reinit in range(_MAX_REINIT_COUNT + 1):
-            energy = self.fun(location)
+            energy = yield from self.fun(location)
             finite = np.isfinite(energy)
             if not finite:
                 if reinit == _MAX_REINIT_COUNT:
@@ -189,7 +193,7 @@ class _Annealer:
         scale = self.visiting.scale(temperature)
         for j in range(self.current_location.size * 2):
             x_visit = self.visiting.visiting(self.current_location, j, scale)
-            e = self.fun(x_visit)
+            e = yield from self.fun(x_visit)
             if e < self.current_energy:
                 self.current_energy, self.current_location = e, x_visit
                 if e < self.ebest:
@@ -223,7 +227,7 @@ class _Annealer:
         chain improved on it, and from the chain's minimum after too
         long without improvement."""
         if self.improved:
-            e, x = self.minimize(self.xbest, self.ebest)
+            e, x = yield from self.minimize(self.xbest, self.ebest)
             if e < self.ebest:
                 self.not_improved_idx = 0
                 self.ebest, self.xbest = e, x
@@ -231,7 +235,7 @@ class _Annealer:
             if self.nfev >= self.maxfun:
                 return True
         if self.not_improved_idx >= self.not_improved_max_idx:
-            e, x = self.minimize(self.xmin, self.emin)
+            e, x = yield from self.minimize(self.xmin, self.emin)
             self.xmin, self.emin = x, e
             self.not_improved_idx = 0
             self.not_improved_max_idx = self.current_location.size
@@ -245,19 +249,23 @@ class _Annealer:
     def minimize(self, x, e):
         """L-BFGS-B from ``x``; its end point if valid and better than
         ``e``, else ``(e, x)``."""
-        x_ls, f_ls = minimize_lbfgsb(self.fun_and_grad, x, self.lower,
-                                     self.upper, self.ls_maxiter,
-                                     self.ls_maxfun)
+        x_ls, f_ls = yield from minimize_lbfgsb(
+            self.fun_and_grad, x, self.lower, self.upper, self.ls_maxiter,
+            self.ls_maxfun)
         if (np.all(np.isfinite(x_ls)) and np.isfinite(f_ls)
                 and np.all(x_ls >= self.lower) and np.all(x_ls <= self.upper)
                 and f_ls < e):
             return f_ls, x_ls
         return e, x
 
-    def run(self):
-        """scipy's outer loop: chains at falling temperatures, each
-        followed by its local searches, re-annealing from a fresh draw
-        once the temperature falls below the restart temperature."""
+    def run(self, x0):
+        """scipy's outer loop from ``x0``: chains at falling
+        temperatures, each followed by its local searches, re-annealing
+        from a fresh draw once the temperature falls below the restart
+        temperature."""
+        yield from self.reset(x0)
+        self.emin = self.current_energy
+        self.xmin = self.current_location
         initial_temp = self.config["initial_temp"]
         visit = self.config["visit"]
         temperature_restart = initial_temp * self.config["restart_temp_ratio"]
@@ -271,15 +279,17 @@ class _Annealer:
                 if iteration >= _MAXITER:
                     return
                 if temperature < temperature_restart:
-                    self.reset()
+                    yield from self.reset()
                     break
-                if self.chain(i, temperature) or self.local_search():
+                if ((yield from self.chain(i, temperature))
+                        or (yield from self.local_search())):
                     return
                 iteration += 1
 
 
 def dual_annealing_port(tracker, config, rng):
-    """Run ``dual_annealing`` as the scipy call does."""
+    """Run ``dual_annealing`` as the scipy call does: a generator that
+    yields the points to evaluate and is sent their ``(f, violation)``."""
     # the scipy call's box check and draws, in its order
     hi = tracker.bounds[:, 1]
     if (np.any(hi - tracker.bounds[:, 0] <= 2 * _FD_STEP)
@@ -287,4 +297,5 @@ def dual_annealing_port(tracker, config, rng):
         raise ValueError("box too narrow or too far from 0 for steps of 1e-8")
     x0 = uniform_init(rng, tracker.bounds, 1)[0]
     rs = np.random.RandomState(int(rng.integers(0, 2**31 - 1)))
-    _Annealer(tracker, config, x0, rs).run()
+    yield from _Annealer(tracker.bounds, tracker.remaining, config,
+                         rs).run(x0)

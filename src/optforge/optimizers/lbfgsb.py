@@ -7,7 +7,10 @@ options and finite bounds on every coordinate, together with the part of
 point when the search starts, and a new evaluation only at a point that
 differs from the last one evaluated.  It evaluates the points scipy's
 ``minimize(method="L-BFGS-B", jac=...)`` would, in the same order, and
-ends on the same x and f.
+ends on the same x and f.  It is a generator, so that many searches can
+wait on one batched evaluation: ``setulb`` keeps all of a search's
+state in the arrays passed to it, so searches may be stepped in any
+interleaving.
 
 ``setulb`` lives in the extension module ``scipy.optimize._lbfgsb``.
 Importing it by name runs ``scipy/optimize/__init__.py``, which costs
@@ -60,17 +63,20 @@ def _setulb():
 
 def minimize_lbfgsb(fun_and_grad, x0, lower, upper, maxiter, maxfun):
     """Minimize from ``x0`` in the box ``[lower, upper]`` (contiguous
-    float arrays); ``fun_and_grad(x)`` returns ``(f, g)`` at x.
+    float arrays).
 
-    Stops where scipy stops: on convergence, after ``maxiter``
-    iterations, or at the end of the iteration in which more than
-    ``maxfun`` points were evaluated.  Returns the final ``(x, f)``.
+    A generator: ``fun_and_grad(x)`` is a generator too, whose return
+    value is ``(f, g)`` at x, and the search yields what it yields and
+    is sent what it is sent.  Stops where scipy stops: on convergence,
+    after ``maxiter`` iterations, or at the end of the iteration in
+    which more than ``maxfun`` points were evaluated.  Returns the final
+    ``(x, f)``.
     """
     setulb = _setulb()
     n = x0.size
     x = np.clip(x0, lower, upper)
     x_f = x.copy()  # the point last evaluated
-    f_x, g_x = fun_and_grad(x_f)
+    f_x, g_x = yield from fun_and_grad(x_f)
     nfev = 1
 
     nbd = np.full(n, 2, np.int32)  # both bounds finite
@@ -91,7 +97,7 @@ def minimize_lbfgsb(fun_and_grad, x0, lower, upper, maxiter, maxfun):
         if task[0] == 3:  # wants f and g at x
             if not np.array_equal(x, x_f):
                 x_f = x.copy()
-                f_x, g_x = fun_and_grad(x_f)
+                f_x, g_x = yield from fun_and_grad(x_f)
                 nfev += 1
             f, g = f_x, g_x
         elif task[0] == 1:  # a new iteration

@@ -112,7 +112,8 @@ def constraint_values(spec, x):
     y = x - spec.center
     kind = spec.kind
     if kind == "linear":
-        return y @ spec._weights - spec.params["b"]
+        # a dot product per row: the bits of a row do not depend on the batch
+        return np.vecdot(y, spec._weights) - spec.params["b"]
     if kind == "ball":
         r = spec.params["radius"]
         return (y**2).sum(axis=-1) - r**2

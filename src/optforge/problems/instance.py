@@ -182,7 +182,9 @@ def evaluate_batch(instance, x):
         Aggregate constraint violation, all zeros for unconstrained
         instances.
     """
-    x = np.asarray(x, dtype=float)
+    # row-major, so that every kernel sees a row at unit stride, whatever
+    # the batch size: a row's bits then do not depend on the batch
+    x = np.ascontiguousarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != instance.d:
         raise ValueError(f"expected shape (n, {instance.d}), got {x.shape}")
     return _objective_batch(instance, x), violation_of(instance.constraints, x)

@@ -80,6 +80,11 @@ class TransformSpec:
         return self.rotation.shape[0]
 
     def apply(self, x):
-        """Map points into component coordinates: ``z = M^T (x - o)``."""
-        x = np.asarray(x, dtype=float)
-        return (x - self.shift) @ self.rotation
+        """Map points into component coordinates: ``z = M^T (x - o)``.
+
+        Each row is a product of its own (``vecmat``) on a unit-stride
+        row, so its bits do not depend on the other rows of the batch, as
+        a matrix product's may.  A hybrid segment ``x[:, seg]`` comes in
+        column-major, where a row's stride would be the batch size."""
+        return np.vecmat(np.subtract(x, self.shift, order="C"),
+                         self.rotation)

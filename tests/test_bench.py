@@ -12,9 +12,13 @@ import optforge.bench as bench
 from optforge.bench import (BenchmarkRecord, KnowledgeEntry, _run_eval,
                             benchmark_instance, benchmark_set, load_knowledge,
                             save_knowledge, save_records)
+import optforge.optimizers.base as base
 from optforge.optimizers.base import RunResult, run
 from optforge.optimizers.grids import enumerate_configs
+from optforge.problems.instance import (ComponentSpec, ProblemInstance,
+                                        evaluate_batch)
 from optforge.problems.synthesis import synthesize_instance
+from optforge.problems.transforms import TransformSpec
 from optforge.seeding import derive_seed
 
 from reference_impls import ref_score_runs
@@ -75,7 +79,7 @@ def _bench_stubbed(monkeypatch, results):
     inst = synthesize_instance(d=2, k=1, constrained=False, seed=1,
                                fe_budget=100)
     given = iter(results)
-    monkeypatch.setattr(bench, "run", lambda *args: next(given))
+    monkeypatch.setattr(bench, "run", lambda *args, **kwargs: next(given))
     return benchmark_instance(inst, pool=("random_search",), cap=None,
                               runs=len(results), seed=0)
 
@@ -294,9 +298,9 @@ def test_benchmark_set_yields_each_instance_before_the_next_runs(
     ran_on = []
     real_run = bench.run
 
-    def spy(optimizer, config, instance, fe_budget, seed):
+    def spy(optimizer, config, instance, *args, **kwargs):
         ran_on.append(instance.id)
-        return real_run(optimizer, config, instance, fe_budget, seed)
+        return real_run(optimizer, config, instance, *args, **kwargs)
 
     monkeypatch.setattr(bench, "run", spy)
     outcomes = benchmark_set(instances, pool=POOL, cap=2, runs=1,
@@ -313,10 +317,10 @@ def test_benchmark_set_survives_crashing_instance(monkeypatch, capsys):
     bad_id = instances[1].id
     real_run = bench.run
 
-    def exploding_run(optimizer, config, instance, fe_budget, seed):
+    def exploding_run(optimizer, config, instance, *args, **kwargs):
         if instance.id == bad_id:
             raise RuntimeError("boom")
-        return real_run(optimizer, config, instance, fe_budget, seed)
+        return real_run(optimizer, config, instance, *args, **kwargs)
 
     monkeypatch.setattr(bench, "run", exploding_run)
     outcomes = list(benchmark_set(instances, pool=POOL, cap=2, runs=1,
@@ -410,3 +414,64 @@ def test_save_records_schema(tmp_path):
             trace = [tuple(t) for t in entry["trace"]]
             assert RunResult(**{**entry, "trace": trace}) == want
         assert BenchmarkRecord(**{**row, "per_run": rec.per_run}) == rec
+
+
+# ---------------------------------------------------------------------------
+# dual_annealing in lockstep
+
+
+def _narrow_box_instance():
+    # x + 1e-8 == x at the upper bound: dual_annealing fails every run
+    # before its first evaluation, random_search runs
+    comp = ComponentSpec(basic="sphere", weight=1.0,
+                         transform=TransformSpec(np.eye(2), np.zeros(2)))
+    return ProblemInstance(d=2, bounds=[[-1.0, 2.0**27]] * 2,
+                           paradigm="single", components=[comp],
+                           fe_budget=300)
+
+
+@pytest.mark.parametrize("instance, last_rows", [
+    # chains cut by their budget after 4 and after 2 of a 5-row gradient
+    (synthesize_instance(d=5, k=2, constrained=False, seed=3,
+                         fe_budget=700), {1, 2, 4, 5}),
+    (synthesize_instance(d=4, k=1, constrained=True, seed=8,
+                         fe_budget=500), {1, 3}),
+    (_narrow_box_instance(), {None}),
+], ids=["cut-mid-gradient", "constrained", "fail-before-first-evaluation"])
+def test_lockstep_runs_equal_solo_runs(instance, last_rows, monkeypatch):
+    calls = []
+
+    def logged_evaluate_batch(inst, x):
+        calls.append(len(x))
+        return evaluate_batch(inst, x)
+
+    monkeypatch.setattr(base, "evaluate_batch", logged_evaluate_batch)
+    _, records = benchmark_instance(
+        instance, pool=("dual_annealing", "random_search"), cap=3, runs=3,
+        seed=11)
+    runs = [r for rec in records for r in rec.per_run]
+    assert sum(calls) == sum(r.fe_used for r in runs)
+    n_calls = {"bench": len(calls), "dual_annealing": 0, "random_search": 0}
+
+    ends = []
+    for rec in records:
+        for r, got in enumerate(rec.per_run):
+            calls.clear()
+            seed = derive_seed(11, instance.id, rec.optimizer,
+                               rec.config_index, r)
+            assert got == run(rec.optimizer, rec.config, instance,
+                              instance.fe_budget, seed)
+            n_calls[rec.optimizer] += len(calls)
+            if rec.optimizer == "dual_annealing":
+                ends.append(calls[-1] if calls else None)
+    assert len(ends) == 9
+    assert set(ends) == last_rows
+    statuses = {r.status for rec in records for r in rec.per_run
+                if rec.optimizer == "dual_annealing"}
+    lockstep_calls = n_calls["bench"] - n_calls["random_search"]
+    if last_rows == {None}:
+        assert statuses == {"failed"} and lockstep_calls == 0
+    else:
+        # the nine chains share their evaluate_batch calls
+        assert statuses == {"ok"}
+        assert lockstep_calls * 2 < n_calls["dual_annealing"]

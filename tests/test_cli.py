@@ -2,11 +2,13 @@
 config handling and output resumability."""
 
 import ast
+import copy
 import dataclasses
 import importlib
 import json
 import os
 import shlex
+import shutil
 import statistics
 import subprocess
 import sys
@@ -185,9 +187,9 @@ def test_bench_input_that_cannot_work_fails_before_any_run(
     calls = []
     real_run = bench.run
 
-    def counting_run(*args):
+    def counting_run(*args, **kwargs):
         calls.append(args[0])
-        return real_run(*args)
+        return real_run(*args, **kwargs)
 
     monkeypatch.setattr(bench, "run", counting_run)
     with pytest.raises(error) as err:
@@ -382,6 +384,9 @@ def test_stage_noop_when_every_output_exists(tmp_path, capsys, stage):
     sub = _stage_parsers()[stage]
     assert sub.get_default("outputs") == tuple(outputs)
     assert set(outputs) <= {a.dest for a in sub._actions}
+    declared = set(sub.get_default("inputs"))
+    assert {flag[2:] for flag in inputs} <= declared
+    assert declared <= {a.dest for a in sub._actions}
     argv = [stage]
     for flag in inputs:
         argv += [flag, str(tmp_path / f"missing{flag[2:]}")]
@@ -415,6 +420,37 @@ def test_one_file_named_for_two_outputs_is_rejected(
                               f"{argv[-1]}")
     assert {p.name: p.read_text() for p in tmp_path.iterdir()} == (
         {"same.jsonl": "kept"} if exists else {})
+
+
+@pytest.mark.parametrize("force", [False, True], ids=["resume", "force"])
+@pytest.mark.parametrize("stage, flags, output, source", [
+    ("plan", ["--pairs", "{train}", "--out", "{train}"], "--out", "--pairs"),
+    ("build", ["--instances", "{instances}", "--knowledge", "{knowledge}",
+               "--out", "{tmp}/./knowledge.jsonl"], "--out", "--knowledge"),
+    ("split", ["--pairs", "{pairs}", "--train-out", "pairs.jsonl",
+               "--test-out", "{tmp}/test.jsonl"], "--train-out", "--pairs"),
+    ("bench", ["--instances", "{instances}", "--out", "{tmp}/k.jsonl",
+               "--records", "{instances}"], "--records", "--instances"),
+    ("synth", ["--out", "{config}"], "--out", "--config"),
+], ids=["plan", "build", "split", "bench", "synth"])
+def test_output_naming_an_input_is_rejected(pipeline, tmp_path, monkeypatch,
+                                           stage, flags, output, source,
+                                           force):
+    # each input is a copy in tmp_path, whose bytes must stay as they are
+    monkeypatch.chdir(tmp_path)
+    copies = {}
+    for name in ("config", "instances", "knowledge", "pairs", "train"):
+        copies[name] = str(tmp_path / os.path.basename(pipeline[name]))
+        shutil.copyfile(pipeline[name], copies[name])
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    argv = [stage, "--config", copies["config"],
+            *(f.format(tmp=tmp_path, **copies) for f in flags)]
+    argv += ["--force"] * force
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == (f"{output} would write over the input "
+                              f"{source}: {argv[argv.index(output) + 1]}")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_force_rebuilds(pipeline, capsys):
@@ -513,10 +549,10 @@ def test_bench_interrupted_midway_keeps_the_old_outputs(pipeline, tmp_path,
     second = load_instances(pipeline["instances"])[1].id
     real_run = bench.run
 
-    def interrupted_run(optimizer, config, instance, fe_budget, seed):
+    def interrupted_run(optimizer, config, instance, *args, **kwargs):
         if instance.id == second:
             raise KeyboardInterrupt
-        return real_run(optimizer, config, instance, fe_budget, seed)
+        return real_run(optimizer, config, instance, *args, **kwargs)
 
     monkeypatch.setattr(bench, "run", interrupted_run)
     with pytest.raises(KeyboardInterrupt):
@@ -604,8 +640,9 @@ def test_every_traced_binding_records_a_span(tmp_path, monkeypatch):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "n_unconstrained": 1, "n_constrained": 1, "d_min": 2, "d_max": 3,
-        "k_min": 1, "k_max": 2, "fe_budget": 100, "runs": 1,
-        "config_cap": 1, "pool": ["random_search", "vanilla_de"],
+        "k_min": 1, "k_max": 2, "fe_budget": 100, "runs": 2,
+        "config_cap": 2,
+        "pool": ["random_search", "vanilla_de", "dual_annealing"],
         "test_fraction": 0.0, "seed": 3}))
     results = tmp_path / "results.json"
     results.write_text(json.dumps(_results_payload()))
@@ -639,6 +676,19 @@ def test_every_traced_binding_records_a_span(tmp_path, monkeypatch):
     assert tracer.names
     spanned = {span[0] for span in tracer.spans}
     assert [name for name in tracer.names if name not in spanned] == []
+    # the lockstep runs of dual_annealing still make one run span each,
+    # and evaluate through the traced binding exactly the rows they use
+    with open(paths["records"]) as fh:
+        records = [json.loads(line) for line in fh]
+    # two configs x two runs of dual_annealing on each of two instances
+    assert [len(rec["per_run"]) for rec in records
+            if rec["optimizer"] == "dual_annealing"] == [2] * 4
+    runs = [run for rec in records for run in rec["per_run"]]
+    assert sum(1 for span in tracer.spans
+               if span[0] == "optimizers.run") == len(runs)
+    rows = sum(span[4][0] for span in tracer.spans
+               if span[0] == "problems.evaluate_batch")
+    assert rows == sum(run["fe_used"] for run in runs)
 
 
 # ---------------------------------------------------------------------------
@@ -697,6 +747,24 @@ def test_metrics_on_zero_outcomes_fails_with_message(tmp_path):
     with pytest.raises(ValueError) as err:
         main(["metrics", "--results", str(results), "--out", str(report)])
     assert "cannot rate errors over 0 problems x 5 runs" in str(err.value)
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("change, reason", [
+    ({"n_problems": 0, "outcomes": []},
+     "cannot rate errors over 0 problems x 5 runs"),
+    ({"n_runs": 4}, "4 problems x 4 runs = 16 outcomes, got 20"),
+], ids=["zero-problems", "outcome-count"])
+def test_metrics_error_names_the_system_and_file(tmp_path, change, reason):
+    payload = _results_payload()
+    payload["systems"]["other"] = copy.deepcopy(payload["systems"]["demo"])
+    payload["systems"]["demo"].update(change)
+    results, report = tmp_path / "results.json", tmp_path / "report.json"
+    results.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as err:
+        main(["metrics", "--results", str(results), "--out", str(report)])
+    assert str(err.value).startswith(f"{results}: system 'demo': ")
+    assert reason in str(err.value)
     assert not report.exists()
 
 

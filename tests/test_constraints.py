@@ -89,10 +89,7 @@ def test_sinusoid_values():
     np.testing.assert_allclose(constraint_values(spec, x), [1.0], atol=1e-12)
 
 
-# linear (y @ a) is a BLAS product, whose bits may depend on the batch
-# size (ROADMAP item 1), so it is left out
-@pytest.mark.parametrize("kind", ["ball", "cumsum_zero", "chain_zero",
-                                  "product", "sinusoid"])
+@pytest.mark.parametrize("kind", CONSTRAINT_TEMPLATES)
 def test_values_on_a_batch_equal_one_row_calls(kind):
     rng = np.random.default_rng(11)
     for n, d in [(1, 3), (37, 8), (200, 50)]:
@@ -101,6 +98,9 @@ def test_values_on_a_batch_equal_one_row_calls(kind):
         single = np.concatenate([constraint_values(spec, row[None])
                                  for row in x])
         assert np.array_equal(constraint_values(spec, x), single)
+        order = rng.permutation(n)
+        assert np.array_equal(constraint_values(spec, x[order]),
+                              single[order])
 
 
 def test_violation_aggregates_and_eps():

@@ -23,7 +23,7 @@ def _loop_constraint_values(spec, x):
     kind = spec.kind
     if kind == "linear":
         a = np.asarray(spec.params["a"], dtype=float)
-        return y @ a - spec.params["b"]
+        return np.vecdot(y, a) - spec.params["b"]
     if kind == "ball":
         return np.sum(y**2, axis=-1) - spec.params["radius"] ** 2
     if kind == "cumsum_zero":
@@ -89,6 +89,28 @@ def test_evaluate_batch_matches_component_loop(inst, n):
     want_f, want_viol = _loop_evaluate_batch(inst, x)
     assert f.tobytes() == want_f.tobytes()
     assert viol.tobytes() == want_viol.tobytes()
+
+
+@pytest.mark.parametrize("inst", INSTANCES,
+                         ids=[f"{i.paradigm}-d{i.d}-"
+                              + "+".join(c.kind for c in i.constraints)
+                              for i in INSTANCES])
+def test_evaluate_batch_rows_do_not_depend_on_the_batch(inst):
+    # a row gets the same bits alone, in any batch and at any position,
+    # so that runs evaluated together end as they end alone
+    rng = np.random.default_rng(inst.d)
+    lo, hi = inst.bounds[:, 0], inst.bounds[:, 1]
+    x = rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo),
+                    (300, inst.d))
+    single = [np.concatenate(parts) for parts in
+              zip(*(evaluate_batch(inst, row[None]) for row in x))]
+    order = rng.permutation(len(x))
+    for n in (2, 7, 64, 300):
+        for batch, rows in ((x[:n], slice(n)), (x[order[:n]], order[:n]),
+                            (np.asfortranarray(x[:n]), slice(n))):
+            f, viol = evaluate_batch(inst, batch)
+            assert np.array_equal(f, single[0][rows], equal_nan=True)
+            assert np.array_equal(viol, single[1][rows], equal_nan=True)
 
 
 def test_evaluation_plan_survives_round_trips():

@@ -442,8 +442,8 @@ def test_vanilla_de_constrained_matches_reference():
 
 
 class _RowByRowTracker(ObjectiveTracker):
-    """Tracker whose ``penalized_batch`` evaluates one row at a time via
-    ``penalized``, and which logs every evaluated point."""
+    """Tracker whose ``batch`` evaluates one row at a time, and which
+    logs every evaluated point."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -452,10 +452,8 @@ class _RowByRowTracker(ObjectiveTracker):
     def batch(self, x):
         x = np.asarray(x, dtype=float)
         self.points += x[:max(self.remaining, 0)].tolist()
-        return super().batch(x)
-
-    def penalized_batch(self, x):
-        return np.array([self.penalized(row) for row in x])
+        rows = [super(_RowByRowTracker, self).batch(row[None]) for row in x]
+        return tuple(np.concatenate(parts) for parts in zip(*rows))
 
 
 def _plain_scipy_dual_annealing(tracker, config, rng):
@@ -757,6 +755,43 @@ def test_gammaln_table_is_scipy_gammaln():
         assert value == gammaln(2.0 - (1.0 / (visit - 1.0) - 0.5))
 
 
+def test_lockstep_runs_equal_solo_runs_when_some_fail(monkeypatch):
+    # the port fails before its first evaluation at visit 3.62 and after
+    # 30 asks at visit 1.62; the other chains run to the budget
+    port = get_optimizer("dual_annealing")
+
+    def flaky(tracker, config, rng):
+        if config["visit"] == 3.62:
+            raise ValueError("no start")
+        steps = port(tracker, config, rng)
+        value = None
+        for step in range(10**9):
+            if config["visit"] == 1.62 and step == 30:
+                raise ArithmeticError("mid-run")
+            try:
+                ask = steps.send(value)
+            except StopIteration:
+                return
+            value = yield ask
+
+    monkeypatch.setitem(base._REGISTRY, "dual_annealing",
+                        (flaky, base._REGISTRY["dual_annealing"][1]))
+    inst = _instance_of("composition", True)
+    tasks = [("dual_annealing", {**SMALL_CONFIGS["dual_annealing"],
+                                 "visit": visit}, seed)
+             for visit in (1.62, 2.62, 3.62) for seed in (1, 2)]
+    tasks.append(("random_search", {}, 1))
+    lockstep = base.Lockstep(inst, 400, tasks)
+    together = [run(*task[:2], inst, 400, task[2], lockstep=lockstep)
+                for task in tasks]
+    assert together == [run(*task[:2], inst, 400, task[2]) for task in tasks]
+    assert [(r.status, r.fe_used > 0, r.message) for r in together] == [
+        ("failed", True, "ArithmeticError: mid-run")] * 2 + [
+        ("ok", True, "")] * 2 + [
+        ("failed", False, "ValueError: no start")] * 2 + [("ok", True, "")]
+    assert [r.fe_used for r in together[2:4]] == [400, 400]
+
+
 # ---------------------------------------------------------------------------
 # L-BFGS-B through setulb
 
@@ -775,6 +810,22 @@ def test_lbfgsb_loads_scipy_setulb_by_path(tmp_path):
     assert loaded.__file__ == scipy_lbfgsb.__file__
     with pytest.raises(ImportError):
         lbfgsb.load_lbfgsb(str(tmp_path))
+
+
+def _asked(x):
+    # a minimize_lbfgsb objective that yields x and returns what it is sent
+    return (yield x)
+
+
+def _answered(search, fun_and_grad):
+    """Run a ``minimize_lbfgsb(_asked, ...)`` search, sending
+    ``fun_and_grad(x)`` for each x it yields; its ``(x, f)``."""
+    try:
+        x = next(search)
+        while True:
+            x = search.send(fun_and_grad(x))
+    except StopIteration as stop:
+        return stop.value
 
 
 def _rosenbrock_and_grad(x):
@@ -803,8 +854,8 @@ def test_minimize_lbfgsb_equals_scipy_minimize(lower, maxiter, maxfun):
             return _rosenbrock_and_grad(x)
         return fun_and_grad
 
-    x, f = lbfgsb.minimize_lbfgsb(logged(logs[0]), x0, lo, hi, maxiter,
-                                  maxfun)
+    x, f = _answered(lbfgsb.minimize_lbfgsb(_asked, x0, lo, hi, maxiter,
+                                            maxfun), logged(logs[0]))
     fg = logged(logs[1])
     res = minimize(lambda x: fg(x)[0], x0, method="L-BFGS-B",
                    jac=lambda x: _rosenbrock_and_grad(x)[1],
@@ -813,6 +864,48 @@ def test_minimize_lbfgsb_equals_scipy_minimize(lower, maxiter, maxfun):
     assert logs[0] == logs[1]
     assert x.tolist() == res.x.tolist() and f == res.fun
     assert x0.tolist() == np.linspace(1.3, 1.9, d).tolist()
+
+
+def test_minimize_lbfgsb_searches_interleave():
+    # setulb keeps a search's state in the arrays passed to it (wa, iwa,
+    # task, lsave, isave, dsave), so searches stepped alternately
+    # evaluate the points and end where each ends alone
+    d = 4
+    hi = np.full(d, 2.0)
+    starts = [(np.full(d, -2.0), np.linspace(1.3, 1.9, d), 1000),
+              (np.full(d, -1.0), np.linspace(-0.9, 1.7, d), 1000),
+              (np.full(d, -2.0), np.linspace(1.9, -1.3, d), 6)]
+
+    def search(lo, x0, maxiter):
+        return lbfgsb.minimize_lbfgsb(_asked, x0, lo, hi, maxiter, 15000)
+
+    alone = []
+    for start in starts:
+        log = []
+
+        def fun_and_grad(x):
+            log.append(x.tolist())
+            return _rosenbrock_and_grad(x)
+
+        alone.append((_answered(search(*start), fun_and_grad), log))
+
+    searches = [search(*start) for start in starts]
+    asks = [next(s) for s in searches]
+    logs = [[] for _ in starts]
+    ends = [None for _ in starts]
+    while any(end is None for end in ends):
+        for i, s in enumerate(searches):
+            if ends[i] is None:
+                logs[i].append(asks[i].tolist())
+                try:
+                    asks[i] = s.send(_rosenbrock_and_grad(asks[i]))
+                except StopIteration as stop:
+                    ends[i] = stop.value
+    assert len({len(log) for log in logs}) == len(starts)
+    for ((x_alone, f_alone), log_alone), (x, f), log in zip(alone, ends,
+                                                           logs):
+        assert log == log_alone
+        assert x.tolist() == x_alone.tolist() and f == f_alone
 
 
 # ---------------------------------------------------------------------------

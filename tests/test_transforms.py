@@ -74,6 +74,27 @@ def test_apply_matches_formula():
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
 
+@pytest.mark.parametrize("d", [2, 5, 7, 30, 120])
+def test_apply_rows_do_not_depend_on_the_batch(d):
+    # vecmat on unit-stride rows: a row's bits are the same alone, in any
+    # batch and at any position, also when the batch is column-major, as
+    # a hybrid segment x[:, seg] is
+    rng = np.random.default_rng(d)
+    t = TransformSpec(make_rotation(d, np.random.default_rng(3)),
+                      rng.uniform(-2, 2, d))
+    x = rng.uniform(-100, 100, (257, d))
+    single = np.concatenate([t.apply(row[None]) for row in x])
+    order = rng.permutation(len(x))
+    assert np.array_equal(t.apply(x), single)
+    assert np.array_equal(t.apply(x[order]), single[order])
+    assert np.array_equal(t.apply(np.asfortranarray(x)), single)
+    wide = rng.uniform(-100, 100, (257, d + 3))
+    segment = np.arange(1, d + 1)
+    assert np.array_equal(t.apply(wide[:, segment]),
+                          np.concatenate([t.apply(row[None, segment])
+                                          for row in wide]))
+
+
 def test_apply_identity_is_noop():
     t = TransformSpec(np.eye(3), np.zeros(3))
     x = np.random.default_rng(0).uniform(-1, 1, (4, 3))
