@@ -17,13 +17,16 @@ winner is the argmax of mean eval with ties broken lexicographically on
 
 Per-task seeds derive from (master seed, instance id, optimizer,
 config index, run index), so results are independent of scheduling and
-parallelism.  The runs of a stepped optimizer (``dual_annealing``) on
-one instance, every config and run of it, are driven in lockstep by a
-:class:`~optforge.optimizers.base.Lockstep`, which evaluates all their
-asks of a step in one call; each run ends as it would alone.
+parallelism.  The runs of one instance, every optimizer, config and run
+in grid order, are driven in lockstep groups of bounded size by a
+:class:`~optforge.optimizers.base.Lockstep`, which evaluates all the
+asks of a group's step in one call; each run ends as it would alone.
 """
 
+import ctypes
 import logging
+import multiprocessing
+import os
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -170,6 +173,19 @@ def _bench_task(args):
                 f"{instance.id}: {type(exc).__name__}: {exc}")
 
 
+def _limit_blas_threads(n):
+    """Give this process's OpenBLAS ``n`` threads.  numpy's bundled
+    OpenBLAS reads its thread variables once, when it loads, so a forked
+    worker can only set them through this call; without the symbol it
+    does nothing."""
+    from numpy._core import _multiarray_umath
+
+    lib = ctypes.CDLL(_multiarray_umath.__file__)
+    set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if set_threads is not None:
+        set_threads(n)
+
+
 def benchmark_set(instances, pool=DEFAULT_POOL, cap=DEFAULT_CONFIG_CAP,
                   runs=5, master_seed=0, parallelism=1):
     """Benchmark a whole set; deterministic in everything but wall time.
@@ -181,13 +197,25 @@ def benchmark_set(instances, pool=DEFAULT_POOL, cap=DEFAULT_CONFIG_CAP,
     degenerate and whose records are ``[]`` rather than aborting the
     set.  A pool, cap or run count that no instance could work with
     raises ``ValueError`` before any instance runs.
+
+    Workers are forked, and each gets ``cpu_count // workers`` OpenBLAS
+    threads (at least 1), so that their thread pools do not contend,
+    unless ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set.
     """
     _grid(pool, cap, runs, master_seed)
     tasks = [(inst, tuple(pool), cap, runs, master_seed) for inst in instances]
     parallel = parallelism > 1 and len(tasks) > 1
-    # the fork start method starts every worker at the first submit
-    pool_ex = (ProcessPoolExecutor(max_workers=min(parallelism, len(tasks)))
-               if parallel else None)
+    pool_ex = None
+    if parallel:
+        workers = min(parallelism, len(tasks))
+        pinned = {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ)
+        # forked workers start at the first submit, and the launching
+        # process's wait4 counts their peak memory
+        pool_ex = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=None if pinned else _limit_blas_threads,
+            initargs=(max(1, (os.cpu_count() or 1) // workers),))
     try:
         mapped = (pool_ex.map if parallel else map)(_bench_task, tasks)
         for i, (entry, records, error) in enumerate(mapped, start=1):

@@ -36,7 +36,7 @@ then one acceptance uniform (drawn unconditionally).
 
 import numpy as np
 
-from .base import BoxMap, register, uniform_init
+from .base import BoxMap, penalized_ask, register, uniform_init
 
 __all__ = []
 
@@ -59,14 +59,14 @@ def simulated_annealing(tracker, config, rng):
     d = tracker.d
 
     start = rng.random((np_, d))
-    fit = tracker.penalized_batch(box.to_real(start))
+    fit = yield from penalized_ask(box.to_real(start))
     i = int(np.argmin(fit))
     cur, cur_f = start[i], float(fit[i])
 
     while True:
         prop = np.clip(cur + sigma * rng.standard_normal((np_, d)), 0.0, 1.0)
         u = rng.random()
-        fit = tracker.penalized_batch(box.to_real(prop))
+        fit = yield from penalized_ask(box.to_real(prop))
         i = int(np.argmin(fit))
         if _metropolis_accept(float(fit[i]) - cur_f, temp,
                               config["boltzmann_const"], u):
@@ -85,7 +85,7 @@ def nsa(tracker, config, rng):
     n_levels = max(1, tracker.fe_budget // n)
 
     start = rng.random((n, d))
-    fit = tracker.penalized_batch(box.to_real(start))
+    fit = yield from penalized_ask(box.to_real(start))
     i = int(np.argmin(fit))
     cur, cur_f = start[i], float(fit[i])
 
@@ -98,7 +98,7 @@ def nsa(tracker, config, rng):
 
         prop = np.clip(cur + sigma * rng.standard_normal((n, d)), 0.0, 1.0)
         u = rng.random()
-        fit = tracker.penalized_batch(box.to_real(prop))
+        fit = yield from penalized_ask(box.to_real(prop))
         i = int(np.argmin(fit))
         if _metropolis_accept(float(fit[i]) - cur_f, temp, 1.0, u):
             cur, cur_f = prop[i], float(fit[i])

@@ -1,22 +1,23 @@
 """Shared optimizer infrastructure: budget tracking, constraint
 handling, the run protocol and the optimizer registry.
 
-Optimizers are functions ``fn(tracker, config, rng)`` that loop until
-the tracker raises :class:`BudgetExhausted`; the tracker records every
-evaluation, maintains the running best under the feasibility rule and
-the initial-sample objective ``f0`` used later for descent
-normalization.  An optimizer sees nothing of the instance but the
-tracker's ``bounds`` and ``d``, so its source runs unchanged as an
-answer program against any runtime with the tracker's surface (see
-:mod:`optforge.render.answers`).
+Optimizers are generator functions ``fn(tracker, config, rng)``: each
+yields the batch of points it wants evaluated next and is sent their
+``(f, violation)``, and steps until its run is ended for it when the
+budget is spent.  An optimizer without native constraint support asks
+through :func:`penalized_ask`, which gives it ``f + 1e6 * violation``.
+The tracker records every evaluation, maintains the running best under
+the feasibility rule and the initial-sample objective ``f0`` used later
+for descent normalization.  An optimizer reads nothing of the instance
+but the tracker's ``bounds``, ``d``, ``fe_budget`` and ``fe_used``, and
+never calls the tracker's evaluation methods, so its source runs
+unchanged as an answer program against any runtime with the tracker's
+surface (see :mod:`optforge.render.answers`).
 
-An optimizer may instead be *stepped*: a generator function that
-yields each batch of points it wants evaluated and is sent their
-``(f, violation)``, and never calls the tracker's evaluation methods.
-A :class:`Lockstep` drives the stepped runs of one instance together,
-one :func:`evaluate_batch` call per step for all of them.  Each row of
-an evaluation gets the same bits in any batch, so a run driven with
-others ends exactly as it ends alone.
+A :class:`Lockstep` drives the runs of one instance together, in groups
+of bounded size, one :func:`evaluate_batch` call per step for every run
+of a group.  Each row of an evaluation gets the same bits in any batch,
+so a run driven with others ends exactly as it ends alone.
 
 Comparison rule for constrained problems (also used unconstrained,
 where every violation is 0): feasible beats infeasible, then smaller
@@ -47,9 +48,14 @@ __all__ = [
     "rule_le",
     "uniform_init",
     "BoxMap",
+    "penalized_ask",
 ]
 
 PENALTY_COEFF = 1.0e6
+
+# a lockstep group closes before the rows x d of its runs' initial
+# samples would pass this many elements
+_GROUP_ELEMENTS = 2**13
 
 
 class BudgetExhausted(Exception):
@@ -83,8 +89,9 @@ def rule_le(f_a, v_a, f_b, v_b):
 class ObjectiveTracker:
     """Budget-limited evaluation proxy around one problem instance.
 
-    All evaluations go through :meth:`batch`.  When a batch does not fit
-    in the remaining budget, the fitting prefix is evaluated (and
+    Evaluations go through :meth:`batch`, or are made in one call with
+    other runs' and counted through :meth:`tell`.  When a batch does not
+    fit in the remaining budget, the fitting prefix is evaluated (and
     recorded) before :class:`BudgetExhausted` is raised.
 
     ``f0``/``f0_violation`` hold the rule-best point among the first
@@ -191,6 +198,14 @@ class ObjectiveTracker:
         return f + PENALTY_COEFF * viol
 
 
+def penalized_ask(x):
+    """Ask for ``x`` and return its ``f + 1e6 * violation``, for
+    optimizers without native constraint support:
+    ``fit = yield from penalized_ask(x)``."""
+    f, viol = yield x
+    return f + PENALTY_COEFF * viol
+
+
 @dataclass
 class RunResult:
     """Outcome of one optimizer run on one instance.  Its fields are the
@@ -214,18 +229,22 @@ _ANSWERS = {}
 
 
 def register(name, n_init, answer=None):
-    """Register an optimizer under its id in ``GRIDS``.
+    """Register an optimizer, a generator function, under its id in
+    ``GRIDS``.
 
     ``n_init`` maps a config dict to the size of the optimizer's
     initial sample (how many evaluations fix ``f0``).  ``answer`` is the
     function whose source answer programs ship, by default the
-    registered one; another must run the same evaluations, which tests
-    check.
+    registered one; another, which may be a plain function that calls
+    the tracker, must run the same evaluations, which tests check.
     """
     if name not in GRIDS:
         raise ValueError(f"optimizer {name!r} has no grid in GRIDS")
 
     def deco(fn):
+        if not inspect.isgeneratorfunction(fn):
+            raise TypeError(f"optimizer {name!r}: {fn.__qualname__} is not "
+                            f"a generator function")
         if name in _REGISTRY:
             raise ValueError(f"duplicate optimizer id {name!r}")
         _REGISTRY[name] = (fn, n_init)
@@ -271,18 +290,23 @@ class BoxMap:
         return self.lo + np.asarray(u) * self.width
 
 
+def _n_init(optimizer, config):
+    """The size of the initial sample of ``optimizer`` at ``config``;
+    raises for an unknown optimizer or an off-grid config."""
+    n_init_of = _registered(optimizer)[1]
+    validate_config(optimizer, config)
+    return int(n_init_of(config))
+
+
 class _Chain:
-    """One run on its way to its :class:`RunResult`.  A stepped run is
-    started here and left for :func:`_drive`; any other runs to its end
-    here."""
+    """One run on its way to its :class:`RunResult`: started here, and
+    left for :func:`_drive` to step to its end."""
 
     def __init__(self, optimizer, config, instance, fe_budget, seed):
-        fn, n_init_of = _registered(optimizer)
-        validate_config(optimizer, config)
+        n_init = _n_init(optimizer, config)
         self.seed = seed
         self.status, self.message = "ok", ""
-        self.steps = self.ask = None
-        n_init = int(n_init_of(config))
+        self.ask = None
         if fe_budget < n_init:
             # fails upfront without spending evaluations
             self.tracker = None
@@ -291,19 +315,16 @@ class _Chain:
             return
         self.tracker = ObjectiveTracker(instance, fe_budget, n_init)
         rng = np.random.Generator(np.random.PCG64(seed))
-        if inspect.isgeneratorfunction(fn):
-            self.steps = fn(self.tracker, config, rng)
-            self.send(None)
-        else:
-            self._guard(fn, self.tracker, config, rng)
+        self.steps = _registered(optimizer)[0](self.tracker, config, rng)
+        self.send(None)
 
     def _guard(self, step, *args):
-        """``step(*args)``; budget exhaustion ends the run ok, any other
-        exception fails it.  Returns the step's value, or None once the
-        run has ended."""
+        """``step(*args)``; budget exhaustion or the steps' own end ends
+        the run ok, any other exception fails it.  Returns the step's
+        value, or None once the run has ended."""
         try:
             return step(*args)
-        except BudgetExhausted:
+        except (BudgetExhausted, StopIteration):
             pass
         except Exception as exc:  # noqa: BLE001 -- any optimizer crash = failed run
             self.status, self.message = "failed", f"{type(exc).__name__}: {exc}"
@@ -339,14 +360,14 @@ class _Chain:
 
 
 def _drive(chains):
-    """Step ``chains``, stepped runs on one instance, to their ends.
+    """Step ``chains``, runs on one instance, to their ends.
 
     Each step evaluates the rows of every chain's ask that fit in that
     chain's budget in one :func:`evaluate_batch` call, and hands each
     chain its rows' values; a chain whose ask did not fit whole ends
     there, as :meth:`ObjectiveTracker.batch` ends it.  A chain left alone
-    evaluates through its tracker's ``batch``, as a run of an optimizer
-    that is not stepped does, so a solo run sees the tracker it is given.
+    evaluates through its tracker's ``batch``, as an answer program
+    does, so a solo run sees the tracker it is given.
     """
     live = [c for c in chains if c.ask is not None]
     while live:
@@ -381,26 +402,35 @@ def _drive(chains):
 
 
 class Lockstep:
-    """The stepped runs among ``tasks``, ``(optimizer, config, seed)``
-    triples on one instance and budget, driven together.
+    """The runs ``tasks``, ``(optimizer, config, seed)`` triples on one
+    instance and budget, driven together in groups.
 
-    The first :meth:`take` drives every run held to its end, so that its
-    evaluations are made in one :func:`evaluate_batch` call per step
-    rather than one per run and step.  A task whose optimizer is not
-    stepped is not held.
+    The tasks are split, in their order, into consecutive groups: a
+    group closes before the rows x ``d`` of its runs' initial samples
+    would pass ``_GROUP_ELEMENTS``, so that the points in flight stay
+    bounded at any grid size.  The first :meth:`take` of a group starts
+    its runs and drives them to their ends, so that their evaluations
+    are made in one :func:`evaluate_batch` call per step rather than
+    one per run and step.  Taken in order, no group starts before the
+    one before it has ended.
     """
 
     def __init__(self, instance, fe_budget, tasks):
-        self._chains = {}
+        self._instance, self._fe_budget = instance, fe_budget
+        self._group_of = {}  # run key -> its group's tasks, [] once started
+        self._chains = {}  # run key -> driven chain not yet taken
+        group, size = None, 0
         for optimizer, config, seed in tasks:
-            if inspect.isgeneratorfunction(_registered(optimizer)[0]):
-                key = self._key(optimizer, config, seed)
-                if key in self._chains:
-                    raise ValueError(f"two runs of {optimizer} with config "
-                                     f"{config} and seed {seed}")
-                self._chains[key] = _Chain(optimizer, config, instance,
-                                           fe_budget, seed)
-        self._driven = False
+            key = self._key(optimizer, config, seed)
+            if key in self._group_of:
+                raise ValueError(f"two runs of {optimizer} with config "
+                                 f"{config} and seed {seed}")
+            elements = _n_init(optimizer, config) * instance.d
+            if group is None or size + elements > _GROUP_ELEMENTS:
+                group, size = [], 0
+            group.append((optimizer, config, seed))
+            size += elements
+            self._group_of[key] = group
 
     @staticmethod
     def _key(optimizer, config, seed):
@@ -409,11 +439,18 @@ class Lockstep:
     def take(self, optimizer, config, seed):
         """The chain held for this run, run to its end, or None when none
         is held."""
-        chain = self._chains.pop(self._key(optimizer, config, seed), None)
-        if chain is not None and not self._driven:
-            _drive([chain, *self._chains.values()])
-            self._driven = True
-        return chain
+        key = self._key(optimizer, config, seed)
+        group = self._group_of.pop(key, None)
+        if group is None:
+            return None
+        if group:
+            chains = {self._key(o, c, s): _Chain(o, c, self._instance,
+                                                 self._fe_budget, s)
+                      for o, c, s in group}
+            group.clear()
+            _drive(list(chains.values()))
+            self._chains.update(chains)
+        return self._chains.pop(key)
 
 
 def run(optimizer, config, instance, fe_budget, seed, lockstep=None):
@@ -423,8 +460,8 @@ def run(optimizer, config, instance, fe_budget, seed, lockstep=None):
     marks the run ``failed``; a budget smaller than the optimizer's
     initial sample fails upfront without spending evaluations.  A
     :class:`Lockstep` that holds this run gives its result from the runs
-    it drove together; a stepped run it does not hold is driven alone,
-    with the same result.
+    it drove together; a run it does not hold is driven alone, with the
+    same result.
     """
     chain = lockstep.take(optimizer, config, seed) if lockstep else None
     if chain is None:

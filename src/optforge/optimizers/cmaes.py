@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .base import BoxMap, register
+from .base import BoxMap, penalized_ask, register
 
 __all__ = []
 
@@ -74,7 +74,7 @@ def sep_cma_es(tracker, config, rng):
             z = rng.standard_normal((lam, d))
             y = z * s
             x = m + sigma * y
-            fit = tracker.penalized_batch(box.to_real(np.clip(x, 0.0, 1.0)))
+            fit = yield from penalized_ask(box.to_real(np.clip(x, 0.0, 1.0)))
             gen += 1
             sel = np.argsort(fit, kind="stable")[:mu]
             y_w = w @ y[sel]
@@ -102,7 +102,7 @@ def sep_cma_es(tracker, config, rng):
                 break  # restart
 
 
-def _cma_full_run(tracker, box, d, lam, sigma, mu, min_gens, rng):
+def _cma_full_run(box, d, lam, sigma, mu, min_gens, rng):
     """One full-covariance CMA run; returns on a stop condition."""
     w, mu_eff = _selection_weights(mu)
     c_sigma = (mu_eff + 2.0) / (d + mu_eff + 5.0)
@@ -135,7 +135,7 @@ def _cma_full_run(tracker, box, d, lam, sigma, mu, min_gens, rng):
         z = rng.standard_normal((lam, d))
         y = z @ sample_mat.T
         x = m + sigma * y
-        fit = tracker.penalized_batch(box.to_real(np.clip(x, 0.0, 1.0)))
+        fit = yield from penalized_ask(box.to_real(np.clip(x, 0.0, 1.0)))
         gen += 1
         order = np.argsort(fit, kind="stable")
         sel = order[:mu]
@@ -196,7 +196,7 @@ def bipop_cma_es(tracker, config, rng):
             is_large = False
         mu = max(1, int(lam * ratio))
         fe_before = tracker.fe_used
-        _cma_full_run(tracker, box, d, lam, sigma, mu, min_gens, rng)
+        yield from _cma_full_run(box, d, lam, sigma, mu, min_gens, rng)
         spent = tracker.fe_used - fe_before
         if is_large:
             b_large += spent

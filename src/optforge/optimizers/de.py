@@ -73,7 +73,7 @@ def _de_loop(tracker, rng, np_, f, cr, strategy, bound):
     hi = tracker.bounds[:, 1]
     d = tracker.d
     pop = uniform_init(rng, tracker.bounds, np_)
-    fit, viol = tracker.batch(pop)
+    fit, viol = yield pop
     while True:
         best = pop[rule_argmin(fit, viol)]
         idx = _donor_indices(rng, np_)
@@ -83,7 +83,7 @@ def _de_loop(tracker, rng, np_, f, cr, strategy, bound):
         cross[np.arange(np_), jrand] = True
         trial = np.where(cross, donor, pop)
         trial = _repair(bound, trial, lo, hi, rng)
-        tfit, tviol = tracker.batch(trial)
+        tfit, tviol = yield trial
         accept = rule_le(tfit, tviol, fit, viol)
         pop = np.where(accept[:, None], trial, pop)
         fit = np.where(accept, tfit, fit)
@@ -92,11 +92,11 @@ def _de_loop(tracker, rng, np_, f, cr, strategy, bound):
 
 @register("vanilla_de", n_init=lambda cfg: cfg["NP"])
 def vanilla_de(tracker, config, rng):
-    _de_loop(tracker, rng, config["NP"], config["F"], config["Cr"],
-             config["mutation"], config["bound"])
+    yield from _de_loop(tracker, rng, config["NP"], config["F"],
+                        config["Cr"], config["mutation"], config["bound"])
 
 
 @register("deap_de", n_init=lambda cfg: cfg["NP"])
 def deap_de(tracker, config, rng):
-    _de_loop(tracker, rng, config["NP"], config["F"], config["Cr"],
-             "rand1", "clip")
+    yield from _de_loop(tracker, rng, config["NP"], config["F"],
+                        config["Cr"], "rand1", "clip")

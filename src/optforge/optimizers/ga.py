@@ -11,7 +11,7 @@ budget.  Ranking uses the penalized objective.
 
 import numpy as np
 
-from .base import BoxMap, register
+from .base import BoxMap, penalized_ask, register
 
 __all__ = []
 
@@ -26,7 +26,7 @@ def samr_ga(tracker, config, rng):
 
     pop = rng.random((np_, d))
     sigma = np.full(np_, float(config["sigma_init"]))
-    fit = tracker.penalized_batch(box.to_real(pop))
+    fit = yield from penalized_ask(box.to_real(pop))
     n_child = np_ - 1
 
     while True:
@@ -36,7 +36,7 @@ def samr_ga(tracker, config, rng):
         child = pop[best] + child_sigma[:, None] * rng.standard_normal((n_child, d))
         child = np.clip(child, 0.0, 1.0)
 
-        child_fit = tracker.penalized_batch(box.to_real(child))
+        child_fit = yield from penalized_ask(box.to_real(child))
         pop = np.concatenate([pop[best], child])
         sigma = np.concatenate([sigma[best], child_sigma])
         fit = np.concatenate([fit[best], child_fit])

@@ -27,7 +27,7 @@ def vanilla_pso(tracker, config, rng):
 
     pos = uniform_init(rng, tracker.bounds, np_)
     vel = rng.uniform(-vmax, vmax, pos.shape)
-    fit, viol = tracker.batch(pos)
+    fit, viol = yield pos
 
     pbest = pos.copy()
     pfit = fit.copy()
@@ -48,7 +48,7 @@ def vanilla_pso(tracker, config, rng):
         pos = np.clip(pos, lo, hi)
         vel = np.where(clipped, 0.0, vel)
 
-        fit, viol = tracker.batch(pos)
+        fit, viol = yield pos
         better = rule_le(fit, viol, pfit, pviol)
         pbest = np.where(better[:, None], pos, pbest)
         pfit = np.where(better, fit, pfit)

@@ -4,9 +4,22 @@ The answer for an entry is the source of the optimizer the benchmark
 ran, taken with :func:`inspect.getsource`: the registered function
 (without its ``@register`` line) plus every module-level helper,
 class and constant it reaches, then a short driver that runs it with
-the winning configuration.  Comments and docstrings are left out, so
-that an answer is code alone; every other line keeps its layout, and
-the one comment left is the program's header line.  The pairing
+the winning configuration.  The optimizer is a generator, and the
+driver is one fixed loop that evaluates each ask through the runtime::
+
+    steps = vanilla_de(problem, CONFIG, np.random.default_rng(0))
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(problem.batch(x))
+    except (BudgetExhausted, StopIteration):
+        pass
+
+``dual_annealing``'s answer is instead a plain function that calls
+scipy with the runtime's ``penalized`` objective, and its driver calls
+it once.  Comments and docstrings are left out, so that an answer is
+code alone; every other line keeps its layout, and the one comment
+left is the program's header line.  The pairing
 ``prompt -> answer`` is a pure function of ``(optimizer, config)``, and
 executing the answer against an
 :class:`~optforge.optimizers.ObjectiveTracker` repeats the bench run of
@@ -28,7 +41,8 @@ tracker's own surface::
     problem.penalized(x)       # (d,) -> float, the same for one point
 
 ``batch`` evaluates the prefix of ``x`` that still fits in the budget
-and then raises ``BudgetExhausted``; the driver catches it.  The
+and then raises ``BudgetExhausted``; the driver catches it.  Only the
+``dual_annealing`` answer calls the two penalized methods.  The
 runtime keeps the best point under the feasibility rule (feasible
 first, then smaller violation, then smaller objective), so the program
 reports nothing itself.
@@ -182,16 +196,23 @@ def emit_answer(entry):
         )
     optimizer = entry.best_optimizer
     config = dict(entry.best_config or {})
-    fn_name = get_answer(optimizer).__name__
+    fn = get_answer(optimizer)
     validate_config(optimizer, config)
+    call = f"{fn.__name__}(problem, CONFIG, np.random.default_rng(0))"
+    if inspect.isgeneratorfunction(fn):
+        driver = (f"steps = {call}\n"
+                  "try:\n"
+                  "    x = next(steps)\n"
+                  "    while True:\n"
+                  "        x = steps.send(problem.batch(x))\n"
+                  "except (BudgetExhausted, StopIteration):\n")
+    else:
+        driver = f"try:\n    {call}\nexcept BudgetExhausted:\n"
     code = (
         f"# {optimizer} with the configuration the benchmark chose.\n"
         + _optimizer_source(optimizer)
         + f"\n\nCONFIG = {dict(sorted(config.items()))!r}\n\n"
         "problem = load_problem()\n"
-        "try:\n"
-        f"    {fn_name}(problem, CONFIG, np.random.default_rng(0))\n"
-        "except BudgetExhausted:\n"
-        "    pass\n"
+        + driver + "    pass\n"
     )
     return AnswerDoc(code_text=code, optimizer=optimizer)

@@ -1,6 +1,7 @@
 """Benchmark labelling: per-run scores, reference optimum, winner
 selection, degenerate handling and the knowledge serialization."""
 
+import ctypes
 import dataclasses
 import json
 import math
@@ -264,7 +265,7 @@ def test_benchmark_set_starts_no_more_workers_than_instances(
 
     class StubExecutor:
         # records max_workers and runs the tasks in this process
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **kwargs):
             started.append(max_workers)
 
         def map(self, fn, tasks):
@@ -280,6 +281,55 @@ def test_benchmark_set_starts_no_more_workers_than_instances(
                                   parallelism=parallelism))
     assert len(outcomes) == n
     assert started == ([] if workers is None else [workers])
+
+
+@pytest.mark.parametrize("env, limited", [
+    ({}, True), ({"OPENBLAS_NUM_THREADS": "1"}, False),
+    ({"OMP_NUM_THREADS": "2"}, False)])
+def test_benchmark_set_gives_each_worker_its_share_of_blas_threads(
+        env, limited, monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: 5)
+    made = []
+
+    class StubExecutor:
+        # records its arguments and runs the tasks in this process
+        def __init__(self, **kwargs):
+            made.append(kwargs)
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", StubExecutor)
+    list(benchmark_set(_tiny_set(n=3), pool=("random_search",), cap=1,
+                       runs=1, master_seed=0, parallelism=2))
+    (kwargs,) = made
+    assert kwargs["mp_context"].get_start_method() == "fork"
+    assert kwargs["initargs"] == (2,)
+    assert kwargs["initializer"] is (bench._limit_blas_threads if limited
+                                     else None)
+
+
+def test_limit_blas_threads_sets_the_openblas_pool():
+    from numpy._core import _multiarray_umath
+
+    lib = ctypes.CDLL(_multiarray_umath.__file__)
+    get_threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    if get_threads is None:
+        pytest.skip("numpy is not linked to its bundled OpenBLAS")
+    before = get_threads()
+    try:
+        bench._limit_blas_threads(1)
+        assert get_threads() == 1
+    finally:
+        bench._limit_blas_threads(before)
+    assert get_threads() == before
 
 
 def test_benchmark_set_records_per_instance():
@@ -417,43 +467,61 @@ def test_save_records_schema(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# dual_annealing in lockstep
+# every optimizer in lockstep groups
 
 
 def _narrow_box_instance():
     # x + 1e-8 == x at the upper bound: dual_annealing fails every run
-    # before its first evaluation, random_search runs
+    # before its first evaluation, the other optimizers run
     comp = ComponentSpec(basic="sphere", weight=1.0,
                          transform=TransformSpec(np.eye(2), np.zeros(2)))
     return ProblemInstance(d=2, bounds=[[-1.0, 2.0**27]] * 2,
                            paradigm="single", components=[comp],
-                           fe_budget=300)
+                           fe_budget=333)
 
 
-@pytest.mark.parametrize("instance, last_rows", [
-    # chains cut by their budget after 4 and after 2 of a 5-row gradient
-    (synthesize_instance(d=5, k=2, constrained=False, seed=3,
-                         fe_budget=700), {1, 2, 4, 5}),
+# optimizers whose every ask after the first has one size: a budget that
+# no ask size divides cuts their last ask
+_CONSTANT_ASKS = {"vanilla_de", "deap_de", "vanilla_pso", "sep_cma_es",
+                  "simulated_annealing", "nsa", "random_search"}
+
+
+# 333 is no multiple of any population size, of NP - 1, nor of 64
+@pytest.mark.parametrize("instance, group_elements", [
+    (synthesize_instance(d=3, k=2, constrained=False, seed=3,
+                         fe_budget=333), None),
     (synthesize_instance(d=4, k=1, constrained=True, seed=8,
-                         fe_budget=500), {1, 3}),
-    (_narrow_box_instance(), {None}),
-], ids=["cut-mid-gradient", "constrained", "fail-before-first-evaluation"])
-def test_lockstep_runs_equal_solo_runs(instance, last_rows, monkeypatch):
-    calls = []
+                         fe_budget=333), None),
+    (synthesize_instance(d=3, k=2, constrained=False, seed=3,
+                         fe_budget=333), 120),
+    (_narrow_box_instance(), None),
+], ids=["cut-mid-ask", "constrained", "small-groups",
+        "fail-before-first-evaluation"])
+def test_lockstep_runs_equal_solo_runs(instance, group_elements,
+                                       monkeypatch):
+    if group_elements is not None:
+        monkeypatch.setattr(base, "_GROUP_ELEMENTS", group_elements)
+    calls, groups = [], []
+    real_drive = base._drive
 
     def logged_evaluate_batch(inst, x):
         calls.append(len(x))
         return evaluate_batch(inst, x)
 
+    def logged_drive(chains):
+        groups.append(len(chains))
+        real_drive(chains)
+
     monkeypatch.setattr(base, "evaluate_batch", logged_evaluate_batch)
-    _, records = benchmark_instance(
-        instance, pool=("dual_annealing", "random_search"), cap=3, runs=3,
-        seed=11)
+    monkeypatch.setattr(base, "_drive", logged_drive)
+    _, records = benchmark_instance(instance, cap=2, runs=2, seed=11)
     runs = [r for rec in records for r in rec.per_run]
     assert sum(calls) == sum(r.fe_used for r in runs)
-    n_calls = {"bench": len(calls), "dual_annealing": 0, "random_search": 0}
+    assert sum(groups) == len(runs)
+    assert len(groups) >= (3 if group_elements else 1)
+    bench_calls, solo_calls = len(calls), 0
 
-    ends = []
+    cut = set()
     for rec in records:
         for r, got in enumerate(rec.per_run):
             calls.clear()
@@ -461,17 +529,45 @@ def test_lockstep_runs_equal_solo_runs(instance, last_rows, monkeypatch):
                                rec.config_index, r)
             assert got == run(rec.optimizer, rec.config, instance,
                               instance.fe_budget, seed)
-            n_calls[rec.optimizer] += len(calls)
-            if rec.optimizer == "dual_annealing":
-                ends.append(calls[-1] if calls else None)
-    assert len(ends) == 9
-    assert set(ends) == last_rows
-    statuses = {r.status for rec in records for r in rec.per_run
-                if rec.optimizer == "dual_annealing"}
-    lockstep_calls = n_calls["bench"] - n_calls["random_search"]
-    if last_rows == {None}:
-        assert statuses == {"failed"} and lockstep_calls == 0
-    else:
-        # the nine chains share their evaluate_batch calls
-        assert statuses == {"ok"}
-        assert lockstep_calls * 2 < n_calls["dual_annealing"]
+            solo_calls += len(calls)
+            if calls and calls[-1] < max(calls):
+                cut.add(rec.optimizer)
+    assert cut >= _CONSTANT_ASKS
+    statuses = {rec.optimizer: {r.status for r in rec.per_run}
+                for rec in records}
+    if instance.d == 2:
+        assert statuses.pop("dual_annealing") == {"failed"}
+    assert all(s == {"ok"} for s in statuses.values()), statuses
+    # the runs of a group share their evaluate_batch calls
+    assert bench_calls * 2 < solo_calls
+
+
+def test_lockstep_starts_no_group_before_the_one_before_ends(monkeypatch):
+    bound = 120
+    monkeypatch.setattr(base, "_GROUP_ELEMENTS", bound)
+    groups = []
+    real_drive = base._drive
+
+    class CheckedChain(base._Chain):
+        def __init__(self, optimizer, config, *args):
+            assert all(c.ask is None for group in groups for c in group)
+            super().__init__(optimizer, config, *args)
+            self.elements = base._n_init(optimizer, config) * instance.d
+
+    def logged_drive(chains):
+        groups.append(chains)
+        real_drive(chains)
+
+    monkeypatch.setattr(base, "_Chain", CheckedChain)
+    monkeypatch.setattr(base, "_drive", logged_drive)
+    instance = synthesize_instance(d=3, k=2, constrained=False, seed=3,
+                                   fe_budget=333)
+    _, records = benchmark_instance(instance, cap=2, runs=2, seed=11)
+    assert sum(map(len, groups)) == sum(len(rec.per_run) for rec in records)
+    assert len(groups) >= 3
+    for group in groups:
+        assert (len(group) == 1
+                or sum(c.elements for c in group) <= bound)
+    # each group closed only because its next run would not fit
+    for group, after in zip(groups, groups[1:]):
+        assert sum(c.elements for c in group) + after[0].elements > bound

@@ -675,9 +675,13 @@ def test_every_traced_binding_records_a_span(tmp_path, monkeypatch):
         tracer.restore()
     assert tracer.names
     spanned = {span[0] for span in tracer.spans}
-    assert [name for name in tracer.names if name not in spanned] == []
-    # the lockstep runs of dual_annealing still make one run span each,
-    # and evaluate through the traced binding exactly the rows they use
+    # a lockstep group of two or more runs evaluates through
+    # evaluate_batch and counts through ObjectiveTracker.tell; only a run
+    # alone calls ObjectiveTracker.batch, and here no run is alone
+    assert [name for name in tracer.names if name not in spanned
+            and name != "optimizers.tracker.batch"] == []
+    # the lockstep runs still make one run span each, and evaluate
+    # through the traced binding exactly the rows they use
     with open(paths["records"]) as fh:
         records = [json.loads(line) for line in fh]
     # two configs x two runs of dual_annealing on each of two instances

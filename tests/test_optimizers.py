@@ -316,6 +316,16 @@ def test_register_rejects_a_name_without_a_grid():
         get_optimizer("no_such_optimizer")
 
 
+def test_register_takes_only_a_generator_function():
+    def plain(tracker, config, rng):
+        tracker.batch(uniform_init(rng, tracker.bounds, 1))
+
+    with pytest.raises(TypeError) as err:
+        base.register("random_search", n_init=lambda cfg: 1)(plain)
+    assert "plain" in str(err.value)
+    assert get_optimizer("random_search") is not plain
+
+
 @pytest.mark.parametrize("optimizer", ALL_OPTIMIZERS)
 def test_run_ok_and_budget(optimizer, sphere_instance, run_trackers):
     res = run(optimizer, SMALL_CONFIGS[optimizer], sphere_instance,
@@ -396,6 +406,7 @@ def test_off_grid_config_rejected(sphere_instance):
 def test_crashing_optimizer_marks_failed(sphere_instance, monkeypatch):
     def boom(tracker, config, rng):
         raise RuntimeError("synthetic crash")
+        yield
 
     monkeypatch.setitem(base._REGISTRY, "random_search",
                         (boom, base._REGISTRY["random_search"][1]))
@@ -456,6 +467,18 @@ class _RowByRowTracker(ObjectiveTracker):
         return tuple(np.concatenate(parts) for parts in zip(*rows))
 
 
+def _stepped(fn):
+    """``fn``, a plain function that evaluates through its tracker, as
+    the generator function the run protocol takes: it runs whole at the
+    first step."""
+    def steps(tracker, config, rng):
+        fn(tracker, config, rng)
+        return
+        yield
+
+    return steps
+
+
 def _plain_scipy_dual_annealing(tracker, config, rng):
     # scipy's own default local search, one objective call per point
     from scipy.optimize import dual_annealing as scipy_dual_annealing
@@ -492,7 +515,7 @@ def test_dual_annealing_only_batches_scipy_default_local_search(
     got, got_points = _logged_run(monkeypatch, "dual_annealing", inst,
                                   3000, seed=4)
     monkeypatch.setitem(base._REGISTRY, "dual_annealing",
-                        (_plain_scipy_dual_annealing,
+                        (_stepped(_plain_scipy_dual_annealing),
                          base._REGISTRY["dual_annealing"][1]))
     want, want_points = _logged_run(monkeypatch, "dual_annealing", inst,
                                     3000, seed=4)
@@ -519,7 +542,7 @@ def _against_plain_scipy(monkeypatch, inst, fe_budget, seed):
                                   fe_budget, seed)
     monkeypatch.setattr(scipy_da, "minimize", logged_minimize)
     monkeypatch.setitem(base._REGISTRY, "dual_annealing",
-                        (_plain_scipy_dual_annealing,
+                        (_stepped(_plain_scipy_dual_annealing),
                          base._REGISTRY["dual_annealing"][1]))
     want, want_points = _logged_run(monkeypatch, "dual_annealing", inst,
                                     fe_budget, seed)
@@ -657,7 +680,8 @@ def _port_and_scipy_call(monkeypatch, inst, config, fe_budget, seed,
     """The registered port and the scipy call on ``inst``: both results
     and both lists of evaluated batches."""
     out = []
-    for fn in (get_optimizer("dual_annealing"), annealing.dual_annealing):
+    for fn in (get_optimizer("dual_annealing"),
+               _stepped(annealing.dual_annealing)):
         trackers = []
 
         def make_tracker(*args):
