@@ -20,7 +20,8 @@ config index, run index), so results are independent of scheduling and
 parallelism.  The runs of one instance, every optimizer, config and run
 in grid order, are driven in lockstep groups of bounded size by a
 :class:`~optforge.optimizers.base.Lockstep`, which evaluates all the
-asks of a group's step in one call; each run ends as it would alone.
+asks of a group's step in one call and hands the runs out in that
+order; each run ends as it would alone.
 """
 
 import ctypes

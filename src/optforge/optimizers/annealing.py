@@ -36,7 +36,8 @@ then one acceptance uniform (drawn unconditionally).
 
 import numpy as np
 
-from .base import BoxMap, penalized_ask, register, uniform_init
+from .base import (PENALTY_COEFF, BoxMap, penalized_ask, register,
+                   uniform_init)
 
 __all__ = []
 
@@ -105,23 +106,31 @@ def nsa(tracker, config, rng):
         level += 1
 
 
+def _scipy_start(tracker, rng):
+    """The scipy call's start, which the port repeats: the box check,
+    then the draws of the start point and of scipy's seed."""
+    hi = tracker.bounds[:, 1]
+    if (np.any(hi - tracker.bounds[:, 0] <= 2 * _FD_STEP)
+            or np.any((tracker.bounds + _FD_STEP) - tracker.bounds == 0)):
+        raise ValueError("box too narrow or too far from 0 for steps of 1e-8")
+    x0 = uniform_init(rng, tracker.bounds, 1)[0]
+    return x0, int(rng.integers(0, 2**31 - 1))
+
+
 def dual_annealing(tracker, config, rng):
     # imported on first use: scipy.optimize is slow to import
     from scipy.optimize import dual_annealing as _scipy_dual_annealing
 
     d = tracker.d
     hi = tracker.bounds[:, 1]
-    if (np.any(hi - tracker.bounds[:, 0] <= 2 * _FD_STEP)
-            or np.any((tracker.bounds + _FD_STEP) - tracker.bounds == 0)):
-        raise ValueError("box too narrow or too far from 0 for steps of 1e-8")
+    x0, sp_seed = _scipy_start(tracker, rng)
     bounds = [(float(lo), float(up)) for lo, up in tracker.bounds]
-    x0 = uniform_init(rng, tracker.bounds, 1)[0]
-    sp_seed = int(rng.integers(0, 2**31 - 1))
     f_x = None
 
     def objective(x):
         nonlocal f_x
-        f_x = tracker.penalized(x)
+        f, viol = tracker.batch(x[None])
+        f_x = float(f[0] + PENALTY_COEFF * viol[0])
         return f_x
 
     def gradient(x):
@@ -129,7 +138,8 @@ def dual_annealing(tracker, config, rng):
         x_step = x + np.where(x + _FD_STEP > hi, -_FD_STEP, _FD_STEP)
         points = np.tile(x, (d, 1))
         np.fill_diagonal(points, x_step)
-        return (tracker.penalized_batch(points) - f_x) / (x_step - x)
+        f, viol = tracker.batch(points)
+        return (f + PENALTY_COEFF * viol - f_x) / (x_step - x)
 
     _scipy_dual_annealing(
         objective,

@@ -10,14 +10,16 @@ The tracker records every evaluation, maintains the running best under
 the feasibility rule and the initial-sample objective ``f0`` used later
 for descent normalization.  An optimizer reads nothing of the instance
 but the tracker's ``bounds``, ``d``, ``fe_budget`` and ``fe_used``, and
-never calls the tracker's evaluation methods, so its source runs
-unchanged as an answer program against any runtime with the tracker's
-surface (see :mod:`optforge.render.answers`).
+never calls the tracker's ``batch``, so its source runs unchanged as
+an answer program against any runtime with the tracker's surface (see
+:mod:`optforge.render.answers`).
 
-A :class:`Lockstep` drives the runs of one instance together, in groups
-of bounded size, one :func:`evaluate_batch` call per step for every run
-of a group.  Each row of an evaluation gets the same bits in any batch,
-so a run driven with others ends exactly as it ends alone.
+Every run steps through one driver: a :class:`Lockstep` drives the
+runs of one instance together, in groups of bounded size, one
+:func:`evaluate_batch` call per step for every run of a group, and
+:func:`run` drives a run alone as a group of one.  Each row of an
+evaluation gets the same bits in any batch, so a run driven with others
+ends exactly as it ends alone.
 
 Comparison rule for constrained problems (also used unconstrained,
 where every violation is 0): feasible beats infeasible, then smaller
@@ -26,6 +28,7 @@ every number.
 """
 
 import inspect
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,10 +92,11 @@ def rule_le(f_a, v_a, f_b, v_b):
 class ObjectiveTracker:
     """Budget-limited evaluation proxy around one problem instance.
 
-    Evaluations go through :meth:`batch`, or are made in one call with
-    other runs' and counted through :meth:`tell`.  When a batch does not
-    fit in the remaining budget, the fitting prefix is evaluated (and
-    recorded) before :class:`BudgetExhausted` is raised.
+    An answer program evaluates through :meth:`batch`; the run driver
+    evaluates a group's asks in one call and counts each run's rows
+    through :meth:`tell`, which :meth:`batch` calls too.  When a batch
+    does not fit in the remaining budget, the fitting prefix is
+    evaluated (and recorded) before :class:`BudgetExhausted` is raised.
 
     ``f0``/``f0_violation`` hold the rule-best point among the first
     ``n_init`` evaluations seen so far -- the optimizer's own initial
@@ -186,16 +190,6 @@ class ObjectiveTracker:
         fe_before = self.fe_used
         self.fe_used += x.shape[0]
         self._record(x, f, violation, fe_before)
-
-    def penalized(self, x):
-        """Single-point evaluation as ``f + 1e6 * violation`` (for
-        optimizers without native constraint support)."""
-        f, viol = self.batch(np.asarray(x, dtype=float)[None])
-        return float(f[0] + PENALTY_COEFF * viol[0])
-
-    def penalized_batch(self, x):
-        f, viol = self.batch(x)
-        return f + PENALTY_COEFF * viol
 
 
 def penalized_ask(x):
@@ -318,28 +312,28 @@ class _Chain:
         self.steps = _registered(optimizer)[0](self.tracker, config, rng)
         self.send(None)
 
-    def _guard(self, step, *args):
-        """``step(*args)``; budget exhaustion or the steps' own end ends
-        the run ok, any other exception fails it.  Returns the step's
-        value, or None once the run has ended."""
+    def send(self, value):
+        """Send ``value`` to the steps; ``ask`` becomes the points they
+        want evaluated next, or None once the run has ended.  Budget
+        exhaustion or the steps' own end ends the run ok; any other
+        exception, or an ask that is not one or more rows of ``d``
+        coordinates, fails it."""
         try:
-            return step(*args)
+            ask = np.asarray(self.steps.send(value), dtype=float)
+            if ask.ndim != 2 or ask.shape[1] != self.tracker.d or not len(ask):
+                raise ValueError(f"expected shape (n, {self.tracker.d}), "
+                                 f"got {ask.shape}")
+            self.ask = ask
+            return
         except (BudgetExhausted, StopIteration):
             pass
         except Exception as exc:  # noqa: BLE001 -- any optimizer crash = failed run
             self.status, self.message = "failed", f"{type(exc).__name__}: {exc}"
-        return None
-
-    def send(self, value):
-        """Send ``value`` to the steps; ``ask`` becomes the points they
-        want evaluated next, or None once they have ended."""
-        self.ask = self._guard(self.steps.send, value)
-        if self.ask is not None:
-            self.ask = np.asarray(self.ask, dtype=float)
+        self.stop()
 
     def stop(self):
-        """End the steps before their ask is answered: the budget ran
-        out, or evaluating it failed."""
+        """End the steps, with or without their ask answered: the run
+        has ended."""
         self.steps.close()
         self.ask = None
 
@@ -363,94 +357,76 @@ def _drive(chains):
     """Step ``chains``, runs on one instance, to their ends.
 
     Each step evaluates the rows of every chain's ask that fit in that
-    chain's budget in one :func:`evaluate_batch` call, and hands each
-    chain its rows' values; a chain whose ask did not fit whole ends
-    there, as :meth:`ObjectiveTracker.batch` ends it.  A chain left alone
-    evaluates through its tracker's ``batch``, as an answer program
-    does, so a solo run sees the tracker it is given.
+    chain's budget in one :func:`evaluate_batch` call, counts them
+    through the chain's :meth:`ObjectiveTracker.tell` and sends the
+    chain their values; a chain whose ask did not fit whole ends there,
+    as :meth:`ObjectiveTracker.batch` ends it.
     """
     live = [c for c in chains if c.ask is not None]
     while live:
-        if len(live) == 1:
-            (chain,) = live
-            value = chain._guard(chain.tracker.batch, chain.ask)
-            if value is None:
+        fits = []
+        for chain in live:
+            if chain.tracker.remaining > 0:
+                fits.append((chain, chain.ask[:chain.tracker.remaining]))
+            else:
+                chain.stop()
+        if fits:
+            f, viol = evaluate_batch(live[0].tracker.instance,
+                                     np.concatenate([x for _, x in fits]))
+        start = 0
+        for chain, x in fits:
+            end = start + len(x)
+            value = f[start:end], viol[start:end]
+            chain.tracker.tell(x, *value)
+            if len(x) < len(chain.ask):
                 chain.stop()
             else:
                 chain.send(value)
-        else:
-            fits = []
-            for chain in live:
-                if chain.tracker.remaining > 0:
-                    fits.append((chain, chain.ask[:chain.tracker.remaining]))
-                else:
-                    chain.stop()
-            if fits:
-                f, viol = evaluate_batch(
-                    live[0].tracker.instance,
-                    np.concatenate([x for _, x in fits]))
-            start = 0
-            for chain, x in fits:
-                end = start + len(x)
-                chain.tracker.tell(x, f[start:end], viol[start:end])
-                if len(x) < len(chain.ask):
-                    chain.stop()
-                else:
-                    chain.send((f[start:end], viol[start:end]))
-                start = end
+            start = end
         live = [c for c in live if c.ask is not None]
 
 
 class Lockstep:
     """The runs ``tasks``, ``(optimizer, config, seed)`` triples on one
-    instance and budget, driven together in groups.
+    instance and budget, driven together in groups and handed out in
+    their order.
 
     The tasks are split, in their order, into consecutive groups: a
     group closes before the rows x ``d`` of its runs' initial samples
     would pass ``_GROUP_ELEMENTS``, so that the points in flight stay
-    bounded at any grid size.  The first :meth:`take` of a group starts
-    its runs and drives them to their ends, so that their evaluations
-    are made in one :func:`evaluate_batch` call per step rather than
-    one per run and step.  Taken in order, no group starts before the
-    one before it has ended.
+    bounded at any grid size.  Once every run of a group has been
+    taken, the next :meth:`take` starts the next group's runs and drives
+    them to their ends, so that their evaluations are made in one
+    :func:`evaluate_batch` call per step rather than one per run and
+    step.
     """
 
     def __init__(self, instance, fe_budget, tasks):
         self._instance, self._fe_budget = instance, fe_budget
-        self._group_of = {}  # run key -> its group's tasks, [] once started
-        self._chains = {}  # run key -> driven chain not yet taken
-        group, size = None, 0
+        self._groups = deque()  # the groups not yet started
+        self._held = deque()  # (task, driven chain), not yet taken
+        size = 0
         for optimizer, config, seed in tasks:
-            key = self._key(optimizer, config, seed)
-            if key in self._group_of:
-                raise ValueError(f"two runs of {optimizer} with config "
-                                 f"{config} and seed {seed}")
             elements = _n_init(optimizer, config) * instance.d
-            if group is None or size + elements > _GROUP_ELEMENTS:
-                group, size = [], 0
-            group.append((optimizer, config, seed))
+            if not self._groups or size + elements > _GROUP_ELEMENTS:
+                self._groups.append([])
+                size = 0
+            self._groups[-1].append((optimizer, config, seed))
             size += elements
-            self._group_of[key] = group
-
-    @staticmethod
-    def _key(optimizer, config, seed):
-        return optimizer, tuple(sorted(config.items())), seed
 
     def take(self, optimizer, config, seed):
-        """The chain held for this run, run to its end, or None when none
-        is held."""
-        key = self._key(optimizer, config, seed)
-        group = self._group_of.pop(key, None)
-        if group is None:
-            return None
-        if group:
-            chains = {self._key(o, c, s): _Chain(o, c, self._instance,
-                                                 self._fe_budget, s)
-                      for o, c, s in group}
-            group.clear()
-            _drive(list(chains.values()))
-            self._chains.update(chains)
-        return self._chains.pop(key)
+        """The next run, driven to its end; raises ``ValueError`` unless
+        it is the run of ``optimizer`` with ``config`` and ``seed``."""
+        if not self._held and self._groups:
+            group = self._groups.popleft()
+            chains = [_Chain(o, c, self._instance, self._fe_budget, s)
+                      for o, c, s in group]
+            _drive(chains)
+            self._held.extend(zip(group, chains))
+        if not self._held or self._held[0][0] != (optimizer, config, seed):
+            raise ValueError(f"the run of {optimizer} with config {config} "
+                             f"and seed {seed} is not the next run held")
+        return self._held.popleft()[1]
 
 
 def run(optimizer, config, instance, fe_budget, seed, lockstep=None):
@@ -458,13 +434,10 @@ def run(optimizer, config, instance, fe_budget, seed, lockstep=None):
 
     Any exception out of the optimizer (other than budget exhaustion)
     marks the run ``failed``; a budget smaller than the optimizer's
-    initial sample fails upfront without spending evaluations.  A
-    :class:`Lockstep` that holds this run gives its result from the runs
-    it drove together; a run it does not hold is driven alone, with the
-    same result.
+    initial sample fails upfront without spending evaluations.  The run
+    is the next one ``lockstep`` holds, which ends as it would alone;
+    without a lockstep it is driven alone.
     """
-    chain = lockstep.take(optimizer, config, seed) if lockstep else None
-    if chain is None:
-        chain = _Chain(optimizer, config, instance, fe_budget, seed)
-        _drive([chain])
-    return chain.result()
+    if lockstep is None:
+        lockstep = Lockstep(instance, fe_budget, [(optimizer, config, seed)])
+    return lockstep.take(optimizer, config, seed).result()

@@ -13,6 +13,8 @@ call's gradient and options.  The port is a generator: it yields each
 batch of points it wants evaluated and is sent their ``(f,
 violation)``, so that the bench can evaluate the asks of many runs on
 one instance in one call (see :class:`~optforge.optimizers.base.Lockstep`).
+It starts as the scipy call starts, through the same box check and
+draws (``annealing._scipy_start``).
 The port draws from a ``numpy.random.RandomState`` in scipy's order
 and does scipy's floating point operations on arrays of the same
 shapes, so it evaluates the points the scipy call evaluates, in the
@@ -33,8 +35,8 @@ import math
 
 import numpy as np
 
-from .annealing import _FD_STEP
-from .base import PENALTY_COEFF, uniform_init
+from .annealing import _FD_STEP, _scipy_start
+from .base import PENALTY_COEFF
 from .lbfgsb import minimize_lbfgsb
 
 __all__ = []
@@ -290,12 +292,7 @@ class _Annealer:
 def dual_annealing_port(tracker, config, rng):
     """Run ``dual_annealing`` as the scipy call does: a generator that
     yields the points to evaluate and is sent their ``(f, violation)``."""
-    # the scipy call's box check and draws, in its order
-    hi = tracker.bounds[:, 1]
-    if (np.any(hi - tracker.bounds[:, 0] <= 2 * _FD_STEP)
-            or np.any((tracker.bounds + _FD_STEP) - tracker.bounds == 0)):
-        raise ValueError("box too narrow or too far from 0 for steps of 1e-8")
-    x0 = uniform_init(rng, tracker.bounds, 1)[0]
-    rs = np.random.RandomState(int(rng.integers(0, 2**31 - 1)))
+    x0, sp_seed = _scipy_start(tracker, rng)
+    rs = np.random.RandomState(sp_seed)
     yield from _Annealer(tracker.bounds, tracker.remaining, config,
                          rs).run(x0)

@@ -16,9 +16,10 @@ driver is one fixed loop that evaluates each ask through the runtime::
         pass
 
 ``dual_annealing``'s answer is instead a plain function that calls
-scipy with the runtime's ``penalized`` objective, and its driver calls
-it once.  Comments and docstrings are left out, so that an answer is
-code alone; every other line keeps its layout, and the one comment
+scipy with an objective that evaluates through ``batch`` and adds
+``1e6 * violation`` itself, and its driver calls it once.  Comments
+and docstrings are left out, so that an answer is code alone; every
+other line keeps its layout, and the one comment
 left is the program's header line.  The pairing
 ``prompt -> answer`` is a pure function of ``(optimizer, config)``, and
 executing the answer against an
@@ -37,12 +38,9 @@ tracker's own surface::
     problem.fe_used            # int, evaluations spent so far
     problem.remaining          # int, fe_budget - fe_used
     problem.batch(x)           # (n, d) -> (f, violation), each (n,)
-    problem.penalized_batch(x) # (n, d) -> f + 1e6 * violation
-    problem.penalized(x)       # (d,) -> float, the same for one point
 
 ``batch`` evaluates the prefix of ``x`` that still fits in the budget
-and then raises ``BudgetExhausted``; the driver catches it.  Only the
-``dual_annealing`` answer calls the two penalized methods.  The
+and then raises ``BudgetExhausted``; the driver catches it.  The
 runtime keeps the best point under the feasibility rule (feasible
 first, then smaller violation, then smaller objective), so the program
 reports nothing itself.

@@ -675,9 +675,9 @@ def test_every_traced_binding_records_a_span(tmp_path, monkeypatch):
         tracer.restore()
     assert tracer.names
     spanned = {span[0] for span in tracer.spans}
-    # a lockstep group of two or more runs evaluates through
-    # evaluate_batch and counts through ObjectiveTracker.tell; only a run
-    # alone calls ObjectiveTracker.batch, and here no run is alone
+    # every bench run, alone or in a lockstep group, evaluates through
+    # evaluate_batch and counts through ObjectiveTracker.tell; only
+    # answer programs call ObjectiveTracker.batch
     assert [name for name in tracer.names if name not in spanned
             and name != "optimizers.tracker.batch"] == []
     # the lockstep runs still make one run span each, and evaluate

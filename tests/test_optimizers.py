@@ -1,4 +1,5 @@
 import os
+import re
 import warnings
 
 import numpy as np
@@ -453,18 +454,17 @@ def test_vanilla_de_constrained_matches_reference():
 
 
 class _RowByRowTracker(ObjectiveTracker):
-    """Tracker whose ``batch`` evaluates one row at a time, and which
-    logs every evaluated point."""
+    """Tracker that records evaluations one row at a time, as one-row
+    calls record them, and logs every evaluated point."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.points = []
 
-    def batch(self, x):
-        x = np.asarray(x, dtype=float)
-        self.points += x[:max(self.remaining, 0)].tolist()
-        rows = [super(_RowByRowTracker, self).batch(row[None]) for row in x]
-        return tuple(np.concatenate(parts) for parts in zip(*rows))
+    def tell(self, x, f, violation):
+        self.points += x.tolist()
+        for i in range(len(x)):
+            super().tell(x[i:i + 1], f[i:i + 1], violation[i:i + 1])
 
 
 def _stepped(fn):
@@ -485,8 +485,13 @@ def _plain_scipy_dual_annealing(tracker, config, rng):
 
     x0 = uniform_init(rng, tracker.bounds, 1)[0]
     sp_seed = int(rng.integers(0, 2**31 - 1))
+
+    def penalized(x):
+        f, viol = tracker.batch(np.asarray(x, dtype=float)[None])
+        return float(f[0] + base.PENALTY_COEFF * viol[0])
+
     scipy_dual_annealing(
-        tracker.penalized,
+        penalized,
         bounds=[(float(lo), float(hi)) for lo, hi in tracker.bounds],
         maxfun=tracker.remaining, maxiter=10**6, seed=sp_seed, x0=x0,
         initial_temp=config["initial_temp"], visit=config["visit"],
@@ -606,12 +611,18 @@ def test_dual_annealing_local_search_stops_at_scipy_maxfun(monkeypatch):
     [[-5.0, 5.0], [1.0, 1.0 + 1e-8]],
     [[-5.0, 5.0], [0.0, 2e-8]],
 ])
-def test_dual_annealing_rejects_boxes_scipy_steps_in_otherwise(bounds):
+def test_dual_annealing_rejects_boxes_scipy_steps_in_otherwise(bounds,
+                                                              monkeypatch):
     inst = _sphere_in_box(bounds, [0.0, 0.0])
-    res = run("dual_annealing", SMALL_CONFIGS["dual_annealing"], inst, 300,
-              seed=0)
-    assert res.status == "failed" and res.fe_used == 0
-    assert "steps of 1e-8" in res.message
+    # the port the bench runs, then the scipy call answers ship
+    for fn in (get_optimizer("dual_annealing"),
+               _stepped(annealing.dual_annealing)):
+        monkeypatch.setitem(base._REGISTRY, "dual_annealing",
+                            (fn, base._REGISTRY["dual_annealing"][1]))
+        res = run("dual_annealing", SMALL_CONFIGS["dual_annealing"], inst,
+                  300, seed=0)
+        assert res.status == "failed" and res.fe_used == 0
+        assert "steps of 1e-8" in res.message
     other = run("random_search", {}, inst, 300, seed=0)
     assert other.status == "ok" and other.fe_used == 300
 
@@ -663,16 +674,15 @@ def test_dual_annealing_batches_gradients_within_budget(monkeypatch):
 
 
 class _BatchLogTracker(ObjectiveTracker):
-    """Tracker that logs the rows of every batch it evaluates."""
+    """Tracker that logs the rows of every batch it records."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.batches = []
 
-    def batch(self, x):
-        x = np.asarray(x, dtype=float)
-        self.batches.append(x[:max(self.remaining, 0)].tolist())
-        return super().batch(x)
+    def tell(self, x, f, violation):
+        self.batches.append(x.tolist())
+        super().tell(x, f, violation)
 
 
 def _port_and_scipy_call(monkeypatch, inst, config, fe_budget, seed,
@@ -744,16 +754,15 @@ def test_dual_annealing_port_equals_scipy_call_after_stagnation(
 
 
 class _NonFiniteStartTracker(_BatchLogTracker):
-    """Objective ``bad`` on the first three evaluations."""
+    """Objective ``bad`` on the first three evaluations: written, once
+    they are recorded, into the values the run is sent."""
 
     bad = np.inf
 
-    def batch(self, x):
+    def tell(self, x, f, violation):
         fe_before = self.fe_used
-        f, viol = super().batch(x)
-        f = f.copy()
+        super().tell(x, f, violation)
         f[:max(0, 3 - fe_before)] = self.bad
-        return f, viol
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -814,6 +823,59 @@ def test_lockstep_runs_equal_solo_runs_when_some_fail(monkeypatch):
         ("ok", True, "")] * 2 + [
         ("failed", False, "ValueError: no start")] * 2 + [("ok", True, "")]
     assert [r.fe_used for r in together[2:4]] == [400, 400]
+
+
+def test_malformed_ask_fails_only_its_own_run(sphere_instance, monkeypatch):
+    d = sphere_instance.d
+
+    def flat_after_one_batch(tracker, config, rng):
+        yield uniform_init(rng, tracker.bounds, 2)
+        yield np.zeros(tracker.d)
+
+    def no_rows(tracker, config, rng):
+        yield np.zeros((0, tracker.d))
+
+    def extra_column(tracker, config, rng):
+        yield np.zeros((2, tracker.d + 1))
+
+    for name, fn in [("nsa", flat_after_one_batch),
+                     ("simulated_annealing", no_rows),
+                     ("samr_ga", extra_column)]:
+        monkeypatch.setitem(base._REGISTRY, name,
+                            (fn, base._REGISTRY[name][1]))
+    tasks = [("nsa", SMALL_CONFIGS["nsa"], 1), ("random_search", {}, 1),
+             ("simulated_annealing", SMALL_CONFIGS["simulated_annealing"], 1),
+             ("samr_ga", SMALL_CONFIGS["samr_ga"], 1)]
+    lockstep = base.Lockstep(sphere_instance, 300, tasks)
+    together = [run(*task[:2], sphere_instance, 300, task[2],
+                    lockstep=lockstep) for task in tasks]
+    assert [(r.status, r.fe_used, r.message) for r in together[::2]] == [
+        ("failed", 2, f"ValueError: expected shape (n, {d}), got ({d},)"),
+        ("failed", 0, f"ValueError: expected shape (n, {d}), got (0, {d})")]
+    assert (together[3].status, together[3].message) == (
+        "failed", f"ValueError: expected shape (n, {d}), got (2, {d + 1})")
+    assert together[1].status == "ok" and together[1].fe_used == 300
+    assert together == [run(*task[:2], sphere_instance, 300, task[2])
+                        for task in tasks]
+
+
+@pytest.mark.parametrize("taken, refused", [
+    ([], 1),
+    ([0], 0),
+    ([0, 1], 1),
+], ids=["out-of-order", "twice", "past-the-last-group"])
+def test_lockstep_hands_out_runs_only_in_order(taken, refused,
+                                               sphere_instance):
+    tasks = [("random_search", {}, 1),
+             ("vanilla_de", SMALL_CONFIGS["vanilla_de"], 2)]
+    lockstep = base.Lockstep(sphere_instance, 50, tasks)
+    for i in taken:
+        assert lockstep.take(*tasks[i]).result() == run(
+            *tasks[i][:2], sphere_instance, 50, tasks[i][2])
+    optimizer, config, seed = tasks[refused]
+    with pytest.raises(ValueError, match=re.escape(
+            f"{optimizer} with config {config} and seed {seed}")):
+        lockstep.take(optimizer, config, seed)
 
 
 # ---------------------------------------------------------------------------
