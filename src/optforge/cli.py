@@ -20,7 +20,7 @@ import logging
 import os
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .artifacts import reading, write_json, write_text
 from .bench import (DEFAULT_POOL, benchmark_set, load_knowledge,
@@ -40,6 +40,13 @@ log = logging.getLogger("optforge.cli")
 __all__ = ["PipelineConfig", "main"]
 
 
+# a field's annotation -> the types its JSON value may have, and their name
+_FIELD_TYPES = {int: (int, "an integer"),
+                int | None: (int | None, "an integer or null"),
+                float: ((int, float), "a number"),
+                list: (list, "a list of strings")}
+
+
 @dataclass
 class PipelineConfig:
     """Everything the pipeline needs, JSON round-trippable."""
@@ -52,11 +59,22 @@ class PipelineConfig:
     k_max: int = 5
     fe_budget: int = 40000
     runs: int = 5
-    config_cap: int = 64
+    config_cap: int | None = 64
     pool: list = field(default_factory=lambda: list(DEFAULT_POOL))
     styles: list = field(default_factory=lambda: [s.value for s in WritingStyle])
     test_fraction: float = 0.1
     seed: int = 0
+
+    def __post_init__(self):
+        # a JSON value of the wrong type fails here, named, and not deep
+        # inside a stage; a bool is no number
+        for f in fields(self):
+            value = getattr(self, f.name)
+            types, name = _FIELD_TYPES[f.type]
+            if (not isinstance(value, types) or isinstance(value, bool)
+                    or (f.type is list
+                        and not all(isinstance(v, str) for v in value))):
+                raise ValueError(f"{f.name} must be {name}, got {value!r}")
 
     @classmethod
     def from_json(cls, path):

@@ -51,7 +51,7 @@ def _metropolis_accept(delta, temp, boltzmann, u):
     return u < np.exp(-delta / (boltzmann * temp))
 
 
-@register("simulated_annealing", n_init=lambda cfg: cfg["NP"])
+@register("simulated_annealing")
 def simulated_annealing(tracker, config, rng):
     np_ = config["NP"]
     sigma = max(config["sigma_init"], config["sigma_limit"])
@@ -75,7 +75,7 @@ def simulated_annealing(tracker, config, rng):
         temp = max(temp * config["temp_decay"], 0.1)
 
 
-@register("nsa", n_init=lambda cfg: cfg["n_samples"])
+@register("nsa")
 def nsa(tracker, config, rng):
     n = config["n_samples"]
     sigma0 = config["sigma"]
@@ -161,7 +161,7 @@ def dual_annealing(tracker, config, rng):
     )
 
 
-@register("dual_annealing", n_init=lambda cfg: 1, answer=dual_annealing)
+@register("dual_annealing", answer=dual_annealing)
 def _dual_annealing_port(tracker, config, rng):
     # the bench runs the port, which is imported on first use, so that
     # importing the package compiles and loads none of it

@@ -6,12 +6,14 @@ yields the batch of points it wants evaluated next and is sent their
 ``(f, violation)``, and steps until its run is ended for it when the
 budget is spent.  An optimizer without native constraint support asks
 through :func:`penalized_ask`, which gives it ``f + 1e6 * violation``.
-The tracker records every evaluation, maintains the running best under
-the feasibility rule and the initial-sample objective ``f0`` used later
-for descent normalization.  An optimizer reads nothing of the instance
-but the tracker's ``bounds``, ``d``, ``fe_budget`` and ``fe_used``, and
-never calls the tracker's ``batch``, so its source runs unchanged as
-an answer program against any runtime with the tracker's surface (see
+The tracker records every evaluation and maintains the running best
+under the feasibility rule and the initial-sample objective ``f0``
+used later for descent normalization.  A run's first ask is its
+initial sample: nothing else states its size.  An optimizer reads
+nothing of the instance but the tracker's ``bounds``, ``d``,
+``fe_budget`` and ``fe_used``, and never calls the tracker's
+``batch``, so its source runs unchanged as an answer program against
+any runtime with the tracker's surface (see
 :mod:`optforge.render.answers`).
 
 Every run steps through one driver: a :class:`Lockstep` drives the
@@ -56,8 +58,8 @@ __all__ = [
 
 PENALTY_COEFF = 1.0e6
 
-# a lockstep group closes before the rows x d of its runs' initial
-# samples would pass this many elements
+# a lockstep group closes once the rows x d of its runs' first asks
+# reach this many elements
 _GROUP_ELEMENTS = 2**13
 
 
@@ -98,18 +100,14 @@ class ObjectiveTracker:
     does not fit in the remaining budget, the fitting prefix is
     evaluated (and recorded) before :class:`BudgetExhausted` is raised.
 
-    ``f0``/``f0_violation`` hold the rule-best point among the first
-    ``n_init`` evaluations seen so far -- the optimizer's own initial
-    sample -- which anchors descent scoring; later evaluations leave
-    them unchanged.
+    ``f0``/``f0_violation`` hold the rule-best point of the first batch
+    recorded -- a run's first ask, the optimizer's own initial sample --
+    which anchors descent scoring; later batches leave them unchanged.
     """
 
-    def __init__(self, instance, fe_budget, n_init):
-        if n_init < 1:
-            raise ValueError("n_init must be >= 1")
+    def __init__(self, instance, fe_budget):
         self.instance = instance
         self.fe_budget = int(fe_budget)
-        self.n_init = int(n_init)
         self.fe_used = 0
         self.best_f = np.inf
         self.best_x = None
@@ -147,22 +145,15 @@ class ObjectiveTracker:
         return rule_argmin(f, viol)
 
     def _record(self, x, f, viol, fe_before):
-        # f0 anchor: rule-best over exactly the first n_init evaluations,
-        # even when a batch straddles that boundary
-        if fe_before < self.n_init:
-            k = min(len(f), self.n_init - fe_before)
-            j = self._best_row(f[:k], viol[:k])
-            if self.f0 is None or (rule_key(float(f[j]), float(viol[j]))
-                                   < rule_key(self.f0, self.f0_violation)):
-                self.f0, self.f0_violation = float(f[j]), float(viol[j])
-
         i = self._best_row(f, viol)
-        key = rule_key(float(f[i]), float(viol[i]))
-        if self.best_x is None or key < rule_key(self.best_f, self.best_violation):
-            self.best_f = float(f[i])
+        f_i, viol_i = float(f[i]), float(viol[i])
+        if self.f0 is None:
+            self.f0, self.f0_violation = f_i, viol_i
+        if (self.best_x is None or rule_key(f_i, viol_i)
+                < rule_key(self.best_f, self.best_violation)):
+            self.best_f, self.best_violation = f_i, viol_i
             self.best_x = np.array(x[i])
-            self.best_violation = float(viol[i])
-            self.trace.append((fe_before + i + 1, self.best_f, self.best_violation))
+            self.trace.append((fe_before + i + 1, f_i, viol_i))
 
     def batch(self, x):
         """Evaluate up to ``remaining`` rows of ``x``.
@@ -222,15 +213,15 @@ _REGISTRY = {}
 _ANSWERS = {}
 
 
-def register(name, n_init, answer=None):
+def register(name, answer=None):
     """Register an optimizer, a generator function, under its id in
-    ``GRIDS``.
+    ``GRIDS``.  Its first ask is its initial sample, the batch that
+    fixes ``f0``.
 
-    ``n_init`` maps a config dict to the size of the optimizer's
-    initial sample (how many evaluations fix ``f0``).  ``answer`` is the
-    function whose source answer programs ship, by default the
-    registered one; another, which may be a plain function that calls
-    the tracker, must run the same evaluations, which tests check.
+    ``answer`` is the function whose source answer programs ship, by
+    default the registered one; another, which may be a plain function
+    that calls the tracker, must run the same evaluations, which tests
+    check.
     """
     if name not in GRIDS:
         raise ValueError(f"optimizer {name!r} has no grid in GRIDS")
@@ -241,29 +232,24 @@ def register(name, n_init, answer=None):
                             f"a generator function")
         if name in _REGISTRY:
             raise ValueError(f"duplicate optimizer id {name!r}")
-        _REGISTRY[name] = (fn, n_init)
+        _REGISTRY[name] = fn
         _ANSWERS[name] = answer or fn
         return fn
 
     return deco
 
 
-def _registered(name):
-    """``(fn, n_init)`` registered under ``name``."""
+def get_optimizer(name):
+    """The function the benchmark runs for ``name``."""
     try:
         return _REGISTRY[name]
     except KeyError:
         raise KeyError(f"unknown optimizer {name!r}") from None
 
 
-def get_optimizer(name):
-    """The function the benchmark runs for ``name``."""
-    return _registered(name)[0]
-
-
 def get_answer(name):
     """The function whose source answer programs for ``name`` ship."""
-    _registered(name)
+    get_optimizer(name)
     return _ANSWERS[name]
 
 
@@ -284,33 +270,24 @@ class BoxMap:
         return self.lo + np.asarray(u) * self.width
 
 
-def _n_init(optimizer, config):
-    """The size of the initial sample of ``optimizer`` at ``config``;
-    raises for an unknown optimizer or an off-grid config."""
-    n_init_of = _registered(optimizer)[1]
-    validate_config(optimizer, config)
-    return int(n_init_of(config))
-
-
 class _Chain:
-    """One run on its way to its :class:`RunResult`: started here, and
-    left for :func:`_drive` to step to its end."""
+    """One run on its way to its :class:`RunResult`: started here, up to
+    its first ask, and left for :func:`_drive` to step to its end.  A
+    first ask larger than the budget fails the run before it spends an
+    evaluation."""
 
-    def __init__(self, optimizer, config, instance, fe_budget, seed):
-        n_init = _n_init(optimizer, config)
+    def __init__(self, instance, fe_budget, optimizer, config, seed):
         self.seed = seed
         self.status, self.message = "ok", ""
-        self.ask = None
-        if fe_budget < n_init:
-            # fails upfront without spending evaluations
-            self.tracker = None
-            self.status = "failed"
-            self.message = f"budget {fe_budget} < initial sample {n_init}"
-            return
-        self.tracker = ObjectiveTracker(instance, fe_budget, n_init)
+        self.tracker = ObjectiveTracker(instance, fe_budget)
         rng = np.random.Generator(np.random.PCG64(seed))
-        self.steps = _registered(optimizer)[0](self.tracker, config, rng)
+        self.steps = get_optimizer(optimizer)(self.tracker, config, rng)
         self.send(None)
+        if self.ask is not None and len(self.ask) > self.tracker.fe_budget:
+            self.status = "failed"
+            self.message = (f"budget {fe_budget} < initial sample "
+                            f"{len(self.ask)}")
+            self.stop()
 
     def send(self, value):
         """Send ``value`` to the steps; ``ask`` becomes the points they
@@ -340,10 +317,9 @@ class _Chain:
     def result(self):
         """The run's outcome; a run that recorded no evaluation failed."""
         tracker = self.tracker
-        if tracker is None or tracker.best_x is None:
+        if tracker.best_x is None:
             return RunResult(
-                seed=self.seed, status="failed",
-                fe_used=0 if tracker is None else tracker.fe_used,
+                seed=self.seed, status="failed", fe_used=tracker.fe_used,
                 message=self.message or "no evaluations recorded")
         return RunResult(
             seed=self.seed, status=self.status, best_f=tracker.best_f,
@@ -391,38 +367,38 @@ class Lockstep:
     instance and budget, driven together in groups and handed out in
     their order.
 
-    The tasks are split, in their order, into consecutive groups: a
-    group closes before the rows x ``d`` of its runs' initial samples
-    would pass ``_GROUP_ELEMENTS``, so that the points in flight stay
-    bounded at any grid size.  Once every run of a group has been
-    taken, the next :meth:`take` starts the next group's runs and drives
-    them to their ends, so that their evaluations are made in one
-    :func:`evaluate_batch` call per step rather than one per run and
-    step.
+    Once every run of a group has been taken, the next :meth:`take`
+    starts the next runs in their order, up to their first asks, and
+    closes the group once the rows x ``d`` of those asks reach
+    ``_GROUP_ELEMENTS`` (a run that has ended by then counts 0) or the
+    runs run out, so that the points in flight stay bounded at any grid
+    size.  It then drives the group's runs to their ends, so that their
+    evaluations are made in one :func:`evaluate_batch` call per step
+    rather than one per run and step.  An unknown optimizer or an
+    off-grid config raises here, before any run starts.
     """
 
     def __init__(self, instance, fe_budget, tasks):
         self._instance, self._fe_budget = instance, fe_budget
-        self._groups = deque()  # the groups not yet started
-        self._held = deque()  # (task, driven chain), not yet taken
-        size = 0
-        for optimizer, config, seed in tasks:
-            elements = _n_init(optimizer, config) * instance.d
-            if not self._groups or size + elements > _GROUP_ELEMENTS:
-                self._groups.append([])
-                size = 0
-            self._groups[-1].append((optimizer, config, seed))
-            size += elements
+        # the tasks not yet started, and (task, driven chain) not yet taken
+        self._tasks = deque((o, c, s) for o, c, s in tasks)
+        self._held = deque()
+        for optimizer, config, _ in self._tasks:
+            get_optimizer(optimizer)
+            validate_config(optimizer, config)
 
     def take(self, optimizer, config, seed):
         """The next run, driven to its end; raises ``ValueError`` unless
         it is the run of ``optimizer`` with ``config`` and ``seed``."""
-        if not self._held and self._groups:
-            group = self._groups.popleft()
-            chains = [_Chain(o, c, self._instance, self._fe_budget, s)
-                      for o, c, s in group]
-            _drive(chains)
-            self._held.extend(zip(group, chains))
+        if not self._held and self._tasks:
+            size = 0
+            while self._tasks and size < _GROUP_ELEMENTS:
+                task = self._tasks.popleft()
+                chain = _Chain(self._instance, self._fe_budget, *task)
+                if chain.ask is not None:
+                    size += chain.ask.size
+                self._held.append((task, chain))
+            _drive([chain for _, chain in self._held])
         if not self._held or self._held[0][0] != (optimizer, config, seed):
             raise ValueError(f"the run of {optimizer} with config {config} "
                              f"and seed {seed} is not the next run held")
@@ -433,10 +409,10 @@ def run(optimizer, config, instance, fe_budget, seed, lockstep=None):
     """Execute one run and package the outcome.
 
     Any exception out of the optimizer (other than budget exhaustion)
-    marks the run ``failed``; a budget smaller than the optimizer's
-    initial sample fails upfront without spending evaluations.  The run
-    is the next one ``lockstep`` holds, which ends as it would alone;
-    without a lockstep it is driven alone.
+    marks the run ``failed``; a budget smaller than its first ask, the
+    optimizer's initial sample, fails it without spending evaluations.
+    The run is the next one ``lockstep`` holds, which ends as it would
+    alone; without a lockstep it is driven alone.
     """
     if lockstep is None:
         lockstep = Lockstep(instance, fe_budget, [(optimizer, config, seed)])

@@ -45,7 +45,7 @@ def _chi_n(d):
     return math.sqrt(d) * (1.0 - 1.0 / (4.0 * d) + 1.0 / (21.0 * d * d))
 
 
-@register("sep_cma_es", n_init=lambda cfg: cfg["n_individuals"])
+@register("sep_cma_es")
 def sep_cma_es(tracker, config, rng):
     lam = config["n_individuals"]
     d = tracker.d
@@ -172,7 +172,7 @@ def _cma_full_run(box, d, lam, sigma, mu, min_gens, rng):
             return
 
 
-@register("bipop_cma_es", n_init=lambda cfg: cfg["NP"])
+@register("bipop_cma_es")
 def bipop_cma_es(tracker, config, rng):
     lam0 = config["NP"]
     ratio = config["elite_ratio"]

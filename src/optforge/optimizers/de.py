@@ -90,13 +90,13 @@ def _de_loop(tracker, rng, np_, f, cr, strategy, bound):
         viol = np.where(accept, tviol, viol)
 
 
-@register("vanilla_de", n_init=lambda cfg: cfg["NP"])
+@register("vanilla_de")
 def vanilla_de(tracker, config, rng):
     yield from _de_loop(tracker, rng, config["NP"], config["F"],
                         config["Cr"], config["mutation"], config["bound"])
 
 
-@register("deap_de", n_init=lambda cfg: cfg["NP"])
+@register("deap_de")
 def deap_de(tracker, config, rng):
     yield from _de_loop(tracker, rng, config["NP"], config["F"],
                         config["Cr"], "rand1", "clip")

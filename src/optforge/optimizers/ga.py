@@ -16,7 +16,7 @@ from .base import BoxMap, penalized_ask, register
 __all__ = []
 
 
-@register("samr_ga", n_init=lambda cfg: cfg["NP"])
+@register("samr_ga")
 def samr_ga(tracker, config, rng):
     np_ = config["NP"]
     sigma_meta = config["sigma_meta"]

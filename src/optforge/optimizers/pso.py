@@ -16,7 +16,7 @@ __all__ = []
 _INERTIA = 0.7298
 
 
-@register("vanilla_pso", n_init=lambda cfg: cfg["NP"])
+@register("vanilla_pso")
 def vanilla_pso(tracker, config, rng):
     np_ = config["NP"]
     phi_1 = config["phi_1"]

@@ -182,27 +182,19 @@ def ref_rule_best_index(fs, viols):
 def ref_tracker_state():
     return {
         "fe": 0, "best_f": None, "best_viol": None, "best_x": None,
-        "f0": None, "f0_viol": None, "init_best": None, "trace": [],
+        "f0": None, "f0_viol": None, "trace": [],
     }
 
 
-def ref_record_batch(state, n_init, xs, fs, viols):
-    """Record one evaluated batch: FE count, the f0 anchor over the first
-    ``n_init`` evaluations, the rule-best point and the improvement
+def ref_record_batch(state, xs, fs, viols):
+    """Record one evaluated batch: FE count, the f0 anchor (the rule-best
+    point of the first batch), the rule-best point and the improvement
     trace."""
     fe_before = state["fe"]
     state["fe"] += len(fs)
-    if state["f0"] is None:
-        k = min(len(fs), n_init - fe_before)
-        if k > 0:
-            j = ref_rule_best_index(fs[:k], viols[:k])
-            cand = (fs[j], viols[j])
-            if (state["init_best"] is None
-                    or ref_rule_key(*cand) < ref_rule_key(*state["init_best"])):
-                state["init_best"] = cand
-        if state["fe"] >= n_init:
-            state["f0"], state["f0_viol"] = state["init_best"]
     i = ref_rule_best_index(fs, viols)
+    if state["f0"] is None:
+        state["f0"], state["f0_viol"] = fs[i], viols[i]
     if (state["best_x"] is None
             or ref_rule_key(fs[i], viols[i])
             < ref_rule_key(state["best_f"], state["best_viol"])):
@@ -240,7 +232,7 @@ def ref_de_best1(instance, np_, f_weight, cr, fe_budget, seed):
             f, viol = evaluate_batch(instance, np.array(r)[None])
             fs.append(float(f[0]))
             viols.append(float(viol[0]))
-        ref_record_batch(state, np_, rows[:take], fs, viols)
+        ref_record_batch(state, rows[:take], fs, viols)
         return fs, viols, take < len(rows)
 
     pop_arr = rng.uniform(instance.bounds[:, 0], instance.bounds[:, 1],

@@ -294,6 +294,7 @@ def test_criterion_09_metrics_fixture():
 
 
 @criterion(10, "pipeline byte determinism")
+@pytest.mark.blas_threads
 def test_criterion_10_pipeline_determinism(tmp_path):
     start = time.monotonic()
     config = {

@@ -104,6 +104,7 @@ def test_no_lower_value_nearby(name):
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
+@pytest.mark.blas_threads
 def test_batch_consistency(name):
     # evaluating a stacked batch equals evaluating rows one by one; katsuura
     # and weierstrass split the larger shapes into several row blocks, with

@@ -248,6 +248,8 @@ def test_benchmark_set_preserves_order_and_ids():
         assert records and {r.instance_id for r in records} == {inst.id}
 
 
+@pytest.mark.blas_threads
+@pytest.mark.worker_blas
 def test_benchmark_set_parallel_equals_serial():
     instances = _tiny_set()
     serial = list(benchmark_set(instances, pool=POOL, cap=2, runs=2,
@@ -316,6 +318,7 @@ def test_benchmark_set_gives_each_worker_its_share_of_blas_threads(
                                      else None)
 
 
+@pytest.mark.worker_blas
 def test_limit_blas_threads_sets_the_openblas_pool():
     from numpy._core import _multiarray_umath
 
@@ -497,6 +500,7 @@ _CONSTANT_ASKS = {"vanilla_de", "deap_de", "vanilla_pso", "sep_cma_es",
     (_narrow_box_instance(), None),
 ], ids=["cut-mid-ask", "constrained", "small-groups",
         "fail-before-first-evaluation"])
+@pytest.mark.blas_threads
 def test_lockstep_runs_equal_solo_runs(instance, group_elements,
                                        monkeypatch):
     if group_elements is not None:
@@ -542,6 +546,7 @@ def test_lockstep_runs_equal_solo_runs(instance, group_elements,
     assert bench_calls * 2 < solo_calls
 
 
+@pytest.mark.blas_threads
 def test_lockstep_starts_no_group_before_the_one_before_ends(monkeypatch):
     bound = 120
     monkeypatch.setattr(base, "_GROUP_ELEMENTS", bound)
@@ -549,10 +554,11 @@ def test_lockstep_starts_no_group_before_the_one_before_ends(monkeypatch):
     real_drive = base._drive
 
     class CheckedChain(base._Chain):
-        def __init__(self, optimizer, config, *args):
+        def __init__(self, *args):
             assert all(c.ask is None for group in groups for c in group)
-            super().__init__(optimizer, config, *args)
-            self.elements = base._n_init(optimizer, config) * instance.d
+            super().__init__(*args)
+            # rows x d of its first ask; a run that ended there counts 0
+            self.elements = 0 if self.ask is None else self.ask.size
 
     def logged_drive(chains):
         groups.append(chains)
@@ -565,9 +571,9 @@ def test_lockstep_starts_no_group_before_the_one_before_ends(monkeypatch):
     _, records = benchmark_instance(instance, cap=2, runs=2, seed=11)
     assert sum(map(len, groups)) == sum(len(rec.per_run) for rec in records)
     assert len(groups) >= 3
+    # a group closes at the run whose first ask reaches the bound, or at
+    # the last run
     for group in groups:
-        assert (len(group) == 1
-                or sum(c.elements for c in group) <= bound)
-    # each group closed only because its next run would not fit
-    for group, after in zip(groups, groups[1:]):
-        assert sum(c.elements for c in group) + after[0].elements > bound
+        assert sum(c.elements for c in group[:-1]) < bound
+    for group in groups[:-1]:
+        assert sum(c.elements for c in group) >= bound

@@ -110,6 +110,44 @@ def test_config_defaults_are_full_scale():
     assert len(cfg.styles) == 6
 
 
+@pytest.mark.parametrize("stage, override", [
+    ("bench", {"runs": 1.0}),
+    ("bench", {"runs": "2"}),
+    ("bench", {"runs": True}),
+    ("bench", {"config_cap": 4.0}),
+    ("bench", {"pool": "random_search"}),
+    ("synth", {"n_unconstrained": 2.0}),
+    ("synth", {"fe_budget": 300.7}),
+    ("synth", {"seed": "3"}),
+    ("build", {"styles": "py_loop"}),
+    ("split", {"test_fraction": "0.5"}),
+], ids=["runs-float", "runs-str", "runs-bool", "config_cap-float",
+        "pool-str", "n_unconstrained-float", "fe_budget-float", "seed-str",
+        "styles-str", "test_fraction-str"])
+def test_config_field_of_a_wrong_type_fails_before_any_output(
+        pipeline, tmp_path, stage, override):
+    cfg = json.loads(Path(pipeline["config"]).read_text())
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**cfg, **override}))
+    out = str(tmp_path / "out.jsonl")
+    flags = {
+        "bench": ["--instances", pipeline["instances"], "--out", out,
+                  "--records", str(tmp_path / "records.jsonl")],
+        "synth": ["--out", out],
+        "build": ["--instances", pipeline["instances"],
+                  "--knowledge", pipeline["knowledge"], "--out", out],
+        "split": ["--pairs", pipeline["pairs"],
+                  "--train-out", str(tmp_path / "train.jsonl"),
+                  "--test-out", str(tmp_path / "test.jsonl")],
+    }[stage]
+    with pytest.raises(ValueError) as err:
+        main([stage, "--config", str(config), *flags])
+    (name, value), = override.items()
+    assert str(err.value).startswith(f"{config}: {name} must be ")
+    assert str(err.value).endswith(f", got {value!r}")
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 # ---------------------------------------------------------------------------
 # pipeline stages
 
@@ -162,6 +200,8 @@ def test_bench_winner_lines_count_only_labelled_entries(pipeline, tmp_path,
     assert out.read_bytes() == open(pipeline["knowledge"], "rb").read()
 
 
+@pytest.mark.blas_threads
+@pytest.mark.worker_blas
 def test_bench_parallel_matches_serial(pipeline, tmp_path):
     out, records = tmp_path / "knowledge.jsonl", tmp_path / "records.jsonl"
     assert main(["bench", "--config", pipeline["config"],

@@ -90,6 +90,7 @@ def test_sinusoid_values():
 
 
 @pytest.mark.parametrize("kind", CONSTRAINT_TEMPLATES)
+@pytest.mark.blas_threads
 def test_values_on_a_batch_equal_one_row_calls(kind):
     rng = np.random.default_rng(11)
     for n, d in [(1, 3), (37, 8), (200, 50)]:

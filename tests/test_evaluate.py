@@ -95,6 +95,7 @@ def test_evaluate_batch_matches_component_loop(inst, n):
                          ids=[f"{i.paradigm}-d{i.d}-"
                               + "+".join(c.kind for c in i.constraints)
                               for i in INSTANCES])
+@pytest.mark.blas_threads
 def test_evaluate_batch_rows_do_not_depend_on_the_batch(inst):
     # a row gets the same bits alone, in any batch and at any position,
     # so that runs evaluated together end as they end alone

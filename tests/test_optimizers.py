@@ -111,7 +111,7 @@ def test_rule_le_ranks_nan_objective_last():
 
 
 def test_tracker_budget_and_partial(sphere_instance):
-    t = ObjectiveTracker(sphere_instance, fe_budget=10, n_init=4)
+    t = ObjectiveTracker(sphere_instance, fe_budget=10)
     x = np.zeros((6, sphere_instance.d))
     f, v = t.batch(x)
     assert len(f) == 6 and t.fe_used == 6
@@ -136,37 +136,9 @@ def test_tracker_budget_and_partial(sphere_instance):
         t.batch(np.zeros((1, sphere_instance.d)))
 
 
-def test_tracker_f0_is_first_n_init_only(sphere_instance):
-    rng = np.random.default_rng(5)
-    xs = rng.uniform(-10, 10, (8, sphere_instance.d))
-    # n_init = 3: f0 must ignore everything after the third evaluation
-    t = ObjectiveTracker(sphere_instance, fe_budget=50, n_init=3)
-    t.batch(xs)
-    t.batch(rng.uniform(-10, 10, (5, sphere_instance.d)))
-    f3, v3 = evaluate_batch(sphere_instance, xs[:3])
-    j = rule_argmin(f3, v3)
-    assert t.f0 == float(f3[j])
-
-
-def test_tracker_f0_straddling_batches(sphere_instance):
-    rng = np.random.default_rng(6)
-    t = ObjectiveTracker(sphere_instance, fe_budget=50, n_init=5)
-    a = rng.uniform(-5, 5, (2, sphere_instance.d))
-    b = rng.uniform(-5, 5, (6, sphere_instance.d))
-    fa, va = t.batch(a)
-    # initial sample not finished yet: the rule-best of the rows so far
-    j = rule_argmin(fa, va)
-    assert (t.f0, t.f0_violation) == (float(fa[j]), float(va[j]))
-    fb, vb = t.batch(b)
-    f5 = np.concatenate([fa, fb[:3]])
-    v5 = np.concatenate([va, vb[:3]])
-    j = rule_argmin(f5, v5)
-    assert t.f0 == float(f5[j])
-
-
 def test_tracker_trace_monotone(sphere_instance):
     rng = np.random.default_rng(7)
-    t = ObjectiveTracker(sphere_instance, fe_budget=200, n_init=10)
+    t = ObjectiveTracker(sphere_instance, fe_budget=200)
     for _ in range(10):
         t.batch(rng.uniform(-50, 50, (20, sphere_instance.d)))
     fes = [e[0] for e in t.trace]
@@ -181,15 +153,15 @@ def test_tracker_one_row_batches_match_generic_bookkeeping(
     # one-row batches skip rule_argmin; the f0 anchor, best point and
     # trace must come out as the batch-generic bookkeeping gives them
     inst = constrained_instance
-    # the first four rows are infeasible and the fifth feasible, all before
-    # the n_init = 7 boundary; about half of all rows are infeasible
+    # the first four rows are infeasible and the fifth feasible; about
+    # half of all rows are infeasible
     xs = np.random.default_rng(2).uniform(inst.bounds[:, 0],
                                           inst.bounds[:, 1], (80, inst.d))
-    t = ObjectiveTracker(inst, fe_budget=80, n_init=7)
+    t = ObjectiveTracker(inst, fe_budget=80)
     want = ref_tracker_state()
     for x in xs:
         f, v = t.batch(x[None])
-        ref_record_batch(want, 7, [x.tolist()], [float(f[0])], [float(v[0])])
+        ref_record_batch(want, [x.tolist()], [float(f[0])], [float(v[0])])
     assert t.fe_used == want["fe"] == 80
     assert t.trace[0][2] > 0.0 and t.best_violation == 0.0
     assert (t.f0, t.f0_violation) == (want["f0"], want["f0_viol"])
@@ -218,7 +190,7 @@ def test_tracker_argmin_fast_path_matches_reference(batches, sphere_instance,
     # rule_argmin; the bookkeeping must come out as the reference gives it
     queue = [(np.array(f), np.array(v)) for f, v in batches]
     monkeypatch.setattr(base, "evaluate_batch", lambda inst, x: queue.pop(0))
-    t = ObjectiveTracker(sphere_instance, fe_budget=100, n_init=5)
+    t = ObjectiveTracker(sphere_instance, fe_budget=100)
     want = ref_tracker_state()
     fe = 0
     for f, v in batches:
@@ -226,7 +198,7 @@ def test_tracker_argmin_fast_path_matches_reference(batches, sphere_instance,
             sphere_instance.d, axis=1)
         fe += len(f)
         t.batch(xs)
-        ref_record_batch(want, 5, xs.tolist(), f, v)
+        ref_record_batch(want, xs.tolist(), f, v)
     assert t.fe_used == want["fe"]
     np.testing.assert_equal((t.f0, t.f0_violation),
                             (want["f0"], want["f0_viol"]))
@@ -265,11 +237,11 @@ def test_rule_argmin_ranks_nan_objective_last(f, v, want):
     assert not rule_key(_NAN, 0.0) < rule_key(_NAN, 0.0)
 
 
-def _fed_tracker(instance, batches, monkeypatch, n_init=1):
+def _fed_tracker(instance, batches, monkeypatch):
     # a tracker whose evaluations return the given (f, violation) batches
     queue = [(np.array(f), np.array(v)) for f, v in batches]
     monkeypatch.setattr(base, "evaluate_batch", lambda inst, x: queue.pop(0))
-    t = ObjectiveTracker(instance, fe_budget=100, n_init=n_init)
+    t = ObjectiveTracker(instance, fe_budget=100)
     for f, _ in batches:
         t.batch(np.zeros((len(f), instance.d)))
     return t
@@ -284,20 +256,21 @@ def test_tracker_records_best_of_batch_with_nan_objective(sphere_instance,
     assert t.trace == [(1, 2.0, 0.0), (5, 0.0, 0.0)]
 
 
-def test_tracker_leaves_nan_first_batch_behind(sphere_instance, monkeypatch):
-    t = _fed_tracker(sphere_instance, [([_NAN, _NAN], [0.0, 0.0]),
-                                       ([4.0], [0.0]), ([_NAN], [0.0]),
-                                       ([5.0, 3.0], [0.0, 0.0])],
-                     monkeypatch, n_init=3)
-    assert (t.f0, t.f0_violation) == (4.0, 0.0)
-    assert (t.best_f, t.best_violation) == (3.0, 0.0)
-    assert [fe for fe, _, _ in t.trace] == [1, 3, 6]
-    assert t.trace[1:] == [(3, 4.0, 0.0), (6, 3.0, 0.0)]
-
-
-def test_tracker_rejects_bad_n_init(sphere_instance):
-    with pytest.raises(ValueError):
-        ObjectiveTracker(sphere_instance, fe_budget=10, n_init=0)
+@pytest.mark.parametrize("batches, f0", [
+    # a first batch of NaN objectives fixes f0 all the same
+    ([([_NAN, _NAN], [0.0, 0.0]), ([4.0], [0.0]), ([_NAN], [0.0]),
+      ([5.0, 3.0], [0.0, 0.0])], (_NAN, 0.0)),
+    # the feasibility rule picks within the first batch
+    ([([1.0, 7.0, 6.0], [0.5, 0.0, 0.0]), ([4.0], [0.0]), ([_NAN], [0.0]),
+      ([5.0, 3.0], [0.0, 0.0])], (6.0, 0.0)),
+], ids=["nan-first-batch", "feasibility-rule"])
+def test_tracker_f0_is_the_first_batchs_rule_best(batches, f0,
+                                                  sphere_instance,
+                                                  monkeypatch):
+    t = _fed_tracker(sphere_instance, batches, monkeypatch)
+    # no later batch moves f0, not even one that improves on it
+    np.testing.assert_equal((t.f0, t.f0_violation), f0)
+    assert t.trace[-1] == (sum(len(f) for f, _ in batches), 3.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +284,7 @@ def test_registry_has_full_pool():
 
 def test_register_rejects_a_name_without_a_grid():
     with pytest.raises(ValueError) as err:
-        base.register("no_such_optimizer", n_init=lambda cfg: 1)
+        base.register("no_such_optimizer")
     assert "no_such_optimizer" in str(err.value)
     with pytest.raises(KeyError):
         get_optimizer("no_such_optimizer")
@@ -322,7 +295,7 @@ def test_register_takes_only_a_generator_function():
         tracker.batch(uniform_init(rng, tracker.bounds, 1))
 
     with pytest.raises(TypeError) as err:
-        base.register("random_search", n_init=lambda cfg: 1)(plain)
+        base.register("random_search")(plain)
     assert "plain" in str(err.value)
     assert get_optimizer("random_search") is not plain
 
@@ -370,6 +343,41 @@ def test_run_trace_well_formed(optimizer, sphere_instance):
     assert res.trace[-1][1] == res.best_f
 
 
+@pytest.mark.parametrize("kind", ["unconstrained", "constrained"])
+@pytest.mark.parametrize("optimizer", ALL_OPTIMIZERS)
+def test_f0_is_the_rule_best_of_the_first_ask(optimizer, kind,
+                                              sphere_instance,
+                                              constrained_instance):
+    inst = {"unconstrained": sphere_instance,
+            "constrained": constrained_instance}[kind]
+    config = SMALL_CONFIGS[optimizer]
+    res = run(optimizer, config, inst, fe_budget=300, seed=6)
+    steps = get_optimizer(optimizer)(ObjectiveTracker(inst, 300), config,
+                                     np.random.Generator(np.random.PCG64(6)))
+    f, viol = evaluate_batch(inst, next(steps))
+    steps.close()
+    j = rule_argmin(f, viol)
+    assert res.status == "ok", res.message
+    assert (res.f0, res.f0_violation) == (float(f[j]), float(viol[j]))
+
+
+def test_random_search_evaluates_one_uniform_draw(sphere_instance,
+                                                  monkeypatch):
+    rows = []
+
+    def logged_evaluate_batch(instance, x):
+        rows.extend(x.tolist())
+        return evaluate_batch(instance, x)
+
+    monkeypatch.setattr(base, "evaluate_batch", logged_evaluate_batch)
+    res = run("random_search", {}, sphere_instance, fe_budget=131, seed=8)
+    want = uniform_init(np.random.Generator(np.random.PCG64(8)),
+                        sphere_instance.bounds, 131)
+    assert res.fe_used == 131
+    assert rows == want.tolist()
+    assert res.f0 == float(evaluate_batch(sphere_instance, want[:1])[0][0])
+
+
 def test_budget_smaller_than_init_sample_fails(sphere_instance):
     cfg = dict(SMALL_CONFIGS["deap_de"], NP=200)
     res = run("deap_de", cfg, sphere_instance, fe_budget=50, seed=0)
@@ -409,8 +417,7 @@ def test_crashing_optimizer_marks_failed(sphere_instance, monkeypatch):
         raise RuntimeError("synthetic crash")
         yield
 
-    monkeypatch.setitem(base._REGISTRY, "random_search",
-                        (boom, base._REGISTRY["random_search"][1]))
+    monkeypatch.setitem(base._REGISTRY, "random_search", boom)
     res = run("random_search", {}, sphere_instance, 100, seed=0)
     assert res.status == "failed"
     assert "synthetic crash" in res.message
@@ -514,14 +521,14 @@ def _logged_run(monkeypatch, optimizer, instance, fe_budget, seed):
 # on both instances a local search stops at L-BFGS-B's maxiter
 @pytest.mark.parametrize("constrained, k, seed", [(False, 2, 20),
                                                   (True, 1, 105)])
+@pytest.mark.blas_threads
 def test_dual_annealing_only_batches_scipy_default_local_search(
         constrained, k, seed, monkeypatch):
     inst = synthesize_instance(d=5, k=k, constrained=constrained, seed=seed)
     got, got_points = _logged_run(monkeypatch, "dual_annealing", inst,
                                   3000, seed=4)
     monkeypatch.setitem(base._REGISTRY, "dual_annealing",
-                        (_stepped(_plain_scipy_dual_annealing),
-                         base._REGISTRY["dual_annealing"][1]))
+                        _stepped(_plain_scipy_dual_annealing))
     want, want_points = _logged_run(monkeypatch, "dual_annealing", inst,
                                     3000, seed=4)
     assert want.status == "ok" and want.fe_used == 3000
@@ -547,8 +554,7 @@ def _against_plain_scipy(monkeypatch, inst, fe_budget, seed):
                                   fe_budget, seed)
     monkeypatch.setattr(scipy_da, "minimize", logged_minimize)
     monkeypatch.setitem(base._REGISTRY, "dual_annealing",
-                        (_stepped(_plain_scipy_dual_annealing),
-                         base._REGISTRY["dual_annealing"][1]))
+                        _stepped(_plain_scipy_dual_annealing))
     want, want_points = _logged_run(monkeypatch, "dual_annealing", inst,
                                     fe_budget, seed)
     return got, want, got_points, want_points, messages
@@ -576,6 +582,7 @@ _TOP = 2.0**27 - 2.0**-26  # the largest x with x + 1e-8 != x
     # the narrowest: every x has more than 1e-8 of room on one side
     ([[0.0, np.nextafter(2e-8, 1.0)], [-5.0, 5.0]], [1.0, 1.0], True),
 ])
+@pytest.mark.blas_threads
 def test_dual_annealing_gradient_equals_scipy_finite_differences(
         bounds, shift, steps_back, monkeypatch):
     inst = _sphere_in_box(bounds, shift)
@@ -617,8 +624,7 @@ def test_dual_annealing_rejects_boxes_scipy_steps_in_otherwise(bounds,
     # the port the bench runs, then the scipy call answers ship
     for fn in (get_optimizer("dual_annealing"),
                _stepped(annealing.dual_annealing)):
-        monkeypatch.setitem(base._REGISTRY, "dual_annealing",
-                            (fn, base._REGISTRY["dual_annealing"][1]))
+        monkeypatch.setitem(base._REGISTRY, "dual_annealing", fn)
         res = run("dual_annealing", SMALL_CONFIGS["dual_annealing"], inst,
                   300, seed=0)
         assert res.status == "failed" and res.fe_used == 0
@@ -699,8 +705,7 @@ def _port_and_scipy_call(monkeypatch, inst, config, fe_budget, seed,
             return trackers[-1]
 
         monkeypatch.setattr(base, "ObjectiveTracker", make_tracker)
-        monkeypatch.setitem(base._REGISTRY, "dual_annealing",
-                            (fn, base._REGISTRY["dual_annealing"][1]))
+        monkeypatch.setitem(base._REGISTRY, "dual_annealing", fn)
         out.append((run("dual_annealing", config, inst, fe_budget, seed),
                     trackers[0].batches))
     return out
@@ -788,6 +793,7 @@ def test_gammaln_table_is_scipy_gammaln():
         assert value == gammaln(2.0 - (1.0 / (visit - 1.0) - 0.5))
 
 
+@pytest.mark.blas_threads
 def test_lockstep_runs_equal_solo_runs_when_some_fail(monkeypatch):
     # the port fails before its first evaluation at visit 3.62 and after
     # 30 asks at visit 1.62; the other chains run to the budget
@@ -807,8 +813,7 @@ def test_lockstep_runs_equal_solo_runs_when_some_fail(monkeypatch):
                 return
             value = yield ask
 
-    monkeypatch.setitem(base._REGISTRY, "dual_annealing",
-                        (flaky, base._REGISTRY["dual_annealing"][1]))
+    monkeypatch.setitem(base._REGISTRY, "dual_annealing", flaky)
     inst = _instance_of("composition", True)
     tasks = [("dual_annealing", {**SMALL_CONFIGS["dual_annealing"],
                                  "visit": visit}, seed)
@@ -841,8 +846,7 @@ def test_malformed_ask_fails_only_its_own_run(sphere_instance, monkeypatch):
     for name, fn in [("nsa", flat_after_one_batch),
                      ("simulated_annealing", no_rows),
                      ("samr_ga", extra_column)]:
-        monkeypatch.setitem(base._REGISTRY, name,
-                            (fn, base._REGISTRY[name][1]))
+        monkeypatch.setitem(base._REGISTRY, name, fn)
     tasks = [("nsa", SMALL_CONFIGS["nsa"], 1), ("random_search", {}, 1),
              ("simulated_annealing", SMALL_CONFIGS["simulated_annealing"], 1),
              ("samr_ga", SMALL_CONFIGS["samr_ga"], 1)]
@@ -952,6 +956,7 @@ def test_minimize_lbfgsb_equals_scipy_minimize(lower, maxiter, maxfun):
     assert x0.tolist() == np.linspace(1.3, 1.9, d).tolist()
 
 
+@pytest.mark.blas_threads
 def test_minimize_lbfgsb_searches_interleave():
     # setulb keeps a search's state in the arrays passed to it (wa, iwa,
     # task, lsave, isave, dsave), so searches stepped alternately

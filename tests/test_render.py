@@ -664,8 +664,7 @@ def test_answer_reproduces_bench_run(optimizer, kind, monkeypatch,
             imported.add(node.module)
     assert not any(m.split(".")[0] == "optforge" for m in imported), imported
 
-    tracker = ObjectiveTracker(instance, budget,
-                               n_init=base._registered(optimizer)[1](config))
+    tracker = ObjectiveTracker(instance, budget)
     runtime = types.ModuleType("opt_runtime")
     runtime.load_problem = lambda: tracker
     runtime.BudgetExhausted = BudgetExhausted

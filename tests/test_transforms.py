@@ -75,6 +75,7 @@ def test_apply_matches_formula():
 
 
 @pytest.mark.parametrize("d", [2, 5, 7, 30, 120])
+@pytest.mark.blas_threads
 def test_apply_rows_do_not_depend_on_the_batch(d):
     # vecmat on unit-stride rows: a row's bits are the same alone, in any
     # batch and at any position, also when the batch is column-major, as
