@@ -3,7 +3,7 @@ pool with hyperparameter grids, and turn the labelled corpus into an
 instruction-pair dataset with sampling and contrastive machinery."""
 
 from .bench import (KnowledgeEntry, benchmark_instance, benchmark_set,
-                    load_knowledge, save_knowledge)
+                    load_knowledge, save_outcomes)
 from .dataset import (InstructionPair, SamplingPlan, batch_contrastive_loss,
                       build_instruction_set, load_pairs, sampling_weights,
                       save_pairs, split_pairs)
@@ -13,8 +13,8 @@ from .metrics import (EvalOutcome, MetricsReport, RepairRecord,
 from .problems.instance import (ProblemInstance, evaluate_batch,
                                 load_instances, save_instances)
 from .problems.synthesis import synthesize_instance, synthesize_set
-from .render import (AnswerDoc, PromptDoc, WritingStyle, emit_answer,
-                     render_constraints, render_objective, render_prompt)
+from .render import (PromptDoc, WritingStyle, emit_answer, render_constraints,
+                     render_objective, render_prompt)
 from .seeding import derive_seed, rng_for
 
 __version__ = "0.1.0"
@@ -24,7 +24,7 @@ __all__ = [
     "benchmark_instance",
     "benchmark_set",
     "load_knowledge",
-    "save_knowledge",
+    "save_outcomes",
     "InstructionPair",
     "SamplingPlan",
     "batch_contrastive_loss",
@@ -48,7 +48,6 @@ __all__ = [
     "save_instances",
     "synthesize_instance",
     "synthesize_set",
-    "AnswerDoc",
     "PromptDoc",
     "WritingStyle",
     "emit_answer",

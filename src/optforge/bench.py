@@ -22,19 +22,24 @@ in grid order, are driven in lockstep groups of bounded size by a
 :class:`~optforge.optimizers.base.Lockstep`, which evaluates all the
 asks of a group's step in one call and hands the runs out in that
 order; each run ends as it would alone.
+
+An instance that raises fails the whole set: the exception propagates,
+with a note naming the instance, and :func:`save_outcomes` moves neither
+output into place.  So a degenerate entry has one cause: no ok run
+ended feasible.
 """
 
 import ctypes
 import logging
 import multiprocessing
 import os
-import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 from operator import attrgetter
 
-from .artifacts import read_jsonl_once, write_jsonl
+from .artifacts import read_jsonl_once, write_jsonl_split
 from .metrics import normalized_descent
 from .optimizers.base import Lockstep, run
 from .optimizers.grids import DEFAULT_CONFIG_CAP, GRIDS, enumerate_configs
@@ -45,9 +50,8 @@ __all__ = [
     "KnowledgeEntry",
     "benchmark_instance",
     "benchmark_set",
-    "save_knowledge",
     "load_knowledge",
-    "save_records",
+    "save_outcomes",
     "winner_counts",
 ]
 
@@ -165,15 +169,6 @@ def benchmark_instance(instance, pool=DEFAULT_POOL, cap=DEFAULT_CONFIG_CAP,
     ), records
 
 
-def _bench_task(args):
-    instance, pool, cap, runs, seed = args
-    try:
-        return (*benchmark_instance(instance, pool, cap, runs, seed), None)
-    except Exception as exc:  # noqa: BLE001 -- one bad instance must not kill the set
-        return (_degenerate_entry(instance.id), [],
-                f"{instance.id}: {type(exc).__name__}: {exc}")
-
-
 def _limit_blas_threads(n):
     """Give this process's OpenBLAS ``n`` threads.  numpy's bundled
     OpenBLAS reads its thread variables once, when it loads, so a forked
@@ -191,24 +186,23 @@ def benchmark_set(instances, pool=DEFAULT_POOL, cap=DEFAULT_CONFIG_CAP,
                   runs=5, master_seed=0, parallelism=1):
     """Benchmark a whole set; deterministic in everything but wall time.
 
-    Yields ``(entry, records, error)`` per instance, in input order, as
-    each instance finishes (under ``parallelism`` > 1, once the
-    instances before it have finished too).  ``error`` is None, or the
-    error string of an instance that raised, whose entry is then
-    degenerate and whose records are ``[]`` rather than aborting the
-    set.  A pool, cap or run count that no instance could work with
-    raises ``ValueError`` before any instance runs.
+    Yields ``(entry, records)`` per instance, in input order, as each
+    instance finishes (under ``parallelism`` > 1, once the instances
+    before it have finished too).  An instance that raises ends the
+    set: its exception propagates, with a note naming the instance.  A
+    pool, cap or run count that no instance could work with raises
+    ``ValueError`` before any instance runs.
 
     Workers are forked, and each gets ``cpu_count // workers`` OpenBLAS
     threads (at least 1), so that their thread pools do not contend,
     unless ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set.
     """
     _grid(pool, cap, runs, master_seed)
-    tasks = [(inst, tuple(pool), cap, runs, master_seed) for inst in instances]
-    parallel = parallelism > 1 and len(tasks) > 1
+    instances = list(instances)
+    parallel = parallelism > 1 and len(instances) > 1
     pool_ex = None
     if parallel:
-        workers = min(parallelism, len(tasks))
+        workers = min(parallelism, len(instances))
         pinned = {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ)
         # forked workers start at the first submit, and the launching
         # process's wait4 counts their peak memory
@@ -218,13 +212,18 @@ def benchmark_set(instances, pool=DEFAULT_POOL, cap=DEFAULT_CONFIG_CAP,
             initializer=None if pinned else _limit_blas_threads,
             initargs=(max(1, (os.cpu_count() or 1) // workers),))
     try:
-        mapped = (pool_ex.map if parallel else map)(_bench_task, tasks)
-        for i, (entry, records, error) in enumerate(mapped, start=1):
-            if error is not None:
-                print(f"bench: degenerate instance ({error})", file=sys.stderr)
+        task = partial(benchmark_instance, pool=pool, cap=cap, runs=runs,
+                       seed=master_seed)
+        mapped = (pool_ex.map if parallel else map)(task, instances)
+        for i, instance in enumerate(instances, start=1):
+            try:
+                outcome = next(mapped)
+            except Exception as exc:
+                exc.add_note(f"while benchmarking instance {instance.id}")
+                raise
             if i % 10 == 0:
-                log.info("benchmarked %d/%d instances", i, len(tasks))
-            yield entry, records, error
+                log.info("benchmarked %d/%d instances", i, len(instances))
+            yield outcome
     finally:
         if parallel:
             # a consumer that stops early does not wait for the rest
@@ -240,10 +239,6 @@ def winner_counts(entries):
 # ---------------------------------------------------------------------------
 # serialization
 
-def save_knowledge(entries, path):
-    write_jsonl(path, map(asdict, entries))
-
-
 def load_knowledge(path):
     """The file's entries, in order.  A second entry for one instance
     raises ``ValueError`` naming its line."""
@@ -252,9 +247,25 @@ def load_knowledge(path):
                            "second entry for instance")
 
 
-def save_records(records, path):
-    """Audit sidecar: every (optimizer, config) with its raw runs.  A
-    line's keys are the fields of :class:`BenchmarkRecord`, and each
-    ``per_run`` entry's keys those of :class:`RunResult`."""
-    write_jsonl(path, ({**vars(rec), "per_run": list(map(vars, rec.per_run))}
-                       for rec in records))
+def save_outcomes(outcomes, records_path, knowledge_path):
+    """Write the ``(entry, records)`` pairs of :func:`benchmark_set` in
+    one pass, as they arrive, and return the entries.
+
+    Each record is a line of ``records_path``, the audit sidecar: its
+    keys are the fields of :class:`BenchmarkRecord`, and each
+    ``per_run`` entry's keys those of :class:`RunResult`.  Each entry is
+    a line of ``knowledge_path``.  Neither file moves into place before
+    both are written, so a failure leaves both as they were.
+    """
+    entries = []
+
+    def rows():
+        for entry, records in outcomes:
+            for rec in records:
+                yield 0, {**vars(rec),
+                          "per_run": list(map(vars, rec.per_run))}
+            entries.append(entry)
+            yield 1, asdict(entry)
+
+    write_jsonl_split([records_path, knowledge_path], rows())
+    return entries

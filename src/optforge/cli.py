@@ -8,8 +8,10 @@ overwrites outputs (without it, a command whose outputs all exist is a
 no-op so pipelines are resumable).  Each subparser names its output
 flags in ``outputs`` and its input flags in ``inputs``; two outputs
 naming one file, or an output naming an input (``--config`` too), is an
-error.  The three stages that draw random numbers (synth, bench, split)
-take ``--seed``, which overrides the config seed.  The ``OPT_FORGE_LOG``
+error.  A stage writes all of its outputs and returns 0, or fails and
+writes none of them; bench's error names the instance that raised.  The
+three stages that draw random numbers (synth, bench, split) take
+``--seed``, which overrides the config seed.  The ``OPT_FORGE_LOG``
 environment variable sets the log level.
 """
 
@@ -18,13 +20,12 @@ import contextlib
 import json
 import logging
 import os
-import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 
 from .artifacts import reading, write_json, write_text
 from .bench import (DEFAULT_POOL, benchmark_set, load_knowledge,
-                    save_knowledge, save_records, winner_counts)
+                    save_outcomes, winner_counts)
 from .dataset import (build_instruction_set, load_pairs, sampling_weights,
                       save_pairs, split_pairs)
 from .metrics import (EvalOutcome, MetricsReport, RepairRecord,
@@ -140,23 +141,12 @@ def cmd_synth(args, cfg):
 
 def cmd_bench(args, cfg):
     instances = load_instances(args.instances)
-    entries, failures = [], []
-
-    def records(outcomes):
-        # each instance's records go to the file as the instance arrives
-        for entry, recs, error in outcomes:
-            entries.append(entry)
-            if error is not None:
-                failures.append(error)
-            yield from recs
-
     # closed on a failed write, so that --jobs workers stop early
     with contextlib.closing(benchmark_set(
             instances, pool=tuple(cfg.pool), cap=cfg.config_cap,
             runs=cfg.runs, master_seed=cfg.seed,
             parallelism=args.jobs)) as outcomes:
-        save_records(records(outcomes), args.records)
-    save_knowledge(entries, args.out)
+        entries = save_outcomes(outcomes, args.records, args.out)
     histogram = winner_counts(entries)
     print(f"wrote {len(entries)} knowledge entries to {args.out}")
     for name in sorted(histogram):
@@ -164,8 +154,6 @@ def cmd_bench(args, cfg):
     n_deg = sum(1 for e in entries if e.degenerate)
     if n_deg:
         print(f"  degenerate entries: {n_deg}")
-    if failures:
-        print(f"  failed instances: {len(failures)}", file=sys.stderr)
     return 0
 
 
@@ -282,8 +270,8 @@ def cmd_render(args, cfg):
             answer = emit_answer(entry)
         except DegenerateEntryError as exc:
             raise SystemExit(f"no answer to print: {exc}") from None
-        out += ("\n" + "=" * 30 + f" answer ({answer.optimizer}) "
-                + "=" * 30 + "\n\n" + answer.code_text)
+        out += ("\n" + "=" * 30 + f" answer ({entry.best_optimizer}) "
+                + "=" * 30 + "\n\n" + answer)
     if args.out:
         write_text(args.out, out)
         print(f"wrote rendering to {args.out}")

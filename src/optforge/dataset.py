@@ -109,8 +109,8 @@ def build_instruction_set(instances, knowledge, styles=None):
             for style in styles:
                 doc = render_prompt(inst, style, table=table)
                 yield InstructionPair(
-                    q=doc.text, a=answer.code_text, instance_id=inst.id,
-                    style=style.value, label=answer.optimizer,
+                    q=doc.text, a=answer, instance_id=inst.id,
+                    style=style.value, label=entry.best_optimizer,
                 )
 
     return pairs(), skipped

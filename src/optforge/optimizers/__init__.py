@@ -18,7 +18,6 @@ from .grids import (
     config_at,
     enumerate_configs,
     grid_size,
-    iter_full_grid,
     validate_config,
 )
 
@@ -43,6 +42,5 @@ __all__ = [
     "config_at",
     "enumerate_configs",
     "grid_size",
-    "iter_full_grid",
     "validate_config",
 ]

@@ -7,7 +7,6 @@ parameter varying fastest (``itertools.product`` order).  A config's
 forever -- capped subsets sample indices, never re-enumerate.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -140,11 +139,3 @@ def validate_config(optimizer, config):
             raise ValueError(
                 f"{optimizer}: {name}={config[name]!r} not in grid {values}"
             )
-
-
-def iter_full_grid(optimizer):
-    """All configs of one optimizer in enumeration order."""
-    grid = GRIDS[optimizer]
-    names = list(grid)
-    for combo in itertools.product(*(grid[n] for n in names)):
-        yield dict(zip(names, combo))

@@ -1,4 +1,4 @@
-from .basic import BASIC_FUNCTIONS, BASIC_NAMES, BasicFunction
+from .basic import BASIC_FUNCTIONS, BASIC_NAMES
 from .transforms import TransformSpec, make_rotation
 from .constraints import (
     CONSTRAINT_TEMPLATES,
@@ -20,7 +20,6 @@ from .synthesis import synthesize_instance, synthesize_set
 __all__ = [
     "BASIC_FUNCTIONS",
     "BASIC_NAMES",
-    "BasicFunction",
     "TransformSpec",
     "make_rotation",
     "CONSTRAINT_TEMPLATES",

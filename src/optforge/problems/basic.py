@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["BasicFunction", "BASIC_FUNCTIONS", "BASIC_NAMES"]
+__all__ = ["BASIC_FUNCTIONS", "BASIC_NAMES"]
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,6 @@
 from .styles import WritingStyle, PY_STYLES, TEX_STYLES
 from .prompts import PromptDoc, render_objective, render_constraints, render_prompt
-from .answers import AnswerDoc, DegenerateEntryError, emit_answer
+from .answers import DegenerateEntryError, emit_answer
 from .literals import LiteralTable
 from .tex_code import normalize_terms, split_signed_terms
 
@@ -13,7 +13,6 @@ __all__ = [
     "render_objective",
     "render_constraints",
     "render_prompt",
-    "AnswerDoc",
     "DegenerateEntryError",
     "emit_answer",
     "normalize_terms",

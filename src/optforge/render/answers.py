@@ -54,24 +54,15 @@ import io
 import linecache
 import tokenize
 import types
-from dataclasses import dataclass
 
 from ..optimizers import get_answer, validate_config
 
-__all__ = ["AnswerDoc", "DegenerateEntryError", "emit_answer"]
+__all__ = ["DegenerateEntryError", "emit_answer"]
 
 
 class DegenerateEntryError(ValueError):
     """Raised when asked to emit an answer for an instance whose
     benchmark produced no usable winner."""
-
-
-@dataclass(frozen=True)
-class AnswerDoc:
-    """A rendered answer program plus its provenance label."""
-
-    code_text: str
-    optimizer: str
 
 
 def _code_tree(code):
@@ -182,7 +173,7 @@ def _optimizer_source(name):
 
 
 def emit_answer(entry):
-    """Render the answer program for one knowledge-base entry.
+    """The answer program's text for one knowledge-base entry.
 
     Raises :class:`DegenerateEntryError` when the entry carries no
     usable winner (all optimizers failed on the instance), ``KeyError``
@@ -213,4 +204,4 @@ def emit_answer(entry):
         "problem = load_problem()\n"
         + driver + "    pass\n"
     )
-    return AnswerDoc(code_text=code, optimizer=optimizer)
+    return code

@@ -9,10 +9,11 @@ import math
 import numpy as np
 import pytest
 
+from optforge.artifacts import write_jsonl
 import optforge.bench as bench
 from optforge.bench import (BenchmarkRecord, KnowledgeEntry, _run_eval,
                             benchmark_instance, benchmark_set, load_knowledge,
-                            save_knowledge, save_records)
+                            save_outcomes)
 import optforge.optimizers.base as base
 from optforge.optimizers.base import RunResult, run
 from optforge.optimizers.grids import enumerate_configs
@@ -242,9 +243,8 @@ def test_benchmark_set_preserves_order_and_ids():
     instances = _tiny_set()
     outcomes = list(benchmark_set(instances, pool=POOL, cap=2, runs=2,
                                   master_seed=0))
-    assert [e.instance_id for e, _, _ in outcomes] == [i.id for i in instances]
-    assert [err for _, _, err in outcomes] == [None] * 4
-    for inst, (_, records, _) in zip(instances, outcomes):
+    assert [e.instance_id for e, _ in outcomes] == [i.id for i in instances]
+    for inst, (_, records) in zip(instances, outcomes):
         assert records and {r.instance_id for r in records} == {inst.id}
 
 
@@ -339,7 +339,7 @@ def test_benchmark_set_records_per_instance():
     instances = _tiny_set(n=2)
     outcomes = list(benchmark_set(instances, pool=POOL, cap=2, runs=1,
                                   master_seed=0))
-    for inst, (_, records, _) in zip(instances, outcomes):
+    for inst, (_, records) in zip(instances, outcomes):
         assert {r.instance_id for r in records} == {inst.id}
         # one random_search config + two capped vanilla_de configs
         assert len(records) == 1 + 2
@@ -358,39 +358,21 @@ def test_benchmark_set_yields_each_instance_before_the_next_runs(
     monkeypatch.setattr(bench, "run", spy)
     outcomes = benchmark_set(instances, pool=POOL, cap=2, runs=1,
                              master_seed=0)
-    entry, _, _ = next(outcomes)
+    entry, _ = next(outcomes)
     assert entry.instance_id == instances[0].id
     assert ran_on and set(ran_on) == {instances[0].id}
     next(outcomes)
     assert ran_on[-1] == instances[1].id
 
 
-def test_benchmark_set_survives_crashing_instance(monkeypatch, capsys):
-    instances = _tiny_set(n=3)
-    bad_id = instances[1].id
-    real_run = bench.run
-
-    def exploding_run(optimizer, config, instance, *args, **kwargs):
-        if instance.id == bad_id:
-            raise RuntimeError("boom")
-        return real_run(optimizer, config, instance, *args, **kwargs)
-
-    monkeypatch.setattr(bench, "run", exploding_run)
-    outcomes = list(benchmark_set(instances, pool=POOL, cap=2, runs=1,
-                                  master_seed=0))
-    entries = [e for e, _, _ in outcomes]
-    failures = [err for _, _, err in outcomes if err is not None]
-    assert len(entries) == 3
-    assert entries[1].degenerate
-    assert not entries[0].degenerate and not entries[2].degenerate
-    assert [len(recs) for _, recs, _ in outcomes] == [3, 0, 3]
-    assert len(failures) == 1 and bad_id in failures[0]
-    assert "boom" in failures[0]
-    assert failures[0] in capsys.readouterr().err
-
-
 # ---------------------------------------------------------------------------
 # serialization
+
+
+def _save_knowledge(entries, path):
+    """Write ``entries`` through the bench writer, with no records."""
+    save_outcomes([(e, []) for e in entries],
+                  path.with_name("records.jsonl"), path)
 
 
 def test_knowledge_round_trip(tmp_path):
@@ -403,7 +385,7 @@ def test_knowledge_round_trip(tmp_path):
                        degenerate=True),
     ]
     path = tmp_path / "knowledge.jsonl"
-    save_knowledge(entries, path)
+    _save_knowledge(entries, path)
     loaded = load_knowledge(path)
     assert loaded == entries
     # degenerate reference optimum survives as JSON null
@@ -412,8 +394,8 @@ def test_knowledge_round_trip(tmp_path):
 
 def test_knowledge_file_is_sorted_jsonl(tmp_path):
     path = tmp_path / "knowledge.jsonl"
-    save_knowledge([KnowledgeEntry("abc", "nsa", {"sigma": 0.3}, 2, 1.0,
-                                   0.5)], path)
+    _save_knowledge([KnowledgeEntry("abc", "nsa", {"sigma": 0.3}, 2, 1.0,
+                                    0.5)], path)
     lines = path.read_text().splitlines()
     assert len(lines) == 1
     obj = json.loads(lines[0])
@@ -437,7 +419,7 @@ def test_load_knowledge_rejects_second_entry_for_an_instance(tmp_path):
     other = KnowledgeEntry("def", "nsa", {"sigma": 0.3}, 2, 1.0, 0.5)
     second = KnowledgeEntry("abc", "random_search", {}, 0, 2.0, 0.25)
     path = tmp_path / "knowledge.jsonl"
-    save_knowledge([first, other, second], path)
+    write_jsonl(path, map(dataclasses.asdict, [first, other, second]))
     with pytest.raises(ValueError) as err:
         load_knowledge(path)
     assert f"{path}:3:" in str(err.value)
@@ -449,12 +431,13 @@ def test_save_records_schema(tmp_path):
     # for field, so a reader rebuilds the runs with RunResult(**run)
     inst = synthesize_instance(d=2, k=1, constrained=True, seed=1,
                                fe_budget=120)
-    _, records = benchmark_instance(inst, pool=("random_search", "deap_de"),
-                                    cap=3, runs=2, seed=0)
+    outcome = benchmark_instance(inst, pool=("random_search", "deap_de"),
+                                 cap=3, runs=2, seed=0)
+    _, records = outcome
     assert {r.status for rec in records for r in rec.per_run} == {"ok",
                                                                   "failed"}
     path = tmp_path / "records.jsonl"
-    save_records(records, path)
+    save_outcomes([outcome], path, tmp_path / "knowledge.jsonl")
     rows = [json.loads(line) for line in path.read_text().splitlines()]
     record_fields = {f.name for f in dataclasses.fields(BenchmarkRecord)}
     run_fields = {f.name for f in dataclasses.fields(RunResult)}

@@ -12,11 +12,13 @@ import shutil
 import statistics
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from optforge.artifacts import write_jsonl
 import optforge.bench as bench
 import optforge.dataset as dataset
 from optforge.bench import load_knowledge
@@ -367,7 +369,7 @@ def test_render_degenerate_instance_exits_with_message(pipeline, tmp_path):
     entries = load_knowledge(pipeline["knowledge"])
     entries[0] = bench._degenerate_entry(entries[0].instance_id)
     knowledge = tmp_path / "knowledge.jsonl"
-    bench.save_knowledge(entries, knowledge)
+    write_jsonl(knowledge, map(dataclasses.asdict, entries))
     out = tmp_path / "render.txt"
     with pytest.raises(SystemExit) as err:
         main(["render", "--instances", pipeline["instances"],
@@ -597,6 +599,62 @@ def test_bench_interrupted_midway_keeps_the_old_outputs(pipeline, tmp_path,
     monkeypatch.setattr(bench, "run", interrupted_run)
     with pytest.raises(KeyboardInterrupt):
         main([*argv, "--force"])
+    assert {path: path.read_bytes() for path in before} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "knowledge.jsonl", "records.jsonl"]
+
+
+def _stale_bench_outputs(pipeline, tmp_path, jobs):
+    """bench argv over the pipeline's instances with ``--force``, and its
+    two outputs, filled with bytes no bench run writes."""
+    out, records = tmp_path / "knowledge.jsonl", tmp_path / "records.jsonl"
+    out.write_text("stale knowledge\n")
+    records.write_text("stale records\n")
+    argv = ["bench", "--config", pipeline["config"],
+            "--instances", pipeline["instances"], "--out", str(out),
+            "--records", str(records), "--jobs", jobs, "--force"]
+    return argv, {path: path.read_bytes() for path in (out, records)}
+
+
+@pytest.mark.parametrize("jobs", ["1", pytest.param(
+    "2", marks=pytest.mark.worker_blas)])
+def test_bench_instance_that_raises_fails_the_stage(pipeline, tmp_path,
+                                                    monkeypatch, jobs):
+    argv, before = _stale_bench_outputs(pipeline, tmp_path, jobs)
+    bad_id = load_instances(pipeline["instances"])[2].id
+    real_run = bench.run
+
+    def exploding_run(optimizer, config, instance, *args, **kwargs):
+        if instance.id == bad_id:
+            raise RuntimeError("boom")
+        return real_run(optimizer, config, instance, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "run", exploding_run)
+    with pytest.raises(RuntimeError) as err:
+        main(argv)
+    message = "".join(traceback.format_exception_only(err.value))
+    assert "boom" in message and bad_id in message
+    assert {path: path.read_bytes() for path in before} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "knowledge.jsonl", "records.jsonl"]
+
+
+@pytest.mark.parametrize("jobs", ["1", pytest.param(
+    "2", marks=pytest.mark.worker_blas)])
+def test_bench_failed_last_knowledge_line_keeps_the_old_records(
+        pipeline, tmp_path, monkeypatch, jobs):
+    argv, before = _stale_bench_outputs(pipeline, tmp_path, jobs)
+    last_id = load_instances(pipeline["instances"])[-1].id
+    real_asdict = bench.asdict
+
+    def failing_asdict(obj):
+        if obj.instance_id == last_id:
+            raise OSError("disk full")
+        return real_asdict(obj)
+
+    monkeypatch.setattr(bench, "asdict", failing_asdict)
+    with pytest.raises(OSError, match="disk full"):
+        main(argv)
     assert {path: path.read_bytes() for path in before} == before
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "knowledge.jsonl", "records.jsonl"]

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -5,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optforge.optimizers.grids import (GRIDS, config_at, enumerate_configs,
-                                       grid_size, iter_full_grid,
-                                       validate_config)
+                                       grid_size, validate_config)
 
 EXPECTED_SIZES = {
     "samr_ga": 225,
@@ -43,7 +43,9 @@ def test_every_grid_parameter_is_a_choice():
 
 def test_config_at_matches_product_order():
     for optimizer in ("deap_de", "vanilla_pso", "dual_annealing"):
-        full = list(iter_full_grid(optimizer))
+        grid = GRIDS[optimizer]
+        full = [dict(zip(grid, combo))
+                for combo in itertools.product(*grid.values())]
         for idx in range(grid_size(optimizer)):
             assert config_at(optimizer, idx) == full[idx]
 

@@ -508,19 +508,18 @@ def _entry(optimizer, config, degenerate=False):
 @pytest.mark.parametrize("optimizer", sorted(GRIDS))
 def test_answer_compiles_for_grid_config(optimizer):
     _, config = enumerate_configs(optimizer, cap=1)[0]
-    doc = emit_answer(_entry(optimizer, config))
-    compile(doc.code_text, "<answer>", "exec")
-    assert doc.optimizer == optimizer
-    assert "from opt_runtime import BudgetExhausted, load_problem" in doc.code_text
+    code = emit_answer(_entry(optimizer, config))
+    compile(code, "<answer>", "exec")
+    assert "from opt_runtime import BudgetExhausted, load_problem" in code
     for value in config.values():
-        assert repr(value) in doc.code_text
+        assert repr(value) in code
 
 
 def test_answer_templates_cover_pool():
     for optimizer in GRIDS:
         assert callable(get_optimizer(optimizer))
         assert f"def {optimizer}(tracker, config, rng):" in emit_answer(
-            _entry(optimizer, config_at(optimizer, 0))).code_text
+            _entry(optimizer, config_at(optimizer, 0)))
 
 
 def _without_docstrings(tree):
@@ -537,7 +536,7 @@ def unstripped_answers(monkeypatch):
     answers._optimizer_source.cache_clear()
     monkeypatch.setattr(answers, "_strip_prose", lambda source: source)
     try:
-        return {o: emit_answer(_entry(o, config_at(o, 0))).code_text
+        return {o: emit_answer(_entry(o, config_at(o, 0)))
                 for o in GRIDS}
     finally:
         monkeypatch.undo()
@@ -546,7 +545,7 @@ def unstripped_answers(monkeypatch):
 
 def test_answers_are_code_without_prose(unstripped_answers):
     for optimizer, full in unstripped_answers.items():
-        code = emit_answer(_entry(optimizer, config_at(optimizer, 0))).code_text
+        code = emit_answer(_entry(optimizer, config_at(optimizer, 0)))
         compile(code, "<answer>", "exec")
         tree = ast.parse(code)
         assert ast.dump(tree) == ast.dump(_without_docstrings(ast.parse(full)))
@@ -655,9 +654,9 @@ def test_answer_reproduces_bench_run(optimizer, kind, monkeypatch,
     assert instance.constrained == (kind == "constrained")
     config = _small_config(optimizer)
     budget = 400
-    doc = emit_answer(_entry(optimizer, config))
+    code = emit_answer(_entry(optimizer, config))
     imported = set()
-    for node in ast.walk(ast.parse(doc.code_text)):
+    for node in ast.walk(ast.parse(code)):
         if isinstance(node, ast.Import):
             imported.update(a.name for a in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -669,7 +668,7 @@ def test_answer_reproduces_bench_run(optimizer, kind, monkeypatch,
     runtime.load_problem = lambda: tracker
     runtime.BudgetExhausted = BudgetExhausted
     monkeypatch.setitem(sys.modules, "opt_runtime", runtime)
-    exec(compile(doc.code_text, "<answer>", "exec"), {"__name__": "__main__"})
+    exec(compile(code, "<answer>", "exec"), {"__name__": "__main__"})
 
     bench = run(optimizer, config, instance, budget, seed=0)
     assert bench.status == "ok", bench.message
