@@ -13,8 +13,10 @@ from .metrics import (EvalOutcome, MetricsReport, RepairRecord,
 from .problems.instance import (ProblemInstance, evaluate_batch,
                                 load_instances, save_instances)
 from .problems.synthesis import synthesize_instance, synthesize_set
-from .render import (PromptDoc, WritingStyle, emit_answer, render_constraints,
-                     render_objective, render_prompt)
+from .render.answers import emit_answer
+from .render.prompts import (PromptDoc, render_constraints, render_objective,
+                             render_prompt)
+from .render.styles import WritingStyle
 from .seeding import derive_seed, rng_for
 
 __version__ = "0.1.0"

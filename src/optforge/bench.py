@@ -190,8 +190,9 @@ def benchmark_set(instances, pool=DEFAULT_POOL, cap=DEFAULT_CONFIG_CAP,
     instance finishes (under ``parallelism`` > 1, once the instances
     before it have finished too).  An instance that raises ends the
     set: its exception propagates, with a note naming the instance.  A
-    pool, cap or run count that no instance could work with raises
-    ``ValueError`` before any instance runs.
+    set that ends early, by a raise or by the consumer closing it, stops
+    its workers at once.  A pool, cap or run count that no instance
+    could work with raises ``ValueError`` before any instance runs.
 
     Workers are forked, and each gets ``cpu_count // workers`` OpenBLAS
     threads (at least 1), so that their thread pools do not contend,
@@ -200,10 +201,11 @@ def benchmark_set(instances, pool=DEFAULT_POOL, cap=DEFAULT_CONFIG_CAP,
     _grid(pool, cap, runs, master_seed)
     instances = list(instances)
     parallel = parallelism > 1 and len(instances) > 1
-    pool_ex = None
+    finished = False
     if parallel:
         workers = min(parallelism, len(instances))
         pinned = {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ)
+        before = set(multiprocessing.active_children())
         # forked workers start at the first submit, and the launching
         # process's wait4 counts their peak memory
         pool_ex = ProcessPoolExecutor(
@@ -224,9 +226,14 @@ def benchmark_set(instances, pool=DEFAULT_POOL, cap=DEFAULT_CONFIG_CAP,
             if i % 10 == 0:
                 log.info("benchmarked %d/%d instances", i, len(instances))
             yield outcome
+        finished = True
     finally:
         if parallel:
-            # a consumer that stops early does not wait for the rest
+            if not finished:
+                # a set that stops early does not wait for the rest: the
+                # calls already queued to workers cannot be cancelled
+                for proc in set(multiprocessing.active_children()) - before:
+                    proc.terminate()
             pool_ex.shutdown(cancel_futures=True)
 
 

@@ -96,7 +96,8 @@ def _flag(dest):
 
 
 def _outputs_exist(args):
-    """Resumability: skip work when every output is already on disk.
+    """Resumability: skip work when every output is already a regular
+    file on disk; an output that names a directory fails at its write.
 
     Two outputs named by one file are an error, not a no-op: the second
     write would replace the first, and a later run would take the
@@ -118,7 +119,7 @@ def _outputs_exist(args):
                              f"{path}")
     if not outputs or args.force:
         return False
-    if all(os.path.exists(p) for p in outputs.values()):
+    if all(os.path.isfile(p) for p in outputs.values()):
         print("outputs exist, nothing to do (use --force to rebuild): "
               + ", ".join(outputs.values()))
         return True

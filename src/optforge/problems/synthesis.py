@@ -118,6 +118,10 @@ def synthesize_set(n_unconstrained, n_constrained, d_range=(2, 50),
     streams keyed by the instance index, so instance i is identical no
     matter how many instances surround it.
     """
+    for name, n in (("n_unconstrained", n_unconstrained),
+                    ("n_constrained", n_constrained)):
+        if n < 0:
+            raise ValueError(f"{name} must be >= 0, got {n}")
     d_lo, d_hi = d_range
     k_lo, k_hi = k_range
     if d_lo < 1 or d_lo > d_hi:

@@ -23,7 +23,7 @@ other line keeps its layout, and the one comment
 left is the program's header line.  The pairing
 ``prompt -> answer`` is a pure function of ``(optimizer, config)``, and
 executing the answer against an
-:class:`~optforge.optimizers.ObjectiveTracker` repeats the bench run of
+:class:`~optforge.optimizers.base.ObjectiveTracker` repeats the bench run of
 that configuration at seed 0 evaluation for evaluation.
 
 The programs target a small documented runtime namespace, which is the
@@ -55,7 +55,8 @@ import linecache
 import tokenize
 import types
 
-from ..optimizers import get_answer, validate_config
+from ..optimizers.base import get_answer
+from ..optimizers.grids import validate_config
 
 __all__ = ["DegenerateEntryError", "emit_answer"]
 

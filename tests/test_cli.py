@@ -6,12 +6,14 @@ import copy
 import dataclasses
 import importlib
 import json
+import multiprocessing
 import os
 import shlex
 import shutil
 import statistics
 import subprocess
 import sys
+import time
 import traceback
 from pathlib import Path
 
@@ -25,7 +27,7 @@ from optforge.bench import load_knowledge
 from optforge.cli import PipelineConfig, build_parser, main
 from optforge.dataset import InstructionPair, load_pairs, save_pairs
 from optforge.problems.instance import load_instances
-from optforge.render import WritingStyle
+from optforge.render.styles import WritingStyle
 
 from reference_impls import ref_split_pairs
 
@@ -147,6 +149,20 @@ def test_config_field_of_a_wrong_type_fails_before_any_output(
     (name, value), = override.items()
     assert str(err.value).startswith(f"{config}: {name} must be ")
     assert str(err.value).endswith(f", got {value!r}")
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("name, other", [("n_unconstrained", "n_constrained"),
+                                         ("n_constrained", "n_unconstrained")])
+def test_negative_instance_count_fails_before_any_output(pipeline, tmp_path,
+                                                         name, other):
+    cfg = json.loads(Path(pipeline["config"]).read_text())
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**cfg, name: -5, other: 10}))
+    with pytest.raises(ValueError) as err:
+        main(["synth", "--config", str(config),
+              "--out", str(tmp_path / "out.jsonl")])
+    assert str(err.value) == f"{name} must be >= 0, got -5"
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
@@ -442,6 +458,17 @@ def test_stage_noop_when_every_output_exists(tmp_path, capsys, stage):
         dest: f"kept {dest}" for dest in outputs}
 
 
+def test_output_naming_a_directory_is_no_finished_output(pipeline, tmp_path):
+    out = tmp_path / "instances"
+    out.mkdir()
+    (out / "kept").write_text("kept")
+    with pytest.raises(OSError):
+        main(["synth", "--config", pipeline["config"], "--out", str(out)])
+    assert [p.name for p in tmp_path.iterdir()] == ["instances"]
+    assert [(p.name, p.read_text()) for p in out.iterdir()] == [
+        ("kept", "kept")]
+
+
 @pytest.mark.parametrize("exists", [False, True], ids=["absent", "present"])
 @pytest.mark.parametrize("stage, flags", [
     ("split", ["--pairs", "{pairs}", "--train-out", "same.jsonl",
@@ -637,6 +664,30 @@ def test_bench_instance_that_raises_fails_the_stage(pipeline, tmp_path,
     assert {path: path.read_bytes() for path in before} == before
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "knowledge.jsonl", "records.jsonl"]
+
+
+@pytest.mark.worker_blas
+def test_bench_instance_that_raises_under_jobs_stops_the_workers_at_once(
+        pipeline, tmp_path, monkeypatch):
+    """The runs of the other instances are slowed so much that the raise,
+    had it waited for even one of them, would come too late."""
+    argv, before = _stale_bench_outputs(pipeline, tmp_path, "2")
+    bad_id = load_instances(pipeline["instances"])[0].id
+    real_run, slow = bench.run, 1.0
+
+    def slowed_run(optimizer, config, instance, *args, **kwargs):
+        if instance.id == bad_id:
+            raise RuntimeError("boom")
+        time.sleep(slow)
+        return real_run(optimizer, config, instance, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "run", slowed_run)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="boom"):
+        main(argv)
+    assert time.perf_counter() - start < slow
+    assert multiprocessing.active_children() == []
+    assert {path: path.read_bytes() for path in before} == before
 
 
 @pytest.mark.parametrize("jobs", ["1", pytest.param(

@@ -18,8 +18,9 @@ from optforge.dataset import (InstructionPair, SamplingPlan,
                               split_pairs)
 from optforge.optimizers.grids import enumerate_configs
 from optforge.problems.synthesis import synthesize_instance
-from optforge.render import PY_STYLES, TEX_STYLES, LiteralTable, WritingStyle
+from optforge.render.literals import LiteralTable
 from optforge.render.prompts import render_prompt
+from optforge.render.styles import PY_STYLES, TEX_STYLES, WritingStyle
 
 from reference_impls import ref_batch_contrastive_loss
 

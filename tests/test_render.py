@@ -13,8 +13,8 @@ import pytest
 
 import optforge.optimizers.base as base
 from optforge.bench import KnowledgeEntry
-from optforge.optimizers import (BudgetExhausted, ObjectiveTracker,
-                                 get_optimizer, run)
+from optforge.optimizers.base import (BudgetExhausted, ObjectiveTracker,
+                                      get_optimizer, run)
 from optforge.optimizers.grids import GRIDS, config_at, enumerate_configs
 from optforge.problems.basic import BASIC_FUNCTIONS, BASIC_NAMES
 from optforge.problems.constraints import (CONSTRAINT_TEMPLATES, EPS_EQ,
@@ -23,13 +23,15 @@ from optforge.problems.instance import (ComponentSpec, ProblemInstance,
                                         evaluate_batch)
 from optforge.problems.synthesis import synthesize_instance
 from optforge.problems.transforms import TransformSpec, make_rotation
-from optforge.render import (DegenerateEntryError, LiteralTable, PY_STYLES,
-                             TEX_STYLES, WritingStyle, emit_answer,
-                             normalize_terms, render_constraints,
-                             render_objective, render_prompt,
-                             split_signed_terms)
 from optforge.render import answers
-from optforge.render.tex_code import join_signed_terms, permute_terms, tex_num
+from optforge.render.answers import DegenerateEntryError, emit_answer
+from optforge.render.literals import LiteralTable
+from optforge.render.prompts import (render_constraints, render_objective,
+                                     render_prompt)
+from optforge.render.styles import PY_STYLES, TEX_STYLES, WritingStyle
+from optforge.render.tex_code import (join_signed_terms, normalize_terms,
+                                      permute_terms, split_signed_terms,
+                                      tex_num)
 from reference_impls import (ref_normalize_terms, ref_permute_terms,
                              ref_split_signed_terms)
 
