@@ -182,6 +182,19 @@ def _limit_blas_threads(n):
         set_threads(n)
 
 
+def _start_worker(task, blas_threads):
+    """Keep ``task``, which the fork copied, for :func:`_call_task`;
+    give OpenBLAS ``blas_threads`` unless it is None."""
+    global _task
+    _task = task
+    if blas_threads is not None:
+        _limit_blas_threads(blas_threads)
+
+
+def _call_task(i):
+    return _task(i)
+
+
 def benchmark_set(instances, pool=DEFAULT_POOL, cap=DEFAULT_CONFIG_CAP,
                   runs=5, master_seed=0, parallelism=1):
     """Benchmark a whole set; deterministic in everything but wall time.
@@ -200,41 +213,47 @@ def benchmark_set(instances, pool=DEFAULT_POOL, cap=DEFAULT_CONFIG_CAP,
     """
     _grid(pool, cap, runs, master_seed)
     instances = list(instances)
+    task = partial(benchmark_instance, pool=pool, cap=cap, runs=runs,
+                   seed=master_seed)
     parallel = parallelism > 1 and len(instances) > 1
-    finished = False
     if parallel:
         workers = min(parallelism, len(instances))
         pinned = {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ)
-        before = set(multiprocessing.active_children())
         # forked workers start at the first submit, and the launching
         # process's wait4 counts their peak memory
         pool_ex = ProcessPoolExecutor(
             max_workers=workers,
             mp_context=multiprocessing.get_context("fork"),
-            initializer=None if pinned else _limit_blas_threads,
-            initargs=(max(1, (os.cpu_count() or 1) // workers),))
+            initializer=_start_worker,
+            initargs=(lambda i: task(instances[i]), None if pinned
+                      else max(1, (os.cpu_count() or 1) // workers)))
     try:
-        task = partial(benchmark_instance, pool=pool, cap=cap, runs=runs,
-                       seed=master_seed)
-        mapped = (pool_ex.map if parallel else map)(task, instances)
+        # a call carries an index, not its instance (about 100 KB at d =
+        # 50), so that the calls left queued when the workers are
+        # terminated fit the queue's pipe.  Not map: it cancels the rest
+        # as it raises, which breaks Python 3.11's clean-up of the pool
+        outcomes = ((f.result() for f in [pool_ex.submit(_call_task, i)
+                                          for i in range(len(instances))])
+                    if parallel else map(task, instances))
         for i, instance in enumerate(instances, start=1):
             try:
-                outcome = next(mapped)
+                outcome = next(outcomes)
             except Exception as exc:
                 exc.add_note(f"while benchmarking instance {instance.id}")
                 raise
             if i % 10 == 0:
                 log.info("benchmarked %d/%d instances", i, len(instances))
             yield outcome
-        finished = True
+    except BaseException:
+        if parallel:
+            # calls already queued cannot be cancelled: terminate the
+            # executor's own workers, as Python 3.14's terminate_workers()
+            for proc in list(pool_ex._processes.values()):
+                proc.terminate()
+        raise
     finally:
         if parallel:
-            if not finished:
-                # a set that stops early does not wait for the rest: the
-                # calls already queued to workers cannot be cancelled
-                for proc in set(multiprocessing.active_children()) - before:
-                    proc.terminate()
-            pool_ex.shutdown(cancel_futures=True)
+            pool_ex.shutdown()
 
 
 def winner_counts(entries):

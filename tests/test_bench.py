@@ -5,6 +5,7 @@ import ctypes
 import dataclasses
 import json
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -267,13 +268,16 @@ def test_benchmark_set_starts_no_more_workers_than_instances(
 
     class StubExecutor:
         # records max_workers and runs the tasks in this process
-        def __init__(self, max_workers, **kwargs):
+        def __init__(self, max_workers, initargs, **kwargs):
             started.append(max_workers)
+            self.task = initargs[0]
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def submit(self, fn, i):
+            future = Future()
+            future.set_result(self.task(i))
+            return future
 
-        def shutdown(self, cancel_futures):
+        def shutdown(self):
             pass
 
     monkeypatch.setattr(bench, "ProcessPoolExecutor", StubExecutor)
@@ -301,11 +305,14 @@ def test_benchmark_set_gives_each_worker_its_share_of_blas_threads(
         # records its arguments and runs the tasks in this process
         def __init__(self, **kwargs):
             made.append(kwargs)
+            self.task = kwargs["initargs"][0]
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def submit(self, fn, i):
+            future = Future()
+            future.set_result(self.task(i))
+            return future
 
-        def shutdown(self, cancel_futures):
+        def shutdown(self):
             pass
 
     monkeypatch.setattr(bench, "ProcessPoolExecutor", StubExecutor)
@@ -313,9 +320,8 @@ def test_benchmark_set_gives_each_worker_its_share_of_blas_threads(
                        runs=1, master_seed=0, parallelism=2))
     (kwargs,) = made
     assert kwargs["mp_context"].get_start_method() == "fork"
-    assert kwargs["initargs"] == (2,)
-    assert kwargs["initializer"] is (bench._limit_blas_threads if limited
-                                     else None)
+    assert kwargs["initializer"] is bench._start_worker
+    assert kwargs["initargs"][1] == (2 if limited else None)
 
 
 @pytest.mark.worker_blas

@@ -13,6 +13,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import threading
 import time
 import traceback
 from pathlib import Path
@@ -668,11 +669,21 @@ def test_bench_instance_that_raises_fails_the_stage(pipeline, tmp_path,
 
 @pytest.mark.worker_blas
 def test_bench_instance_that_raises_under_jobs_stops_the_workers_at_once(
-        pipeline, tmp_path, monkeypatch):
+        tiny_config, tmp_path, monkeypatch):
     """The runs of the other instances are slowed so much that the raise,
-    had it waited for even one of them, would come too late."""
-    argv, before = _stale_bench_outputs(pipeline, tmp_path, "2")
-    bad_id = load_instances(pipeline["instances"])[0].id
+    had it waited for even one of them, would come too late.  At d = 50
+    with 5 components a composition instance pickles to about 100 KB,
+    more than a pipe holds, so calls that carried instances would
+    outgrow the executor's call queue."""
+    cfg = {**json.loads(Path(tiny_config).read_text()), "n_unconstrained": 6,
+           "n_constrained": 0, "d_min": 50, "d_max": 50, "k_min": 5,
+           "k_max": 5}
+    large = {"config": str(tmp_path / "config.json"),
+             "instances": str(tmp_path / "instances.jsonl")}
+    Path(large["config"]).write_text(json.dumps(cfg))
+    main(["synth", "--config", large["config"], "--out", large["instances"]])
+    argv, before = _stale_bench_outputs(large, tmp_path, "2")
+    bad_id = load_instances(large["instances"])[0].id
     real_run, slow = bench.run, 1.0
 
     def slowed_run(optimizer, config, instance, *args, **kwargs):
@@ -682,11 +693,14 @@ def test_bench_instance_that_raises_under_jobs_stops_the_workers_at_once(
         return real_run(optimizer, config, instance, *args, **kwargs)
 
     monkeypatch.setattr(bench, "run", slowed_run)
+    thread_errors, threads = [], threading.enumerate()
+    monkeypatch.setattr(threading, "excepthook", thread_errors.append)
     start = time.perf_counter()
     with pytest.raises(RuntimeError, match="boom"):
         main(argv)
     assert time.perf_counter() - start < slow
     assert multiprocessing.active_children() == []
+    assert threading.enumerate() == threads and thread_errors == []
     assert {path: path.read_bytes() for path in before} == before
 
 
